@@ -13,11 +13,11 @@ import time
 from dataclasses import dataclass, field
 
 from .config import Config
-from .errors import CapacityError, CutkitError
+from .errors import CutkitError
 from .graph import cut_value
 from .io import read_instance
 from .matroid import PartitionMatroid, solve_matroid
-from .oracle import oracle_constrained
+from .oracle import oracle_constrained, oracle_matroid
 from .rounding import RoundingParams, greedy_feasible, solve_multi
 
 METHODS = ("sdp", "pipage", "greedy", "oracle")
@@ -35,12 +35,14 @@ class BenchRow:
     seed: int
     wall_time_s: float
     skipped: str = ""
+    ratio_base: str = "partition"  # the problem whose optimum `ratio` divides by
+    base_value: float | None = None  # that optimum
 
     @property
     def ratio(self) -> float | None:
-        if self.value is None or not self.oracle_value:
+        if self.value is None or not self.base_value:
             return None
-        return self.value / self.oracle_value
+        return self.value / self.base_value
 
     def csv_line(self) -> str:
         if self.skipped:
@@ -61,6 +63,7 @@ class BenchRow:
             "value": self.value,
             "oracle_value": self.oracle_value,
             "ratio": self.ratio,
+            "ratio_base": self.ratio_base,
             "feasible": self.feasible,
             "seed": self.seed,
             "wall_time_s": self.wall_time_s,
@@ -119,6 +122,13 @@ def _run_method(inst, matroid, method, eps, seed, config):
     raise CutkitError(f"unknown method {method!r}")
 
 
+def _optimum(oracle, *args, **kwargs) -> float | None:
+    try:
+        return oracle(*args, **kwargs).opt_value
+    except CutkitError:
+        return None
+
+
 def run_bench(
     corpus_dir: str,
     methods,
@@ -126,8 +136,13 @@ def run_bench(
     eps: float = 0.5,
     config: Config | None = None,
 ) -> BenchReport:
-    """Run every (instance, method, seed) combination; capacity errors mark
-    the row skipped instead of aborting the run."""
+    """Run every (instance, method, seed) combination; a toolkit error marks
+    its row skipped instead of aborting the run.
+
+    Ratios divide by the optimum of the problem the method solved: pipage
+    on an instance that declares a matroid solves over that matroid's
+    bases, every other row over the partition constraints.
+    """
     config = config or Config()
     report = BenchReport()
     names = sorted(
@@ -138,38 +153,32 @@ def run_bench(
     for name in names:
         path = os.path.join(corpus_dir, name)
         inst, matroid = read_instance(path)
-        oracle_value = None
-        try:
-            oracle_value = oracle_constrained(inst, config=config).opt_value
-        except CutkitError:
-            pass
+        oracle_value = _optimum(oracle_constrained, inst, config=config)
+        matroid_value = None
+        if matroid is not None and "pipage" in methods:
+            matroid_value = _optimum(oracle_matroid, inst.graph, matroid, config)
         for method in methods:
+            on_matroid = method == "pipage" and matroid is not None
             for seed in seeds:
+                row = BenchRow(
+                    instance=name,
+                    method=method,
+                    value=None,
+                    oracle_value=oracle_value,
+                    feasible=False,
+                    seed=seed,
+                    wall_time_s=0.0,
+                    ratio_base="matroid" if on_matroid else "partition",
+                    base_value=matroid_value if on_matroid else oracle_value,
+                )
                 t0 = time.perf_counter()
                 try:
-                    value, _, feasible = _run_method(
+                    row.value, _, row.feasible = _run_method(
                         inst, matroid, method, eps, seed, config
                     )
-                    row = BenchRow(
-                        instance=name,
-                        method=method,
-                        value=value,
-                        oracle_value=oracle_value,
-                        feasible=feasible,
-                        seed=seed,
-                        wall_time_s=time.perf_counter() - t0,
-                    )
-                except CapacityError as exc:
-                    row = BenchRow(
-                        instance=name,
-                        method=method,
-                        value=None,
-                        oracle_value=oracle_value,
-                        feasible=False,
-                        seed=seed,
-                        wall_time_s=time.perf_counter() - t0,
-                        skipped=str(exc),
-                    )
+                except CutkitError as exc:
+                    row.skipped = f"{type(exc).__name__}: {exc}"
+                row.wall_time_s = time.perf_counter() - t0
                 report.rows.append(row)
     report.rows.sort(key=lambda r: (r.instance, r.method, r.seed))
     return report

@@ -18,10 +18,6 @@ TOL = 1e-9
 # Eigenvalue tolerance below which a moment matrix counts as PSD.
 PSD_TOL = 1e-7
 
-# Reported baseline ratio of the external correlation-rounding analysis.
-# Used for reporting only; never asserted by any test.
-ALPHA_CC = 0.858
-
 DEFAULT_CONFIG_PATH = "cutkit.cfg"
 CONFIG_ENV_VAR = "CUTKIT_CONFIG"
 

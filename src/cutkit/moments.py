@@ -86,7 +86,6 @@ class MomentStructure:
     basis: SubsetBasis  # subsets up to 2*level
     row_masks: np.ndarray  # subsets up to level, the matrix index
     class_idx: np.ndarray  # (N, N) -> position in basis of I ^ J
-    class_count: np.ndarray  # multiplicity of each basis subset in the matrix
 
     @property
     def dim_y(self) -> int:
@@ -102,12 +101,8 @@ def moment_structure(n: int, level: int) -> MomentStructure:
     basis = subset_basis(n, 2 * level)
     rows = subset_basis(n, level).masks
     class_idx = basis.pos[rows[:, None] ^ rows[None, :]].astype(np.int64)
-    class_count = np.bincount(class_idx.ravel(), minlength=basis.masks.size).astype(
-        np.float64
-    )
     class_idx.flags.writeable = False
-    class_count.flags.writeable = False
-    return MomentStructure(n, level, basis, rows, class_idx, class_count)
+    return MomentStructure(n, level, basis, rows, class_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +456,7 @@ def make_block_independent(
 
 @dataclass(frozen=True)
 class SdpProgram:
-    """Cut objective plus cardinality and super-vertex constraints."""
+    """Cut objective plus cardinality constraints; supers are pinned to -1."""
 
     n: int
     level: int
@@ -518,23 +513,21 @@ def build_program(
     )
 
 
-def _affine_rows(program: SdpProgram, basis: SubsetBasis):
-    """Dense equality system B y = d encoding the program's constraints.
+def _affine_rows(program: SdpProgram, basis: SubsetBasis, label):
+    """Dense equality system B y = d over the selectable vertices.
 
-    Monomial depths T avoid super vertices: rows containing a super are
-    exact sign-flips of super-free rows, so skipping them removes the
-    redundancy without changing the feasible set.
+    `basis` spans the selectable vertices under the labels in `label`; the
+    super vertices are substituted out, so only normalization and the
+    per-part cardinality rows remain.
     """
-    n = program.n
-    supers = program.forbidden
-    free = [v for v in range(n) if v not in supers]
+    f = basis.n
     dim = basis.masks.size
     rows = []
     rhs = []
 
     def depth_subsets(max_depth):
         for r in range(max_depth + 1):
-            yield from combinations(free, r)
+            yield from combinations(range(f), r)
 
     # normalization
     row = np.zeros(dim)
@@ -542,19 +535,10 @@ def _affine_rows(program: SdpProgram, basis: SubsetBasis):
     rows.append(row)
     rhs.append(1.0)
 
-    # super vertices are never selected: moments flip sign under xor with s
-    for s in sorted(supers):
-        for t in depth_subsets(program.level - 1):
-            row = np.zeros(dim)
-            row[basis.position(t)] += 1.0
-            row[basis.position(tuple(sorted(set(t) ^ {s})))] += 1.0
-            rows.append(row)
-            rhs.append(0.0)
-
     # cardinality per part, at every depth up to the cap
     depth = min(program.level - 1, program.depth_cap)
     for part, k in zip(program.parts, program.budgets):
-        kept = sorted(part - supers)
+        kept = sorted(label[v] for v in part - program.forbidden)
         target = 2.0 * k - len(kept)
         for t in depth_subsets(depth):
             row = np.zeros(dim)
@@ -567,14 +551,42 @@ def _affine_rows(program: SdpProgram, basis: SubsetBasis):
     return np.asarray(rows), np.asarray(rhs)
 
 
-def _objective_vector(program: SdpProgram, basis: SubsetBasis):
-    """Linear part of the cut objective; value = const + c . y."""
+def _objective_vector(program: SdpProgram, basis: SubsetBasis, label):
+    """Linear part of the cut objective; value = const + c . y.
+
+    With every super vertex s pinned to x_s = -1, an edge (u, s) is cut
+    exactly when x_u = +1 and contributes w (1 + y_u) / 2; an edge between
+    two supers is never cut.
+    """
     c = np.zeros(basis.masks.size)
     const = 0.0
     for u, v, w in program.edges:
-        const += w / 2.0
-        c[basis.position((u, v) if u < v else (v, u))] -= w / 2.0
+        ends = sorted(label[x] for x in (u, v) if x in label)
+        if ends:
+            const += w / 2.0
+            c[basis.position(ends)] += (w if len(ends) == 1 else -w) / 2.0
     return c, const
+
+
+def _lift(y_free, n: int, level: int, free) -> np.ndarray:
+    """Moment vector over all n vertices from one over the selectable ones.
+
+    For T among the selectable vertices and S a set of supers,
+    y[T | S] = (-1)^|S| y_free[T], since each super is pinned to -1.  The
+    empty moment is set to exactly 1, its normalization, so that every
+    super reads bias exactly -1.
+    """
+    y_free = y_free.copy()
+    y_free[0] = 1.0
+    masks = subset_basis(n, 2 * level).masks
+    sub = np.zeros_like(masks)
+    parity = np.zeros_like(masks)
+    for j, v in enumerate(free):
+        sub |= ((masks >> v) & 1) << j
+    for s in set(range(n)) - set(free):
+        parity ^= (masks >> s) & 1
+    y_sub = y_free[subset_basis(len(free), 2 * level).pos[sub]]
+    return np.where(parity == 1, -y_sub, y_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -614,23 +626,45 @@ def solve(
     matrix copy carries the PSD cone, and scaled dual ascent ties them
     together.  Stops when primal and dual residuals drop below `tol` and
     the assembled moment matrix is PSD within tolerance.
+
+    The iterates span the selectable vertices only, at the program's level:
+    super vertices are constant, so their moments are substituted out and
+    restored by sign flips once the loop has converged (the simplest form
+    of facial reduction).
     """
     config = config or Config()
     tol = config.sdp_tol if tol is None else tol
     max_iter = config.sdp_max_iter if max_iter is None else max_iter
 
-    ms = moment_structure(program.n, program.level)
+    free = [v for v in range(program.n) if v not in program.forbidden]
+    label = {v: j for j, v in enumerate(free)}
+    ms = moment_structure(len(free), program.level)
     basis = ms.basis
-    counts = ms.class_count
-    cvec, const = _objective_vector(program, basis)
-    B, d = _affine_rows(program, basis)
+    # Row T of the free matrix stands for the m_T full rows T | S, S a set
+    # of supers.  Scaling entry (T, U) by sqrt(m_T m_U) gives the iterate
+    # the nonzero spectrum and the Frobenius norm of the full matrix, so
+    # the residuals and the PSD gate keep their meaning for the lifted answer.
+    supers = len(program.forbidden)
+    mult = np.array(
+        [basis_dim(supers, program.level - bin(int(t)).count("1")) for t in ms.row_masks],
+        dtype=np.float64,
+    )
+    weight = np.outer(mult, mult)
+    scale = np.sqrt(weight)
+    counts = np.bincount(
+        ms.class_idx.ravel(), weights=weight.ravel(), minlength=basis.masks.size
+    )
+    cvec, const = _objective_vector(program, basis, label)
+    B, d = _affine_rows(program, basis, label)
     project_affine = _AffineProjector(B, d, counts)
 
     def to_matrix(y):
-        return y[ms.class_idx]
+        return y[ms.class_idx] * scale
 
     def to_classes(X):
-        return np.bincount(ms.class_idx.ravel(), weights=X.ravel(), minlength=basis.masks.size)
+        return np.bincount(
+            ms.class_idx.ravel(), weights=(X * scale).ravel(), minlength=basis.masks.size
+        )
 
     y = project_affine(np.zeros(basis.masks.size))
     X = _psd_projection(to_matrix(y))
@@ -673,7 +707,7 @@ def solve(
             iterations=max_iter,
         )
 
-    mv = MomentVector(program.n, program.level, y)
+    mv = MomentVector(program.n, program.level, _lift(y, program.n, program.level, free))
     if mv.min_eigenvalue() < -PSD_TOL:
         raise ConvergenceError(
             f"moment matrix not PSD within tolerance "

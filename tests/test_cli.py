@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,56 @@ def test_bench_empty_corpus(tmp_path, capsys):
     assert (tmp_path / "e.csv").read_text().splitlines() == [
         "instance,method,value,oracle_value,ratio,feasible,seed"
     ]
+
+
+def bench_rows(tmp_path, capsys, corpus, methods):
+    out = tmp_path / "report"
+    code, _ = run(
+        capsys,
+        ["bench", str(corpus), "--methods", methods, "--seeds", "1", "--out", str(out)],
+    )
+    assert code == 0
+    report = json.loads(out.with_suffix(".json").read_text())
+    csv_rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+    return {(r["instance"], r["method"]): r for r in report["rows"]}, csv_rows
+
+
+def test_bench_bad_instance_skips_only_its_rows(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(Path(CORPUS_DIR) / "c1_n6.txt", corpus)
+    g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    bad = ConstrainedInstance(g, [range(4)], [3])  # budget over half the part
+    (corpus / "over_half.txt").write_text(format_instance_text(bad))
+    rows, csv_rows = bench_rows(tmp_path, capsys, corpus, "sdp,pipage,greedy,oracle")
+    assert len(rows) == 8
+    for method in ("sdp", "pipage", "greedy", "oracle"):
+        good = rows[("c1_n6.txt", method)]
+        assert good["skipped"] is None and good["feasible"] is True
+        assert good["ratio"] == pytest.approx(
+            good["value"] / good["oracle_value"], abs=1e-12
+        )
+    failed = rows[("over_half.txt", "sdp")]
+    assert failed["skipped"].startswith("InputError: ")
+    assert failed["value"] is None and failed["ratio"] is None
+    assert "over_half.txt,sdp,skipped,skipped,,false,1" in csv_rows
+    for method in ("pipage", "greedy", "oracle"):
+        assert rows[("over_half.txt", method)]["skipped"] is None
+
+
+def test_bench_pipage_ratio_uses_matroid_optimum(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(Path(CORPUS_DIR) / "c1_n6_uniform_matroid.txt", corpus)
+    rows, _ = bench_rows(tmp_path, capsys, corpus, "pipage,oracle")
+    pipage = rows[("c1_n6_uniform_matroid.txt", "pipage")]
+    oracle = rows[("c1_n6_uniform_matroid.txt", "oracle")]
+    assert pipage["ratio_base"] == "matroid"
+    assert pipage["ratio"] == pytest.approx(1.0, abs=1e-9)
+    # the oracle column stays the partition optimum on every row
+    assert pipage["oracle_value"] == oracle["value"] == oracle["oracle_value"]
+    assert pipage["value"] < oracle["value"]
+    assert oracle["ratio_base"] == "partition"
 
 
 def test_solve_sdp_rejects_over_half_budget(tmp_path, capsys):

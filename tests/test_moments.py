@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cutkit.config import Config
 from cutkit.errors import (
@@ -363,3 +365,83 @@ def test_conditioned_children_stay_psd():
                 continue
             child, _ = condition(mv, i, v)
             assert child.min_eigenvalue() >= -1e-6
+
+
+# ---------------------------------------------------------------------------
+# super vertices substituted out of the relaxation
+
+SEEDED = settings(max_examples=6, derandomize=True, deadline=None)
+
+
+def reduced_optimum(ker):
+    reduced_inst = ConstrainedInstance(ker.reduced, ker.parts, ker.budgets)
+    return oracle_constrained(reduced_inst, forbidden=ker.forbidden).opt_value
+
+
+@SEEDED
+@given(
+    n=st.integers(5, 12),
+    c=st.integers(1, 2),
+    seed=st.integers(0, 10**6),
+)
+def test_solve_pins_super_vertices_by_sign_flip(n, c, seed):
+    ker = kernelize_multi(gen_random(n, 0.6, "uniform", c, "uniform", seed=seed), 0.5)
+    assume(ker.forbidden)
+    mv = solve(build_program(ker, 0))
+    masks = mv.basis.masks
+    for s in ker.forbidden:
+        with_s = masks[(masks >> s) & 1 == 1]
+        pos = mv.basis.pos
+        assert np.array_equal(mv.y[pos[with_s]], -mv.y[pos[with_s ^ (1 << s)]])
+        assert mv.bias(s) == -1.0
+
+
+@SEEDED
+@given(
+    tail=st.lists(
+        st.tuples(st.floats(1.0, 2.0), st.floats(1.0, 2.0)), min_size=5, max_size=7
+    ),
+    hub=st.floats(0.0, 0.1),
+)
+def test_relaxation_dominates_when_weight_runs_to_the_tail(tail, hub):
+    # hubs 0 and 1 outrank every tail vertex, so the kernel keeps them and
+    # contracts the tail: nearly all weight sits on edges to the super
+    edges = [(0, 1, hub)]
+    for i, (w0, w1) in enumerate(tail):
+        edges += [(0, 2 + i, w0), (1, 2 + i, w1)]
+    total = sum(w for _, _, w in edges)
+    g = WeightedGraph(2 + len(tail), [(u, v, w / total) for u, v, w in edges])
+    ker = kernelize_single(g, 1, 0.5)
+    assert ker.reduced.n == 3 and len(ker.forbidden) == 1
+    prog = build_program(ker, 0)
+    mv = solve(prog)
+    assert mv.objective_value(prog.edges) >= reduced_optimum(ker) - 1e-6
+
+
+@SEEDED
+@given(
+    n=st.integers(6, 10),
+    seed=st.integers(0, 10**6),
+    w=st.floats(0.05, 1.0),
+)
+def test_edge_between_super_vertices_is_never_cut(n, seed, w):
+    ker = kernelize_multi(gen_random(n, 0.7, "uniform", 2, "one", seed=seed), 0.5)
+    s0, s1 = sorted(ker.forbidden)
+    g = ker.reduced
+    ker = type(ker)(
+        reduced=WeightedGraph(g.n, g.edges + ((s0, s1, w),)),
+        forbidden=ker.forbidden,
+        parts=ker.parts,
+        budgets=ker.budgets,
+        epsilon=ker.epsilon,
+        orig_to_reduced=ker.orig_to_reduced,
+        super_sources=ker.super_sources,
+    )
+    prog = build_program(ker, 0)
+    assert (s0, s1, w) in prog.edges
+    obj = solve(prog).objective_value(prog.edges)
+    opt = reduced_optimum(ker)
+    assert obj >= opt - 1e-6
+    # the level covers every selectable vertex, so the relaxation is exact
+    assert prog.level >= g.n - 2
+    assert obj <= opt + 1e-6
