@@ -137,7 +137,8 @@ def run_bench(
     config: Config | None = None,
 ) -> BenchReport:
     """Run every (instance, method, seed) combination; a toolkit error marks
-    its row skipped instead of aborting the run.
+    its row skipped instead of aborting the run, and a file that does not
+    parse marks all of its rows skipped.
 
     Ratios divide by the optimum of the problem the method solved: pipage
     on an instance that declares a matroid solves over that matroid's
@@ -151,8 +152,19 @@ def run_bench(
         if f.endswith((".txt", ".json")) and not f.startswith(".")
     )
     for name in names:
-        path = os.path.join(corpus_dir, name)
-        inst, matroid = read_instance(path)
+        try:
+            inst, matroid = read_instance(os.path.join(corpus_dir, name))
+        except CutkitError as exc:
+            report.rows.extend(
+                BenchRow(
+                    instance=name, method=method, value=None, oracle_value=None,
+                    feasible=False, seed=seed, wall_time_s=0.0,
+                    skipped=f"{type(exc).__name__}: {exc}",
+                )
+                for method in methods
+                for seed in seeds
+            )
+            continue
         oracle_value = _optimum(oracle_constrained, inst, config=config)
         matroid_value = None
         if matroid is not None and "pipage" in methods:

@@ -402,7 +402,9 @@ def pipage_round(
     minimal tight constraint set containing u (its partner pool), then moves
     along +-(e_u - e_v) to whichever reachable endpoint has the larger quad
     value.  Each move makes a coordinate integral or tightens a new
-    constraint, so the walk ends in a bounded number of steps.
+    constraint, so the walk ends in a bounded number of steps.  When the
+    preferred endpoint is x itself, the next step takes u = v, whose minimal
+    tight set is strictly smaller, until a move has positive length.
     """
     config = config or Config()
     x = np.asarray(x, dtype=np.float64).copy()
@@ -419,11 +421,12 @@ def pipage_round(
 
     snap(x)
     max_steps = 10 * g.n * g.n + 50
+    blocked = None
     for _ in range(max_steps):
         frac = np.nonzero((x > 0.0) & (x < 1.0))[0]
         if frac.size == 0:
             break
-        u = int(frac[0])
+        u = int(frac[0]) if blocked is None else blocked
         # minimal tight set containing u (x(V) = rank is always tight)
         tight = np.ones(g.n, dtype=bool)
         if mat.size:
@@ -443,10 +446,15 @@ def pipage_round(
         q_up = quad_value(g, cand_up)
         q_dn = quad_value(g, cand_dn)
         base_q = quad_value(g, x)
+        prev = x
         x = cand_up if q_up >= q_dn else cand_dn
         if max(q_up, q_dn) < base_q - 1e-9:
             raise StallError("quadratic value decreased during pipage")
         snap(x)
+        # A chosen move of length zero is blocked by a tight set holding v
+        # but not u; v's minimal tight set is then strictly smaller than
+        # u's, so the next step pairs inside it.
+        blocked = v if np.array_equal(x, prev) else None
     else:
         raise StallError(f"pipage made no progress within {max_steps} steps")
 

@@ -1,9 +1,10 @@
 """Exact brute-force solvers for all three problem variants.
 
-Enumeration works on bitmask arrays and evaluates cut values for whole
-blocks of candidate sets at once with numpy, which keeps n = 22 (about
-7e5 candidate sets at k = 11) in the seconds range.  Ties on the optimum
-are broken toward the lexicographically smallest vertex list.
+Candidate sets are uint64 bitmasks built as numpy arrays, and cut values
+are evaluated for whole blocks of them at once, so n = 22 (about 7e5
+candidate sets at k = 11) takes a fraction of a second.  The matroid oracle
+still asks `is_independent` once per rank-sized subset.  Ties on the
+optimum are broken toward the lexicographically smallest vertex list.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .config import Config, TOL
 from .errors import CapacityError, InfeasibleError, InputError
 from .graph import ConstrainedInstance, WeightedGraph, as_vertex_set, cut_value
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 16  # sets per evaluated block; keeps a block's arrays in cache
 
 
 @dataclass(frozen=True)
@@ -29,12 +30,15 @@ class OracleResult:
 
 
 def _mask_values(g: WeightedGraph, masks: np.ndarray) -> np.ndarray:
-    """Cut value of every bitmask in `masks`."""
+    """Cut value of every bitmask in `masks`.
+
+    Each vertex bit is unpacked once per call; the weights of cut edges are
+    then added in edge order.
+    """
+    bits = [((masks >> np.uint64(v)) & np.uint64(1)).astype(bool) for v in range(g.n)]
     vals = np.zeros(masks.shape[0], dtype=np.float64)
     for u, v, w in g.edges:
-        vals += w * (((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & np.uint64(1)).astype(
-            np.float64
-        )
+        vals += w * (bits[u] ^ bits[v])
     return vals
 
 
@@ -89,24 +93,25 @@ class _BestTracker:
         return OracleResult(cut_value(self.g, best), best, self.count)
 
 
-def _combo_mask_chunks(pool, k):
-    """Yield uint64 mask arrays for all k-subsets of pool, in lex order."""
-    combos = combinations(pool, k)
-    while True:
-        chunk = []
-        for _ in range(_CHUNK):
-            c = next(combos, None)
-            if c is None:
-                break
-            m = 0
-            for v in c:
-                m |= 1 << v
-            chunk.append(m)
-        if not chunk:
-            return
-        yield np.asarray(chunk, dtype=np.uint64)
-        if len(chunk) < _CHUNK:
-            return
+def _subset_masks(pool, k) -> np.ndarray:
+    """uint64 masks of all k-subsets of the sorted `pool`, in lex order.
+
+    by_size[j] holds the j-subsets of the pool's suffix seen so far; adding
+    the next smaller element v puts the sets that gain v ahead of those
+    that do not, which is lexicographic order.  Sizes that can no longer
+    reach k are dropped.
+    """
+    by_size = [np.zeros(1, dtype=np.uint64)] + [np.zeros(0, dtype=np.uint64)] * k
+    for left, v in zip(range(len(pool) - 1, -1, -1), reversed(pool)):
+        bit = np.uint64(1 << v)
+        for j in range(k, max(k - left, 1) - 1, -1):
+            by_size[j] = np.concatenate((by_size[j - 1] | bit, by_size[j]))
+    return by_size[k]
+
+
+def _chunks(masks: np.ndarray):
+    for start in range(0, masks.size, _CHUNK):
+        yield masks[start : start + _CHUNK]
 
 
 def oracle_maxcut_k(
@@ -128,7 +133,7 @@ def oracle_maxcut_k(
             f"C({len(pool)},{k}) exceeds enumeration cap {config.oracle_combo_cap}"
         )
     tracker = _BestTracker(g)
-    for masks in _combo_mask_chunks(pool, k):
+    for masks in _chunks(_subset_masks(pool, k)):
         tracker.feed(masks)
     return tracker.result()
 
@@ -148,15 +153,10 @@ def _feasible_mask_chunks(inst: ConstrainedInstance, forbidden, cap):
     if total > cap:
         raise CapacityError(f"{total} feasible sets exceed enumeration cap {cap}")
 
-    part_masks = []
-    for pool, k in pools:
-        masks = np.concatenate(list(_combo_mask_chunks(pool, k)))
-        part_masks.append(masks)
-    combined = part_masks[0]
-    for masks in part_masks[1:]:
-        combined = np.bitwise_or.outer(combined, masks).ravel()
-    for start in range(0, combined.size, _CHUNK):
-        yield combined[start : start + _CHUNK]
+    combined = _subset_masks(*pools[0])
+    for pool, k in pools[1:]:
+        combined = np.bitwise_or.outer(combined, _subset_masks(pool, k)).ravel()
+    yield from _chunks(combined)
 
 
 def oracle_constrained(
@@ -182,15 +182,15 @@ def oracle_matroid(g: WeightedGraph, m, config: Config | None = None) -> OracleR
             f"C({g.n},{rank}) exceeds enumeration cap {config.oracle_combo_cap}"
         )
     tracker = _BestTracker(g)
-    found = False
+    block = []
     for combo in combinations(range(g.n), rank):
         if m.is_independent(frozenset(combo)):
-            found = True
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            tracker.feed(np.asarray([mask], dtype=np.uint64))
-    if not found:
+            block.append(sum(1 << v for v in combo))
+            if len(block) == _CHUNK:
+                tracker.feed(np.asarray(block, dtype=np.uint64))
+                block = []
+    tracker.feed(np.asarray(block, dtype=np.uint64))
+    if tracker.best_mask is None:
         raise InfeasibleError("matroid has no base")
     return tracker.result()
 

@@ -241,6 +241,21 @@ def test_bench_bad_instance_skips_only_its_rows(tmp_path, capsys):
         assert rows[("over_half.txt", method)]["skipped"] is None
 
 
+def test_bench_unparsable_file_skips_its_rows(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(Path(CORPUS_DIR) / "c1_n6.txt", corpus)
+    (corpus / "bad_edge.txt").write_text("2 1 1\n0 1 x\n2 1 0 1\n")
+    rows, csv_rows = bench_rows(tmp_path, capsys, corpus, "pipage,greedy,oracle")
+    assert len(rows) == 6
+    for method in ("pipage", "greedy", "oracle"):
+        assert rows[("c1_n6.txt", method)]["skipped"] is None
+        bad = rows[("bad_edge.txt", method)]
+        assert bad["skipped"].startswith("ParseError: line 2")
+        assert bad["value"] is None and bad["oracle_value"] is None
+        assert f"bad_edge.txt,{method},skipped,skipped,,false,1" in csv_rows
+
+
 def test_bench_pipage_ratio_uses_matroid_optimum(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

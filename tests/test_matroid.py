@@ -273,3 +273,37 @@ def test_pipage_stalls_on_non_matroid():
     g = WeightedGraph(4, [(0, 1, 0.25), (1, 2, 0.25), (2, 3, 0.25), (0, 3, 0.25)])
     with pytest.raises(StallError):
         solve_matroid(g, bad)
+
+
+def test_pipage_blocked_partner_graphic():
+    # a 4-cycle with every edge doubled: at the LP point the preferred move of
+    # the first pair has length zero, blocked by a tight set that holds the
+    # partner but not u; pipage has to pair inside the partner's tight set
+    g = gen_random(8, 0.6, "unit", 1, "one", seed=3).graph
+    m = GraphicMatroid(4, [(1, 0), (2, 1), (3, 0), (0, 3), (3, 2), (2, 1), (1, 0), (3, 2)])
+    sol = solve_matroid(g, m)
+    assert sol.feasible
+    assert sol.value >= 0.5 * oracle_matroid(g, m).opt_value - 1e-9
+    x = np.array([0.25, 0.25, 0.25, 0.25, 0.75, 0.25, 0.75, 0.25])
+    out = pipage_round(g, m, x)
+    assert m.is_independent(out) and len(out) == m.rank()
+    assert cut_value(g, out) >= quad_value(g, x) - 1e-9
+
+
+def test_pipage_random_multigraph_graphic():
+    # auxiliary multigraphs with parallel edges and shared cycle vertices;
+    # seeds 1, 6, 11 and 17 used to stall
+    rng = np.random.default_rng(77)
+    for seed in range(20):
+        aux_n = int(rng.integers(3, 7))
+        size = int(rng.integers(aux_n, 11))
+        aux = []
+        while len(aux) < size:
+            a, b = rng.integers(0, aux_n, 2)
+            if a != b:
+                aux.append((int(a), int(b)))
+        m = GraphicMatroid(aux_n, aux)
+        g = gen_random(size, 0.6, "unit", 1, "one", seed=seed).graph
+        sol = solve_matroid(g, m)
+        assert sol.feasible
+        assert sol.value >= 0.5 * oracle_matroid(g, m).opt_value - 1e-9

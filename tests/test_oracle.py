@@ -1,12 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutkit.config import Config
 from cutkit.errors import CapacityError, InfeasibleError
 from cutkit.graph import ConstrainedInstance, WeightedGraph, cut_value
-from cutkit.matroid import GraphicMatroid, UniformMatroid
+from cutkit.matroid import ExplicitMatroid, GraphicMatroid, PartitionMatroid, UniformMatroid
 from cutkit.oracle import (
     oracle_all_cut_decision,
     oracle_constrained,
@@ -188,3 +191,170 @@ def test_moderate_scale_enumeration():
     res = oracle_maxcut_k(g, 9)
     assert cut_value(g, res.best_set) == res.opt_value
     assert res.optimal_count >= 1
+
+
+# ---------------------------------------------------------------------------
+# properties: every oracle against plain enumeration with cut_value.  Integer
+# weights make exact ties common, so the tie rule and the tie count are
+# exercised, not only the optimum.
+
+SEEDED = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+@st.composite
+def int_graphs(draw, n):
+    pairs = list(itertools.combinations(range(n), 2))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph(n, [(u, v, float(w)) for (u, v), w in zip(pairs, weights) if w])
+
+
+@st.composite
+def partitioned(draw, n_max=8):
+    """A graph, 1-3 parts (possibly empty) and a budget per part within its size."""
+    n = draw(st.integers(1, n_max))
+    c = draw(st.integers(1, 3))
+    label = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+    parts = [[v for v in range(n) if label[v] == i] for i in range(c)]
+    budgets = [draw(st.integers(0, len(p))) for p in parts]
+    return draw(int_graphs(n)), parts, budgets
+
+
+def brute(g, candidates):
+    """(optimum, lexicographically smallest optimal set, number of optimal sets)."""
+    scored = [(cut_value(g, c), tuple(sorted(c))) for c in candidates]
+    opt = max(v for v, _ in scored)
+    ties = sorted(c for v, c in scored if v == opt)
+    return opt, frozenset(ties[0]), len(ties)
+
+
+def feasible_sets(parts, budgets):
+    per_part = [itertools.combinations(sorted(p), k) for p, k in zip(parts, budgets)]
+    return [frozenset().union(*combo) for combo in itertools.product(*per_part)]
+
+
+def acyclic(aux_n, aux_edges, chosen):
+    label = list(range(aux_n))
+    for i in chosen:
+        a, b = aux_edges[i]
+        if label[a] == label[b]:
+            return False
+        old = label[b]
+        label = [label[a] if x == old else x for x in label]
+    return True
+
+
+def as_triple(res):
+    return res.opt_value, res.best_set, res.optimal_count
+
+
+@SEEDED
+@given(data=st.data(), n=st.integers(1, 8))
+def test_property_maxcut_k_matches_enumeration(data, n):
+    g = data.draw(int_graphs(n))
+    forbidden = data.draw(st.frozensets(st.integers(0, n - 1), max_size=n - 1))
+    pool = [v for v in range(n) if v not in forbidden]
+    k = data.draw(st.integers(0, len(pool)))
+    expect = brute(g, itertools.combinations(pool, k))
+    assert as_triple(oracle_maxcut_k(g, k, forbidden=forbidden)) == expect
+
+
+@SEEDED
+@given(inst=partitioned())
+def test_property_constrained_matches_enumeration(inst):
+    g, parts, budgets = inst
+    expect = brute(g, feasible_sets(parts, budgets))
+    assert as_triple(oracle_constrained(ConstrainedInstance(g, parts, budgets))) == expect
+
+
+@SEEDED
+@given(inst=partitioned(n_max=7))
+def test_property_all_cut_decision_matches_enumeration(inst):
+    g, parts, budgets = inst
+    expect = any(cut_value(g, s) == g.total_weight for s in feasible_sets(parts, budgets))
+    assert oracle_all_cut_decision(ConstrainedInstance(g, parts, budgets)) is expect
+
+
+@SEEDED
+@given(data=st.data(), inst=partitioned())
+def test_property_matroid_uniform_partition(data, inst):
+    g, parts, budgets = inst
+    k = data.draw(st.integers(0, g.n))
+    uniform = brute(g, itertools.combinations(range(g.n), k))
+    assert as_triple(oracle_matroid(g, UniformMatroid(g.n, k))) == uniform
+    partition = brute(g, feasible_sets(parts, budgets))
+    assert as_triple(oracle_matroid(g, PartitionMatroid(g.n, parts, budgets))) == partition
+
+
+@SEEDED
+@given(data=st.data(), aux_n=st.integers(2, 4))
+def test_property_matroid_graphic(data, aux_n):
+    vertex = st.integers(0, aux_n - 1)
+    aux_edges = data.draw(
+        st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), min_size=1, max_size=8)
+    )
+    n = len(aux_edges)
+    g = data.draw(int_graphs(n))
+    forests = [
+        c
+        for size in range(n, -1, -1)
+        for c in itertools.combinations(range(n), size)
+        if acyclic(aux_n, aux_edges, c)
+    ]
+    rank = len(forests[0])
+    expect = brute(g, [c for c in forests if len(c) == rank])
+    assert as_triple(oracle_matroid(g, GraphicMatroid(aux_n, aux_edges))) == expect
+
+
+@SEEDED
+@given(data=st.data(), inst=partitioned(n_max=7))
+def test_property_matroid_explicit(data, inst):
+    # the listed bases of a partition matroid, plus some of their subsets
+    g, parts, budgets = inst
+    bases = feasible_sets(parts, budgets)
+    extra = data.draw(st.lists(st.sampled_from(bases), max_size=3))
+    listed = bases + [b - {min(b)} for b in extra if b]
+    expect = brute(g, bases)
+    assert as_triple(oracle_matroid(g, ExplicitMatroid(g.n, listed))) == expect
+
+
+@SEEDED
+@given(data=st.data(), n=st.integers(0, 8))
+def test_property_k_zero_is_the_empty_set(data, n):
+    g = data.draw(int_graphs(n))
+    assert as_triple(oracle_maxcut_k(g, 0)) == (0.0, frozenset(), 1)
+    inst = ConstrainedInstance(g, [range(n)], [0])
+    assert as_triple(oracle_constrained(inst)) == (0.0, frozenset(), 1)
+
+
+@SEEDED
+@given(data=st.data(), n=st.integers(1, 8))
+def test_property_pool_smaller_than_k(data, n):
+    g = data.draw(int_graphs(n))
+    forbidden = data.draw(st.frozensets(st.integers(0, n - 1), min_size=1))
+    k = data.draw(st.integers(n - len(forbidden) + 1, n))
+    with pytest.raises(InfeasibleError):
+        oracle_maxcut_k(g, k, forbidden=forbidden)
+    inst = ConstrainedInstance(g, [range(n)], [k])
+    with pytest.raises(InfeasibleError):
+        oracle_constrained(inst, forbidden=forbidden)
+    assert oracle_all_cut_decision(ConstrainedInstance(g, [range(n)], [n + 1])) is False
+
+
+@SEEDED
+@given(inst=partitioned())
+def test_property_cap_is_exact(inst):
+    # a cap one below the candidate count refuses; the count itself passes
+    g, parts, budgets = inst
+    total = math.prod(math.comb(len(p), k) for p, k in zip(parts, budgets))
+    ci = ConstrainedInstance(g, parts, budgets)
+    m = PartitionMatroid(g.n, parts, budgets)
+    k = sum(budgets)
+    for call, count in (
+        (lambda cfg: oracle_constrained(ci, config=cfg), total),
+        (lambda cfg: oracle_all_cut_decision(ci, config=cfg), total),
+        (lambda cfg: oracle_maxcut_k(g, k, config=cfg), math.comb(g.n, k)),
+        (lambda cfg: oracle_matroid(g, m, config=cfg), math.comb(g.n, k)),
+    ):
+        with pytest.raises(CapacityError):
+            call(Config(oracle_combo_cap=count - 1))
+        call(Config(oracle_combo_cap=count))
