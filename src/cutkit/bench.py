@@ -13,14 +13,12 @@ import time
 from dataclasses import dataclass, field
 
 from .config import Config
-from .errors import CutkitError
-from .graph import cut_value
+from .errors import CutkitError, InputError
+from .graph import CutSolution, cut_value
 from .io import read_instance
 from .matroid import PartitionMatroid, solve_matroid
 from .oracle import oracle_constrained, oracle_matroid
 from .rounding import RoundingParams, greedy_feasible, solve_multi
-
-METHODS = ("sdp", "pipage", "greedy", "oracle")
 
 CSV_HEADER = "instance,method,value,oracle_value,ratio,feasible,seed"
 
@@ -104,22 +102,34 @@ class BenchReport:
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _run_method(inst, matroid, method, eps, seed, config):
-    if method == "oracle":
-        res = oracle_constrained(inst, config=config)
-        return res.opt_value, res.best_set, True
-    if method == "greedy":
-        chosen = greedy_feasible(inst.graph, inst.parts, inst.budgets)
-        return cut_value(inst.graph, chosen), chosen, inst.is_feasible_set(chosen)
-    if method == "pipage":
-        m = matroid or PartitionMatroid(inst.graph.n, inst.parts, inst.budgets)
-        sol = solve_matroid(inst.graph, m, config)
-        return sol.value, sol.set, sol.feasible
-    if method == "sdp":
-        params = RoundingParams(eps=eps, trials=config.trials, rng_seed=seed)
-        sol = solve_multi(inst, eps, params, config)
-        return sol.value, sol.set, inst.is_feasible_set(sol.set)
-    raise CutkitError(f"unknown method {method!r}")
+# Each method is fn(inst, matroid, eps, seed, config) -> CutSolution, with
+# `feasible` judged against the problem the method solves.  The bodies look
+# the solvers up as module globals at call time, so a wrapper installed on
+# this module's attribute sees every call.
+
+
+def _sdp(inst, matroid, eps, seed, config):
+    return solve_multi(inst, eps, RoundingParams(eps=eps, rng_seed=seed), config)
+
+
+def _pipage(inst, matroid, eps, seed, config):
+    m = matroid or PartitionMatroid(inst.graph.n, inst.parts, inst.budgets)
+    return solve_matroid(inst.graph, m, config)
+
+
+def _greedy(inst, matroid, eps, seed, config):
+    chosen = greedy_feasible(inst.graph, inst.parts, inst.budgets)
+    return CutSolution(
+        chosen, cut_value(inst.graph, chosen), inst.is_feasible_set(chosen), ("greedy",)
+    )
+
+
+def _oracle(inst, matroid, eps, seed, config):
+    res = oracle_constrained(inst, config=config)
+    return CutSolution(res.best_set, res.opt_value, True, ("oracle",))
+
+
+METHODS = {"sdp": _sdp, "pipage": _pipage, "greedy": _greedy, "oracle": _oracle}
 
 
 def _optimum(oracle, *args, **kwargs) -> float | None:
@@ -145,6 +155,9 @@ def run_bench(
     bases, every other row over the partition constraints.
     """
     config = config or Config()
+    for method in methods:
+        if method not in METHODS:
+            raise InputError(f"unknown method {method!r}")
     report = BenchReport()
     names = sorted(
         f
@@ -185,9 +198,8 @@ def run_bench(
                 )
                 t0 = time.perf_counter()
                 try:
-                    row.value, _, row.feasible = _run_method(
-                        inst, matroid, method, eps, seed, config
-                    )
+                    sol = METHODS[method](inst, matroid, eps, seed, config)
+                    row.value, row.feasible = sol.value, sol.feasible
                 except CutkitError as exc:
                     row.skipped = f"{type(exc).__name__}: {exc}"
                 row.wall_time_s = time.perf_counter() - t0

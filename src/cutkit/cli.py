@@ -16,7 +16,6 @@ from .bench import METHODS, run_bench
 from .config import Config, load_config
 from .errors import CutkitError, InputError
 from .forge import gadget_from_3dm, gen_random
-from .graph import cut_value
 from .io import (
     SCHEMA,
     format_instance_json,
@@ -26,9 +25,6 @@ from .io import (
 )
 from .kernel import kernelize_multi
 from .moments import block_independence_score, build_program, solve
-from .matroid import PartitionMatroid, solve_matroid
-from .oracle import oracle_constrained
-from .rounding import RoundingParams, greedy_feasible, solve_multi
 
 
 def _add_instance_arg(p):
@@ -116,33 +112,15 @@ def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     inst, matroid = read_instance(args.instance)
     t0 = time.perf_counter()
-    if args.method == "oracle":
-        res = oracle_constrained(inst, config=cfg)
-        value, chosen, trace = res.opt_value, res.best_set, ("oracle",)
-        feasible = inst.is_feasible_set(chosen)
-    elif args.method == "greedy":
-        chosen = greedy_feasible(inst.graph, inst.parts, inst.budgets)
-        value, trace = cut_value(inst.graph, chosen), ("greedy",)
-        feasible = inst.is_feasible_set(chosen)
-    elif args.method == "pipage":
-        m = matroid or PartitionMatroid(inst.graph.n, inst.parts, inst.budgets)
-        sol = solve_matroid(inst.graph, m, cfg)
-        value, chosen, trace, feasible = sol.value, sol.set, sol.stage_trace, sol.feasible
-    else:
-        params = RoundingParams(
-            eps=args.eps, trials=cfg.trials, rng_seed=cfg.seed, level=cfg.level
-        )
-        sol = solve_multi(inst, args.eps, params, cfg)
-        value, chosen, trace = sol.value, sol.set, sol.stage_trace
-        feasible = inst.is_feasible_set(sol.set)
+    sol = METHODS[args.method](inst, matroid, args.eps, cfg.seed, cfg)
     _emit(
         {
             "schema": SCHEMA,
             "method": args.method,
-            "value": value,
-            "set": sorted(chosen),
-            "feasible": feasible,
-            "trace": list(trace),
+            "value": sol.value,
+            "set": sorted(sol.set),
+            "feasible": sol.feasible,
+            "trace": list(sol.stage_trace),
             "seed": cfg.seed,
             "timings": {"wall_s": time.perf_counter() - t0},
         }
@@ -219,9 +197,6 @@ def cmd_inspect_sdp(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            raise InputError(f"unknown method {m!r}")
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     report = run_bench(args.corpus_dir, methods, seeds, eps=args.eps, config=cfg)
     with open(args.out + ".csv", "w", encoding="utf-8") as fh:

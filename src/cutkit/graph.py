@@ -175,20 +175,6 @@ def contract_groups(g: WeightedGraph, keep, groups):
     return reduced, super_ids, old_to_new
 
 
-def contract_tail(g: WeightedGraph, keep):
-    """Merge all vertices outside `keep` into a single super vertex.
-
-    Kept vertices are re-indexed 0..|keep|-1 in ascending original-id order;
-    the super vertex gets id |keep|.  Returns (graph, super_id).
-    """
-    keep = as_vertex_set(keep, g.n)
-    if len(keep) >= g.n:
-        raise InputError("keep must be a proper subset of the vertices")
-    tail = frozenset(range(g.n)) - keep
-    reduced, supers, _ = contract_groups(g, keep, [tail])
-    return reduced, supers[0]
-
-
 @dataclass(frozen=True)
 class ConstrainedInstance:
     """A weighted graph plus a vertex partition with per-part budgets.

@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
+import scipy.linalg
 
 from .config import Config, PSD_TOL
 from .errors import (
@@ -602,11 +603,12 @@ class _AffineProjector:
         self.WBt = (B / weights[None, :]).T  # dim_y x rows
         G = B @ self.WBt
         try:
-            import scipy.linalg as sla
-
-            self._cho = sla.cho_factor(G)
-            self._solve = lambda r: sla.cho_solve(self._cho, r)
-        except Exception:
+            cho = scipy.linalg.cho_factor(G)
+            self._solve = lambda r: scipy.linalg.cho_solve(cho, r)
+        except np.linalg.LinAlgError:
+            # With c >= 2 the rows are dependent (P's budget rows at depths
+            # {q}, q in Q, and Q's at depths {p}, p in P, both sum to the
+            # product of the two budget equations), so G is singular.
             Gp = np.linalg.pinv(G, rcond=1e-12)
             self._solve = lambda r: Gp @ r
 

@@ -20,6 +20,7 @@ from .errors import CapacityError, InfeasibleError, InputError
 from .graph import ConstrainedInstance, WeightedGraph, as_vertex_set, cut_value
 
 _CHUNK = 1 << 16  # sets per evaluated block; keeps a block's arrays in cache
+_MASK_BITS = 64  # candidate sets are uint64 masks
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,11 @@ class OracleResult:
     opt_value: float
     best_set: frozenset
     optimal_count: int
+
+
+def _check_mask_width(n: int):
+    if n > _MASK_BITS:
+        raise CapacityError(f"n={n} exceeds the {_MASK_BITS}-bit candidate mask")
 
 
 def _mask_values(g: WeightedGraph, masks: np.ndarray) -> np.ndarray:
@@ -124,6 +130,7 @@ def oracle_maxcut_k(
         raise InputError(f"k={k} out of range for n={g.n}")
     if g.n > config.oracle_n_max:
         raise CapacityError(f"n={g.n} exceeds oracle cap {config.oracle_n_max}")
+    _check_mask_width(g.n)
     forbidden = as_vertex_set(forbidden, g.n)
     pool = sorted(set(range(g.n)) - forbidden)
     if k > len(pool):
@@ -164,6 +171,7 @@ def oracle_constrained(
 ) -> OracleResult:
     """Exact optimum over sets meeting every part budget exactly."""
     config = config or Config()
+    _check_mask_width(inst.graph.n)
     forbidden = as_vertex_set(forbidden, inst.graph.n)
     tracker = _BestTracker(inst.graph)
     for masks in _feasible_mask_chunks(inst, forbidden, config.oracle_combo_cap):
@@ -176,6 +184,7 @@ def oracle_constrained(
 def oracle_matroid(g: WeightedGraph, m, config: Config | None = None) -> OracleResult:
     """Exact maximum cut over the bases of matroid m."""
     config = config or Config()
+    _check_mask_width(g.n)
     rank = m.rank()
     if math.comb(g.n, rank) > config.oracle_combo_cap:
         raise CapacityError(
@@ -203,6 +212,7 @@ def oracle_all_cut_decision(
     Infeasible instances (a budget exceeding its part) decide False.
     """
     config = config or Config()
+    _check_mask_width(inst.graph.n)
     target = inst.graph.total_weight
     try:
         chunks = _feasible_mask_chunks(inst, frozenset(), config.oracle_combo_cap)

@@ -32,22 +32,14 @@ _PAIR_TOL = 1e-6
 
 @dataclass
 class RoundingParams:
-    """Knobs for the randomized stages of the pipeline."""
+    """Per-call knobs of the pipeline; every other setting lives in Config."""
 
     eps: float = 0.5
-    alpha: float | None = None  # independence target; defaults to eps**6
-    trials: int = 8
     rng_seed: int = 7
-    restarts: int = 64
-    level: int = 0  # 0 = auto from reduced size
 
     def __post_init__(self):
         if not 0.0 < self.eps <= 0.5:
             raise InputError(f"eps must lie in (0, 1/2], got {self.eps}")
-        if self.trials < 1:
-            raise InputError("need at least one rounding trial")
-        if self.alpha is None:
-            self.alpha = self.eps**6
 
 
 @dataclass(frozen=True)
@@ -270,14 +262,15 @@ def greedy_feasible(g: WeightedGraph, parts, budgets, forbidden=frozenset(), sta
 def _pipeline(kernel: KernelResult, g: WeightedGraph, params: RoundingParams, config: Config):
     """Shared solve/condition/round/correct machinery on a kernelized instance."""
     trace = ["kernel"]
-    program = build_program(kernel, params.level, config)
+    program = build_program(kernel, config.level, config)
     mv = solve(program, config=config)
     trace.append("sdp")
 
     kept_parts = tuple(p - kernel.forbidden for p in kernel.parts)
     c = len(kept_parts)
+    alpha = params.eps**6  # independence target
     budget = min(
-        int(np.ceil(4.0 * c * c / (params.alpha**2))),
+        int(np.ceil(4.0 * c * c / (alpha**2))),
         config.independence_budget,
         mv.level - 2,
     )
@@ -285,10 +278,10 @@ def _pipeline(kernel: KernelResult, g: WeightedGraph, params: RoundingParams, co
         mv = make_block_independent(
             mv,
             kept_parts,
-            params.alpha,
+            alpha,
             budget,
             params.rng_seed,
-            restarts=params.restarts,
+            restarts=config.restarts,
             edges=program.edges,
         )
         trace.append("independence")
@@ -299,11 +292,11 @@ def _pipeline(kernel: KernelResult, g: WeightedGraph, params: RoundingParams, co
     bias = BiasProfile.from_moment_vector(mv)
     reduced = kernel.reduced
     seedseq = np.random.SeedSequence((params.rng_seed, 1))
-    trial_seeds = seedseq.spawn(params.trials)
+    trial_seeds = seedseq.spawn(config.trials)
 
     best = None  # (value, trial_index, reduced-id set)
     fallback_hat = None  # (reduced cut value, trial, s_hat) best raw rounding
-    for t in range(params.trials):
+    for t in range(config.trials):
         child = trial_seeds[t].spawn(1 + c)
         s_hat = round_biased(bias, child[0])
         hat_val = cut_value(reduced, s_hat)
@@ -348,6 +341,18 @@ def _pipeline(kernel: KernelResult, g: WeightedGraph, params: RoundingParams, co
     )
 
 
+def _settings(eps: float, params: RoundingParams | None, config: Config | None):
+    """The params and config a pipeline runs with; params default from config."""
+    config = config or Config()
+    if params is None:
+        params = RoundingParams(eps=eps, rng_seed=config.seed)
+    elif params.eps != eps:
+        raise InputError("eps argument disagrees with params.eps")
+    if config.trials < 1:
+        raise InputError("need at least one rounding trial")
+    return params, config
+
+
 def solve_single(
     g: WeightedGraph,
     k: int,
@@ -356,11 +361,7 @@ def solve_single(
     config: Config | None = None,
 ) -> CutSolution:
     """Full pipeline for a single cardinality constraint |S| = k."""
-    config = config or Config()
-    if params is None:
-        params = RoundingParams(eps=eps, rng_seed=config.seed)
-    elif params.eps != eps:
-        raise InputError("eps argument disagrees with params.eps")
+    params, config = _settings(eps, params, config)
     kernel = kernelize_single(g, k, eps)
     return _pipeline(kernel, g, params, config)
 
@@ -372,11 +373,7 @@ def solve_multi(
     config: Config | None = None,
 ) -> CutSolution:
     """Full pipeline for a partitioned instance with per-part budgets."""
-    config = config or Config()
-    if params is None:
-        params = RoundingParams(eps=eps, rng_seed=config.seed)
-    elif params.eps != eps:
-        raise InputError("eps argument disagrees with params.eps")
+    params, config = _settings(eps, params, config)
     if inst.c > config.c_cap:
         raise InputError(f"{inst.c} parts exceed the configured cap {config.c_cap}")
     kernel = kernelize_multi(inst, eps)

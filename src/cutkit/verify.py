@@ -595,7 +595,7 @@ def suite_pipeline_ratio(config: Config | None = None, seed0=9000):
     ratios = []
     eps = 0.5
     for s, inst in _pipeline_corpus(seed0):
-        params = RoundingParams(eps=eps, trials=8, rng_seed=s)
+        params = RoundingParams(eps=eps, rng_seed=s)
         if inst.c == 1:
             sol = solve_single(inst.graph, inst.budgets[0], eps, params, config)
             opt = oracle_maxcut_k(inst.graph, inst.budgets[0], config=config)

@@ -256,6 +256,23 @@ def test_bench_unparsable_file_skips_its_rows(tmp_path, capsys):
         assert f"bad_edge.txt,{method},skipped,skipped,,false,1" in csv_rows
 
 
+def test_bench_survives_a_graph_wider_than_the_oracle_mask(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(Path(CORPUS_DIR) / "c1_n6.txt", corpus)
+    n = 70
+    g = WeightedGraph(n, [(v, v + 1, 1.0) for v in range(n - 1)])
+    wide = ConstrainedInstance(g, [{v} for v in range(n)], [v % 2 for v in range(n)])
+    (corpus / "path70.txt").write_text(format_instance_text(wide))
+    rows, _ = bench_rows(tmp_path, capsys, corpus, "pipage,greedy,oracle")
+    assert len(rows) == 6
+    assert all(rows[("c1_n6.txt", m)]["skipped"] is None for m in ("pipage", "greedy", "oracle"))
+    assert rows[("path70.txt", "oracle")]["skipped"].startswith("CapacityError: ")
+    for method in ("pipage", "greedy"):
+        assert rows[("path70.txt", method)]["value"] == 69.0
+        assert rows[("path70.txt", method)]["oracle_value"] is None
+
+
 def test_bench_pipage_ratio_uses_matroid_optimum(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

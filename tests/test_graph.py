@@ -5,7 +5,7 @@ from cutkit.errors import InputError
 from cutkit.graph import (
     ConstrainedInstance,
     WeightedGraph,
-    contract_tail,
+    contract_groups,
     cut_between,
     cut_value,
     weighted_degree_order,
@@ -82,27 +82,27 @@ def test_degree_order_symmetric_ties():
 
 def test_contract_tail_path():
     path = WeightedGraph(3, [(0, 1, 0.5), (1, 2, 0.5)])
-    reduced, s = contract_tail(path, {0, 1})
-    assert s == 2
+    reduced, supers, _ = contract_groups(path, {0, 1}, [{2}])
+    assert supers == [2]
     assert reduced.edges == ((0, 1, 0.5), (1, 2, 0.5))
 
 
 def test_contract_tail_triangle():
-    reduced, s = contract_tail(k3(), {0, 1})
-    assert s == 2
+    reduced, supers, _ = contract_groups(k3(), {0, 1}, [{2}])
+    assert supers == [2]
     assert set(reduced.edges) == {(0, 1, 1 / 3), (0, 2, 1 / 3), (1, 2, 1 / 3)}
 
 
 def test_contract_tail_isolated_vertex():
     g = WeightedGraph(3, [(0, 1, 1.0)])
-    reduced, s = contract_tail(g, {0, 1})
+    reduced, _, _ = contract_groups(g, {0, 1}, [{2}])
     assert reduced.n == 3
     assert reduced.edges == ((0, 1, 1.0),)  # super vertex ends up isolated
 
 
 def test_contract_tail_rejects_full_keep():
     with pytest.raises(InputError):
-        contract_tail(k3(), {0, 1, 2})
+        contract_groups(k3(), {0, 1, 2}, [set()])
 
 
 def test_parallel_edges_merged():
@@ -166,7 +166,7 @@ def test_contraction_preserves_kept_cuts():
         g = random_graph(int(rng.integers(4, 9)), 0.6, rng, unit=False)
         keep_size = int(rng.integers(1, g.n))
         keep = frozenset(rng.choice(g.n, size=keep_size, replace=False).tolist())
-        reduced, s = contract_tail(g, keep)
+        reduced, _, _ = contract_groups(g, keep, [frozenset(range(g.n)) - keep])
         order = sorted(keep)
         rename = {v: i for i, v in enumerate(order)}
         sub_size = int(rng.integers(0, len(keep) + 1))

@@ -445,3 +445,13 @@ def test_edge_between_super_vertices_is_never_cut(n, seed, w):
     # the level covers every selectable vertex, so the relaxation is exact
     assert prog.level >= g.n - 2
     assert obj <= opt + 1e-6
+
+
+def test_affine_projector_with_dependent_rows():
+    from cutkit.moments import _AffineProjector
+
+    B = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0]])
+    d = np.array([1.0, 1.0, 2.0])
+    project = _AffineProjector(B, d, np.array([1.0, 2.0, 1.0, 3.0]))
+    for y in (np.zeros(4), np.array([3.0, -1.0, 0.5, 2.0])):
+        assert np.allclose(B @ project(y), d, atol=1e-12)

@@ -358,3 +358,24 @@ def test_property_cap_is_exact(inst):
         with pytest.raises(CapacityError):
             call(Config(oracle_combo_cap=count - 1))
         call(Config(oracle_combo_cap=count))
+
+
+def wide_path(n=70):
+    """A path with one single-vertex part per vertex: one feasible set."""
+    g = WeightedGraph(n, [(v, v + 1, 1.0) for v in range(n - 1)])
+    return ConstrainedInstance(g, [{v} for v in range(n)], [v % 2 for v in range(n)])
+
+
+def test_oracles_refuse_graphs_wider_than_the_mask():
+    inst = wide_path()
+    wide = Config(oracle_n_max=100)
+    matroid = PartitionMatroid(inst.graph.n, inst.parts, inst.budgets)
+    calls = [
+        lambda: oracle_constrained(inst),
+        lambda: oracle_all_cut_decision(inst),
+        lambda: oracle_matroid(inst.graph, matroid),
+        lambda: oracle_maxcut_k(inst.graph, 1, config=wide),
+    ]
+    for call in calls:
+        with pytest.raises(CapacityError, match="64-bit"):
+            call()

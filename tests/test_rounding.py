@@ -226,19 +226,17 @@ def test_pipeline_two_disjoint_edges():
 def test_pipeline_multi_matches_single_for_one_part():
     g = k4()
     inst = ConstrainedInstance(g, [range(4)], [2])
-    params = RoundingParams(eps=0.5, trials=4, rng_seed=42)
-    a = solve_multi(inst, 0.5, params)
-    params_b = RoundingParams(eps=0.5, trials=4, rng_seed=42)
-    b = solve_single(g, 2, 0.5, params_b)
+    cfg = Config(trials=4)
+    a = solve_multi(inst, 0.5, RoundingParams(eps=0.5, rng_seed=42), cfg)
+    b = solve_single(g, 2, 0.5, RoundingParams(eps=0.5, rng_seed=42), cfg)
     assert a.set == b.set and a.value == b.value
 
 
 def test_pipeline_determinism():
     inst = gen_random(8, 0.5, "unit", 2, "uniform", seed=17)
-    params = RoundingParams(eps=0.5, trials=4, rng_seed=9)
-    a = solve_multi(inst, 0.5, params)
-    params2 = RoundingParams(eps=0.5, trials=4, rng_seed=9)
-    b = solve_multi(inst, 0.5, params2)
+    cfg = Config(trials=4)
+    a = solve_multi(inst, 0.5, RoundingParams(eps=0.5, rng_seed=9), cfg)
+    b = solve_multi(inst, 0.5, RoundingParams(eps=0.5, rng_seed=9), cfg)
     assert a.set == b.set
     assert a.value == b.value
     assert a.stage_trace == b.stage_trace
@@ -251,9 +249,14 @@ def test_pipeline_value_recomputes():
 
 
 def test_pipeline_rejects_eps_mismatch():
-    params = RoundingParams(eps=0.25, trials=2, rng_seed=1)
+    params = RoundingParams(eps=0.25, rng_seed=1)
     with pytest.raises(InputError):
-        solve_single(k3(), 1, 0.5, params)
+        solve_single(k3(), 1, 0.5, params, Config(trials=2))
+
+
+def test_pipeline_rejects_zero_trials():
+    with pytest.raises(InputError, match="at least one rounding trial"):
+        solve_single(k3(), 1, 0.5, config=Config(trials=0))
 
 
 def test_pipeline_part_cap():
@@ -305,7 +308,7 @@ def test_pipeline_three_parts():
     from cutkit.oracle import oracle_constrained
 
     inst = gen_random(9, 0.6, "unit", 3, "one", seed=203)
-    sol = solve_multi(inst, 0.5, RoundingParams(eps=0.5, trials=8, rng_seed=1))
+    sol = solve_multi(inst, 0.5, RoundingParams(eps=0.5, rng_seed=1), Config(trials=8))
     assert inst.is_feasible_set(sol.set)
     opt = oracle_constrained(inst)
     assert sol.value >= 0.5 * opt.opt_value - 1e-9
