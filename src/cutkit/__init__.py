@@ -40,7 +40,15 @@ from .oracle import (
     oracle_maxcut_k,
     oracle_matroid,
 )
-from .rounding import RoundingParams, solve_multi, solve_single
+from .rounding import (
+    Relaxation,
+    RoundingParams,
+    relax_multi,
+    relax_single,
+    round_relaxation,
+    solve_multi,
+    solve_single,
+)
 
 __version__ = "0.1.0"
 
@@ -54,6 +62,7 @@ __all__ = [
     "MomentVector",
     "OracleResult",
     "PartitionMatroid",
+    "Relaxation",
     "RoundingParams",
     "UniformMatroid",
     "WeightedGraph",
@@ -72,6 +81,9 @@ __all__ = [
     "oracle_constrained",
     "oracle_maxcut_k",
     "oracle_matroid",
+    "relax_multi",
+    "relax_single",
+    "round_relaxation",
     "solve_matroid",
     "solve_multi",
     "solve_relaxation",

@@ -18,7 +18,8 @@ from .graph import CutSolution, cut_value
 from .io import read_instance
 from .matroid import PartitionMatroid, solve_matroid
 from .oracle import oracle_constrained, oracle_matroid
-from .rounding import RoundingParams, greedy_feasible, solve_multi
+from .rounding import RoundingParams, greedy_feasible, relax_multi, round_relaxation
+from .rounding import solve_multi  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 CSV_HEADER = "instance,method,value,oracle_value,ratio,feasible,seed"
 
@@ -102,31 +103,39 @@ class BenchReport:
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# Each method is fn(inst, matroid, eps, seed, config) -> CutSolution, with
-# `feasible` judged against the problem the method solves.  The bodies look
-# the solvers up as module globals at call time, so a wrapper installed on
-# this module's attribute sees every call.
+# Each method is prepare(inst, matroid, eps, config) -> answer, and
+# answer(seed) -> CutSolution, with `feasible` judged against the problem the
+# method solves.  prepare does the seed-independent work once per instance;
+# only sdp's rounding depends on the seed.  The bodies look the solvers up
+# as module globals at call time, so a wrapper installed on this module's
+# attribute sees every call.
 
 
-def _sdp(inst, matroid, eps, seed, config):
-    return solve_multi(inst, eps, RoundingParams(eps=eps, rng_seed=seed), config)
-
-
-def _pipage(inst, matroid, eps, seed, config):
-    m = matroid or PartitionMatroid(inst.graph.n, inst.parts, inst.budgets)
-    return solve_matroid(inst.graph, m, config)
-
-
-def _greedy(inst, matroid, eps, seed, config):
-    chosen = greedy_feasible(inst.graph, inst.parts, inst.budgets)
-    return CutSolution(
-        chosen, cut_value(inst.graph, chosen), inst.is_feasible_set(chosen), ("greedy",)
+def _sdp(inst, matroid, eps, config):
+    relaxation = relax_multi(inst, eps, config)
+    return lambda seed: round_relaxation(
+        relaxation, RoundingParams(eps=eps, rng_seed=seed), config
     )
 
 
-def _oracle(inst, matroid, eps, seed, config):
+def _pipage(inst, matroid, eps, config):
+    m = matroid or PartitionMatroid(inst.graph.n, inst.parts, inst.budgets)
+    sol = solve_matroid(inst.graph, m, config)
+    return lambda seed: sol
+
+
+def _greedy(inst, matroid, eps, config):
+    chosen = greedy_feasible(inst.graph, inst.parts, inst.budgets)
+    sol = CutSolution(
+        chosen, cut_value(inst.graph, chosen), inst.is_feasible_set(chosen), ("greedy",)
+    )
+    return lambda seed: sol
+
+
+def _oracle(inst, matroid, eps, config):
     res = oracle_constrained(inst, config=config)
-    return CutSolution(res.best_set, res.opt_value, True, ("oracle",))
+    sol = CutSolution(res.best_set, res.opt_value, True, ("oracle",))
+    return lambda seed: sol
 
 
 METHODS = {"sdp": _sdp, "pipage": _pipage, "greedy": _greedy, "oracle": _oracle}
@@ -149,6 +158,11 @@ def run_bench(
     """Run every (instance, method, seed) combination; a toolkit error marks
     its row skipped instead of aborting the run, and a file that does not
     parse marks all of its rows skipped.
+
+    Each method prepares once per instance and answers once per seed, so
+    the relaxation, the matroid LP and the oracle run once per instance; a
+    toolkit error while preparing marks every seed row of that method
+    skipped.
 
     Ratios divide by the optimum of the problem the method solved: pipage
     on an instance that declares a matroid solves over that matroid's
@@ -184,6 +198,14 @@ def run_bench(
             matroid_value = _optimum(oracle_matroid, inst.graph, matroid, config)
         for method in methods:
             on_matroid = method == "pipage" and matroid is not None
+            t0 = time.perf_counter()
+            try:
+                answer, failure = METHODS[method](inst, matroid, eps, config), ""
+            except CutkitError as exc:
+                answer, failure = None, f"{type(exc).__name__}: {exc}"
+            # the shared stage's time goes to the first seed's row, so each
+            # method's wall_time_s still sums to its total
+            shared = time.perf_counter() - t0
             for seed in seeds:
                 row = BenchRow(
                     instance=name,
@@ -193,16 +215,19 @@ def run_bench(
                     feasible=False,
                     seed=seed,
                     wall_time_s=0.0,
+                    skipped=failure,
                     ratio_base="matroid" if on_matroid else "partition",
                     base_value=matroid_value if on_matroid else oracle_value,
                 )
                 t0 = time.perf_counter()
-                try:
-                    sol = METHODS[method](inst, matroid, eps, seed, config)
-                    row.value, row.feasible = sol.value, sol.feasible
-                except CutkitError as exc:
-                    row.skipped = f"{type(exc).__name__}: {exc}"
-                row.wall_time_s = time.perf_counter() - t0
+                if answer is not None:
+                    try:
+                        sol = answer(seed)
+                        row.value, row.feasible = sol.value, sol.feasible
+                    except CutkitError as exc:
+                        row.skipped = f"{type(exc).__name__}: {exc}"
+                row.wall_time_s = shared + time.perf_counter() - t0
+                shared = 0.0
                 report.rows.append(row)
     report.rows.sort(key=lambda r: (r.instance, r.method, r.seed))
     return report

@@ -24,7 +24,8 @@ from .io import (
     read_instance,
 )
 from .kernel import kernelize_multi
-from .moments import block_independence_score, build_program, solve
+from .moments import block_independence_score
+from .rounding import relax_multi
 
 
 def _add_instance_arg(p):
@@ -112,7 +113,7 @@ def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     inst, matroid = read_instance(args.instance)
     t0 = time.perf_counter()
-    sol = METHODS[args.method](inst, matroid, args.eps, cfg.seed, cfg)
+    sol = METHODS[args.method](inst, matroid, args.eps, cfg)(cfg.seed)
     _emit(
         {
             "schema": SCHEMA,
@@ -171,9 +172,8 @@ def cmd_gadget(args) -> int:
 def cmd_inspect_sdp(args) -> int:
     cfg = _config_from_args(args)
     inst, _ = read_instance(args.instance)
-    ker = kernelize_multi(inst, args.eps)
-    program = build_program(ker, cfg.level, cfg)
-    mv = solve(program, config=cfg)
+    relaxation = relax_multi(inst, args.eps, cfg)
+    ker, program, mv = relaxation.kernel, relaxation.program, relaxation.moments
     n = ker.reduced.n
     parts = [sorted(p - ker.forbidden) for p in ker.parts]
     per_part, cross = block_independence_score(mv, parts)

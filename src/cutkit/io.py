@@ -105,7 +105,10 @@ def parse_instance_text(text: str):
         lineno, toks = take(None, "matroid section")
         if toks[0] != "matroid":
             raise ParseError(f"unexpected trailing line {toks!r}", line=lineno)
-        matroid = _parse_matroid_tokens(toks[1:], lineno, take, inst)
+        try:
+            matroid = _parse_matroid_tokens(toks[1:], lineno, take, inst)
+        except ValueError as exc:
+            raise ParseError(f"bad matroid section: {exc}", line=lineno) from exc
         if pos < len(rows):
             raise ParseError("unexpected trailing data", line=rows[pos][0])
     return inst, matroid
@@ -168,16 +171,27 @@ def _matroid_to_json(m: MatroidOracle):
 
 
 def _matroid_from_json(obj, inst):
+    if not isinstance(obj, dict):
+        raise ParseError("matroid section must be a JSON object")
     n = inst.graph.n
     kind = obj.get("kind")
-    if kind == "uniform":
-        return UniformMatroid(n, int(obj["k"]))
-    if kind == "partition":
-        return PartitionMatroid(n, inst.parts, inst.budgets)
-    if kind == "graphic":
-        return GraphicMatroid(int(obj["aux_vertices"]), obj["aux_edges"])
-    if kind == "explicit":
-        return ExplicitMatroid(n, obj["sets"])
+    try:
+        if kind == "uniform":
+            return UniformMatroid(n, int(obj["k"]))
+        if kind == "partition":
+            return PartitionMatroid(n, inst.parts, inst.budgets)
+        if kind == "graphic":
+            if len(obj["aux_edges"]) != n:
+                raise ParseError(
+                    f"graphic matroid needs one auxiliary edge per vertex ({n})"
+                )
+            return GraphicMatroid(int(obj["aux_vertices"]), obj["aux_edges"])
+        if kind == "explicit":
+            return ExplicitMatroid(n, obj["sets"])
+    except KeyError as exc:
+        raise ParseError(f"{kind} matroid section lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad {kind} matroid section: {exc}") from exc
     raise ParseError(f"unknown matroid kind {kind!r}")
 
 
@@ -186,6 +200,8 @@ def parse_instance_json(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, column=exc.colno)
+    if not isinstance(obj, dict):
+        raise ParseError("instance must be a JSON object")
     if obj.get("schema") != SCHEMA:
         raise ParseError(f"unsupported schema {obj.get('schema')!r}")
     try:

@@ -1,6 +1,9 @@
 """Bias-preserving rounding, balance checks, random correction, and the
 end-to-end kernel -> relaxation -> conditioning -> rounding -> correction
-pipelines for single and multi-part instances.
+pipelines for single and multi-part instances.  The pipelines run in two
+stages: `relax_*` (kernel, program, ADMM; no randomness) and
+`round_relaxation` (everything seeded), so one relaxation can be rounded
+under many seeds.
 
 Rounding draws one shared Gaussian vector and thresholds each vertex's
 centered unit component at the Gaussian quantile of its inclusion
@@ -22,6 +25,7 @@ from .graph import ConstrainedInstance, CutSolution, WeightedGraph, cut_value
 from .kernel import KernelResult, kernelize_multi, kernelize_single
 from .moments import (
     MomentVector,
+    SdpProgram,
     build_program,
     make_block_independent,
     solve,
@@ -256,15 +260,67 @@ def greedy_feasible(g: WeightedGraph, parts, budgets, forbidden=frozenset(), sta
 
 
 # ---------------------------------------------------------------------------
-# end-to-end pipelines
+# end-to-end pipelines: relax (seed-independent), then round (per seed)
 
 
-def _pipeline(kernel: KernelResult, g: WeightedGraph, params: RoundingParams, config: Config):
-    """Shared solve/condition/round/correct machinery on a kernelized instance."""
-    trace = ["kernel"]
+@dataclass(frozen=True)
+class Relaxation:
+    """The seed-independent half of the pipeline: a solved relaxation.
+
+    Rounding it again with another seed repeats none of the kernel,
+    program-building or ADMM work.
+    """
+
+    kernel: KernelResult
+    program: SdpProgram
+    moments: MomentVector
+    graph: WeightedGraph  # the original graph the answer is lifted to
+
+    @property
+    def eps(self) -> float:
+        return self.kernel.epsilon
+
+
+def _relax(kernel: KernelResult, g: WeightedGraph, config: Config) -> Relaxation:
     program = build_program(kernel, config.level, config)
-    mv = solve(program, config=config)
-    trace.append("sdp")
+    return Relaxation(kernel, program, solve(program, config=config), g)
+
+
+def relax_single(
+    g: WeightedGraph, k: int, eps: float, config: Config | None = None
+) -> Relaxation:
+    """Kernelize |S| = k and solve its relaxation at config.level."""
+    return _relax(kernelize_single(g, k, eps), g, config or Config())
+
+
+def relax_multi(
+    inst: ConstrainedInstance, eps: float, config: Config | None = None
+) -> Relaxation:
+    """Kernelize a partitioned instance and solve its relaxation at config.level."""
+    config = config or Config()
+    if inst.c > config.c_cap:
+        raise InputError(f"{inst.c} parts exceed the configured cap {config.c_cap}")
+    return _relax(kernelize_multi(inst, eps), inst.graph, config)
+
+
+def _check_round(params: RoundingParams, eps: float, config: Config):
+    if params.eps != eps:
+        raise InputError("eps argument disagrees with params.eps")
+    if config.trials < 1:
+        raise InputError("need at least one rounding trial")
+
+
+def round_relaxation(
+    relaxation: Relaxation, params: RoundingParams, config: Config | None = None
+) -> CutSolution:
+    """Condition, round, correct and lift one solved relaxation.
+
+    All randomness of the pipeline is here, drawn from params.rng_seed.
+    """
+    config = config or Config()
+    _check_round(params, relaxation.eps, config)
+    kernel, program, mv = relaxation.kernel, relaxation.program, relaxation.moments
+    trace = ["kernel", "sdp"]
 
     kept_parts = tuple(p - kernel.forbidden for p in kernel.parts)
     c = len(kept_parts)
@@ -335,21 +391,21 @@ def _pipeline(kernel: KernelResult, g: WeightedGraph, params: RoundingParams, co
     original_set = kernel.lift(reduced_set)
     return CutSolution(
         set=original_set,
-        value=cut_value(g, original_set),
+        value=cut_value(relaxation.graph, original_set),
         feasible=True,
         stage_trace=tuple(trace),
     )
 
 
 def _settings(eps: float, params: RoundingParams | None, config: Config | None):
-    """The params and config a pipeline runs with; params default from config."""
+    """The params and config a pipeline runs with; params default from config.
+
+    Checked before relaxing, so a bad setting fails before the ADMM solve.
+    """
     config = config or Config()
     if params is None:
         params = RoundingParams(eps=eps, rng_seed=config.seed)
-    elif params.eps != eps:
-        raise InputError("eps argument disagrees with params.eps")
-    if config.trials < 1:
-        raise InputError("need at least one rounding trial")
+    _check_round(params, eps, config)
     return params, config
 
 
@@ -362,8 +418,7 @@ def solve_single(
 ) -> CutSolution:
     """Full pipeline for a single cardinality constraint |S| = k."""
     params, config = _settings(eps, params, config)
-    kernel = kernelize_single(g, k, eps)
-    return _pipeline(kernel, g, params, config)
+    return round_relaxation(relax_single(g, k, eps, config), params, config)
 
 
 def solve_multi(
@@ -374,7 +429,4 @@ def solve_multi(
 ) -> CutSolution:
     """Full pipeline for a partitioned instance with per-part budgets."""
     params, config = _settings(eps, params, config)
-    if inst.c > config.c_cap:
-        raise InputError(f"{inst.c} parts exceed the configured cap {config.c_cap}")
-    kernel = kernelize_multi(inst, eps)
-    return _pipeline(kernel, inst.graph, params, config)
+    return round_relaxation(relax_multi(inst, eps, config), params, config)

@@ -7,7 +7,7 @@ formatting), so identical seeds reproduce identical reports byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,12 +16,10 @@ from .forge import gadget_from_3dm, gen_3dm, gen_random, tdm_has_perfect_matchin
 from .graph import ConstrainedInstance, WeightedGraph, cut_value
 from .kernel import kernelize_multi, kernelize_single, migrate_to_kernel
 from .moments import (
-    build_program,
     condition,
     entropy_of_vertex,
     iid_pair_information_sum,
     marginals,
-    solve,
 )
 from .matroid import (
     GraphicMatroid,
@@ -42,6 +40,7 @@ from .rounding import (
     RoundingParams,
     random_correct,
     realized_correction_prob,
+    relax_multi,
     round_biased,
     sampled_union_bound_check,
     solve_multi,
@@ -306,13 +305,12 @@ def _sdp_corpus(count, seed0, config, max_n=8):
 def suite_relaxation_consistency(config: Config | None = None, count=50, seed0=5000):
     """Marginal consistency, conditioning splits, and relaxation dominance."""
     config = config or Config()
+    auto_level = replace(config, level=0)
     failures = []
     rng = np.random.default_rng(seed0)
     for s, inst in _sdp_corpus(count, seed0, config):
-        eps = 0.5
-        ker = kernelize_multi(inst, eps)
-        program = build_program(ker, 0, config)
-        mv = solve(program, config=config)
+        relaxation = relax_multi(inst, 0.5, auto_level)
+        ker, program, mv = relaxation.kernel, relaxation.program, relaxation.moments
 
         # relaxation dominance against the conditioned exact optimum
         reduced_inst = ConstrainedInstance(ker.reduced, ker.parts, ker.budgets)
@@ -396,10 +394,9 @@ def suite_conditioning_telescope(
     summaries = []
     for s, inst in _sdp_corpus(count, seed0, config, max_n=7):
         c = inst.c
-        ker = kernelize_multi(inst, 0.5)
-        level = 4 if ker.reduced.n <= 8 else 3
-        program = build_program(ker, level, config)
-        mv = solve(program, config=config)
+        # a kernel has at most max_n = 7 vertices here, so it runs at level 4
+        relaxation = relax_multi(inst, 0.5, replace(config, level=4))
+        ker, mv = relaxation.kernel, relaxation.moments
         parts = [sorted(p - ker.forbidden) for p in ker.parts]
         budget = min(config.independence_budget, mv.level - 2)
         path_sums = []
@@ -458,12 +455,11 @@ def suite_bias_preservation(
 ):
     """Empirical inclusion frequencies match (1 + b_i)/2 within 4 sigma."""
     config = config or Config()
+    auto_level = replace(config, level=0)
     failures = []
     worst = 0.0
     for s, inst in _sdp_corpus(count, seed0, config):
-        ker = kernelize_multi(inst, 0.5)
-        program = build_program(ker, 0, config)
-        mv = solve(program, config=config)
+        mv = relax_multi(inst, 0.5, auto_level).moments
         bias = BiasProfile.from_moment_vector(mv)
         n = bias.n
         counts = np.zeros(n)

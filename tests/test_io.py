@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutkit.errors import ParseError
 from cutkit.forge import gen_random
@@ -64,6 +68,85 @@ def test_json_roundtrip():
     parsed, m = parse_instance(text)
     assert parsed.graph.edges == inst.graph.edges
     assert m.kind == "uniform" and m.k == 3
+
+
+JSON_BASE = {
+    "schema": "cutkit/1",
+    "n": 3,
+    "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+    "parts": [{"k": 1, "vertices": [0, 1, 2]}],
+}
+
+
+@pytest.mark.parametrize(
+    "matroid",
+    [
+        {"kind": "uniform"},
+        {"kind": "uniform", "k": "two"},
+        {"kind": "graphic", "aux_edges": [[0, 1], [1, 2], [0, 2]]},
+        {"kind": "graphic", "aux_vertices": 3, "aux_edges": [[0, 1], [1, 2]]},
+        {"kind": "graphic", "aux_vertices": 3, "aux_edges": [[0, 1], [1], [0, 2]]},
+        {"kind": "explicit"},
+        {"kind": "explicit", "sets": [["a"]]},
+        ["uniform", 2],
+    ],
+)
+def test_json_bad_matroid_section_is_a_parse_error(matroid):
+    with pytest.raises(ParseError):
+        parse_instance(json.dumps(dict(JSON_BASE, matroid=matroid)))
+
+
+def test_bad_top_level_json_is_a_parse_error():
+    from cutkit.io import parse_instance_json
+
+    with pytest.raises(ParseError):
+        parse_instance_json("[1, 2]")
+
+
+def test_text_bad_matroid_number_is_a_parse_error():
+    with pytest.raises(ParseError) as exc_info:
+        parse_instance("3 2 1\n0 1 1\n1 2 1\n3 1 0 1 2\nmatroid uniform two\n")
+    assert exc_info.value.line == 5
+
+
+@st.composite
+def instances_with_matroids(draw):
+    n = draw(st.integers(2, 8))
+    c = draw(st.integers(1, min(3, n // 2)))
+    inst = gen_random(n, 0.6, draw(st.sampled_from(["unit", "uniform"])), c,
+                      "uniform", seed=draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["uniform", "partition", "graphic", "explicit"]))
+    if kind == "uniform":
+        matroid = UniformMatroid(n, draw(st.integers(0, n)))
+    elif kind == "partition":
+        matroid = PartitionMatroid(n, inst.parts, inst.budgets)
+    elif kind == "graphic":
+        nv = draw(st.integers(1, 6))
+        pair = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
+        matroid = GraphicMatroid(nv, draw(st.lists(pair, min_size=n, max_size=n)))
+    else:
+        subset = st.frozensets(st.integers(0, n - 1))
+        matroid = ExplicitMatroid(n, draw(st.lists(subset, min_size=1, max_size=5)))
+    return inst, matroid
+
+
+def matroid_fields(m):
+    return (m.kind, getattr(m, "k", None), getattr(m, "parts", None),
+            getattr(m, "budgets", None), getattr(m, "aux_vertices", None),
+            getattr(m, "aux_edges", None), getattr(m, "maximal", None))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=instances_with_matroids(), fmt=st.sampled_from([format_instance_text, format_instance_json]))
+def test_parse_format_roundtrip_every_matroid_kind(case, fmt):
+    inst, matroid = case
+    text = fmt(inst, matroid)
+    parsed, m = parse_instance(text)
+    assert parsed.graph.n == inst.graph.n
+    assert parsed.graph.edges == inst.graph.edges
+    assert parsed.parts == inst.parts and parsed.budgets == inst.budgets
+    assert matroid_fields(m) == matroid_fields(matroid)
+    assert fmt(parsed, m) == text
 
 
 def test_json_schema_checked():
