@@ -616,6 +616,58 @@ class _AffineProjector:
         return y - self.WBt @ self._solve(self.B @ y - self.d)
 
 
+def _free_rows(program: SdpProgram):
+    """Selectable vertices, their labels, the free moment structure, and
+    the multiplicity m_T of each free row T.
+
+    Row T of the free matrix stands for the m_T full rows T | S, S a set of
+    supers.
+    """
+    free = [v for v in range(program.n) if v not in program.forbidden]
+    label = {v: j for j, v in enumerate(free)}
+    ms = moment_structure(len(free), program.level)
+    supers = len(program.forbidden)
+    mult = np.array(
+        [basis_dim(supers, program.level - bin(int(t)).count("1")) for t in ms.row_masks],
+        dtype=np.float64,
+    )
+    return free, label, ms, mult
+
+
+def face_basis(program: SdpProgram) -> np.ndarray:
+    """Orthonormal basis V (N x r) of the face the cardinality rows force.
+
+    For a part with selectable vertices K and target t = 2k - |K|, and a
+    free row T with |T| <= level - 1, let v_T = sum_{i in K} e_{T ^ {i}}
+    - t e_T.  Then v_T' M v_T = sum_{i,j in K} y_{i ^ j} - 2t sum_i y_i + t^2,
+    which the depth-0 and depth-1 cardinality rows set to 0, so M >= 0
+    gives M v_T = 0 on every feasible point.  On the scaled free matrix
+    D M D, D = diag(sqrt(m_T)), the null vector is D^-1 v_T.  V spans the
+    complement of those vectors, so restricting the PSD cone to
+    {V S V' : S >= 0} is exact and leaves the optimum unchanged.  Below
+    depth 1 the face is not implied and V is the identity: the full cone.
+    """
+    _, label, ms, mult = _free_rows(program)
+    N = ms.dim_mat
+    if min(program.level - 1, program.depth_cap) < 1:
+        return np.eye(N)
+    pos = ms.basis.pos
+    rows = ms.row_masks
+    popcount = np.array([bin(int(t)).count("1") for t in rows])
+    T = rows[popcount <= program.level - 1]
+    cols = np.arange(T.size)
+    null = []
+    for part, k in zip(program.parts, program.budgets):
+        kept = [label[v] for v in part - program.forbidden]
+        v = np.zeros((N, T.size))  # column j is v_T for T = T[j]
+        for i in kept:
+            v[pos[T ^ (1 << i)], cols] += 1.0
+        v[pos[T], cols] -= 2.0 * k - len(kept)
+        null.append(v)
+    W = np.hstack(null) / np.sqrt(mult)[:, None]
+    return scipy.linalg.null_space(W.T)
+
+
 def solve(
     program: SdpProgram,
     tol: float | None = None,
@@ -632,25 +684,19 @@ def solve(
     The iterates span the selectable vertices only, at the program's level:
     super vertices are constant, so their moments are substituted out and
     restored by sign flips once the loop has converged (the simplest form
-    of facial reduction).
+    of facial reduction).  The matrix copy further lives on the face that
+    the cardinality rows force (see `face_basis`), so each projection
+    eigendecomposes an r x r block instead of the N x N matrix.
     """
     config = config or Config()
     tol = config.sdp_tol if tol is None else tol
     max_iter = config.sdp_max_iter if max_iter is None else max_iter
 
-    free = [v for v in range(program.n) if v not in program.forbidden]
-    label = {v: j for j, v in enumerate(free)}
-    ms = moment_structure(len(free), program.level)
+    free, label, ms, mult = _free_rows(program)
     basis = ms.basis
-    # Row T of the free matrix stands for the m_T full rows T | S, S a set
-    # of supers.  Scaling entry (T, U) by sqrt(m_T m_U) gives the iterate
-    # the nonzero spectrum and the Frobenius norm of the full matrix, so
-    # the residuals and the PSD gate keep their meaning for the lifted answer.
-    supers = len(program.forbidden)
-    mult = np.array(
-        [basis_dim(supers, program.level - bin(int(t)).count("1")) for t in ms.row_masks],
-        dtype=np.float64,
-    )
+    # Scaling entry (T, U) by sqrt(m_T m_U) gives the iterate the nonzero
+    # spectrum and the Frobenius norm of the full matrix, so the residuals
+    # and the PSD gate keep their meaning for the lifted answer.
     weight = np.outer(mult, mult)
     scale = np.sqrt(weight)
     counts = np.bincount(
@@ -659,6 +705,9 @@ def solve(
     cvec, const = _objective_vector(program, basis, label)
     B, d = _affine_rows(program, basis, label)
     project_affine = _AffineProjector(B, d, counts)
+    V = face_basis(program)
+    if V.shape[1] == ms.dim_mat:
+        V = None  # the whole cone: skip the change of basis
 
     def to_matrix(y):
         return y[ms.class_idx] * scale
@@ -669,7 +718,7 @@ def solve(
         )
 
     y = project_affine(np.zeros(basis.masks.size))
-    X = _psd_projection(to_matrix(y))
+    X = _psd_projection(to_matrix(y), V)
     Z = np.zeros_like(X)
     rho = 1.0
     prim = dual = np.inf
@@ -681,7 +730,7 @@ def solve(
         y = project_affine(y_hat)
         M = to_matrix(y)
         X_prev = X
-        X = _psd_projection(M + Z / rho)
+        X = _psd_projection(M + Z / rho, V)
         R = M - X
         Z = Z + rho * R
 
@@ -710,17 +759,25 @@ def solve(
         )
 
     mv = MomentVector(program.n, program.level, _lift(y, program.n, program.level, free))
-    if mv.min_eigenvalue() < -PSD_TOL:
+    min_eig = mv.min_eigenvalue()
+    if min_eig < -PSD_TOL:
         raise ConvergenceError(
-            f"moment matrix not PSD within tolerance "
-            f"(min eigenvalue {mv.min_eigenvalue():.2e})",
+            f"moment matrix not PSD within tolerance (min eigenvalue {min_eig:.2e})",
             primal=prim,
             dual=dual,
+            iterations=it,
         )
     return mv
 
 
-def _psd_projection(M):
-    vals, vecs = np.linalg.eigh((M + M.T) / 2.0)
+def _psd_projection(M, V=None):
+    """Nearest PSD matrix to M in Frobenius norm, V [V' M V]_+ V' on the
+    face spanned by V's orthonormal columns (the whole cone when V is None)."""
+    A = (M + M.T) / 2.0
+    if V is not None:
+        A = V.T @ A @ V
+    vals, vecs = np.linalg.eigh(A)
     vals = np.clip(vals, 0.0, None)
+    if V is not None:
+        vecs = V @ vecs
     return (vecs * vals) @ vecs.T

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cutkit.config import Config
+from cutkit.config import PSD_TOL, Config
 from cutkit.errors import (
     CapacityError,
+    ConvergenceError,
     DegenerateEventError,
     InfeasibleError,
     InputError,
@@ -13,15 +14,17 @@ from cutkit.errors import (
 )
 from cutkit.forge import gen_random
 from cutkit.graph import ConstrainedInstance, WeightedGraph
-from cutkit.kernel import kernelize_multi, kernelize_single
+from cutkit.kernel import KernelResult, kernelize_multi, kernelize_single
 from cutkit.moments import (
     MomentVector,
     block_independence_score,
     build_program,
     condition,
+    face_basis,
     integral_moment_vector,
     make_block_independent,
     marginals,
+    moment_structure,
     mutual_information,
     solve,
     subset_basis,
@@ -96,6 +99,20 @@ def test_k4_relaxation_dominates():
     prog = build_program(ker, 2)
     mv = solve(prog)
     assert mv.objective_value(prog.edges) >= 4 / 6 - 1e-6
+
+
+def test_psd_gate_failure_reports_its_iterations(monkeypatch):
+    calls = []
+
+    def min_eigenvalue(self):
+        calls.append(self)
+        return -1.0
+
+    monkeypatch.setattr(MomentVector, "min_eigenvalue", min_eigenvalue)
+    with pytest.raises(ConvergenceError, match="min eigenvalue -1.00e\\+00") as info:
+        solve(build_program(kernelize_single(k3(), 1, 0.5), 2))
+    assert info.value.iterations >= 1
+    assert len(calls) == 1
 
 
 def test_level_validation():
@@ -455,3 +472,108 @@ def test_affine_projector_with_dependent_rows():
     project = _AffineProjector(B, d, np.array([1.0, 2.0, 1.0, 3.0]))
     for y in (np.zeros(4), np.array([3.0, -1.0, 0.5, 2.0])):
         assert np.allclose(B @ project(y), d, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the face forced by the cardinality rows
+
+
+def lifted_null_vectors(prog):
+    """v_T = sum_{i in K} e_{T ^ {i}} - t e_T on the lifted moment matrix,
+    one column per part and per row T with |T| <= level - 1.
+
+    Free row T stands for the m_T lifted rows T | S, S a set of supers, each
+    a sign flip of it, so the largest ||M v|| over these columns equals the
+    largest ||M_s D^-1 v_T|| on the scaled free matrix M_s = D M D.
+    """
+    rows = subset_basis(prog.n, prog.level)
+    T = rows.masks[[bin(int(m)).count("1") <= prog.level - 1 for m in rows.masks]]
+    cols = []
+    for part, k in zip(prog.parts, prog.budgets):
+        kept = sorted(part - prog.forbidden)
+        W = np.zeros((rows.masks.size, T.size))
+        for j, t in enumerate(T):
+            for i in kept:
+                W[rows.pos[int(t) ^ (1 << i)], j] += 1.0
+            W[rows.pos[int(t)], j] -= 2 * k - len(kept)
+        cols.append(W)
+    return np.hstack(cols)
+
+
+def pinned_kernel(n, c, with_supers, modes, seed):
+    """Identity kernel on a random graph; with_supers pins the first vertex
+    of every part of two or more vertices.  A part's budget is 0, all of its
+    selectable vertices, or drawn between them, by its mode."""
+    rng = np.random.default_rng(seed)
+    edges = [
+        (u, v, float(1.0 - rng.random()))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < 0.6
+    ]
+    order = rng.permutation(n)
+    cuts = sorted(rng.choice(np.arange(1, n), size=c - 1, replace=False))
+    parts = [frozenset(int(v) for v in p) for p in np.split(order, cuts)]
+    supers = frozenset(min(p) for p in parts if with_supers and len(p) >= 2)
+    budgets = []
+    for p, mode in zip(parts, modes):
+        avail = len(p - supers)
+        drawn = int(rng.integers(0, avail + 1))
+        budgets.append({"zero": 0, "full": avail, "any": drawn}[mode])
+    return KernelResult(
+        reduced=WeightedGraph(n, edges),
+        forbidden=supers,
+        parts=tuple(parts),
+        budgets=tuple(budgets),
+        epsilon=0.5,
+        orig_to_reduced={v: v for v in range(n) if v not in supers},
+        super_sources={s: frozenset({s}) for s in supers},
+    )
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(
+    n=st.integers(4, 8),
+    c=st.integers(1, 2),
+    with_supers=st.booleans(),
+    modes=st.lists(st.sampled_from(["zero", "full", "any"]), min_size=2, max_size=2),
+    seed=st.integers(0, 10**6),
+)
+@example(n=8, c=2, with_supers=False, modes=["zero", "full"], seed=1)
+@example(n=7, c=2, with_supers=True, modes=["full", "zero"], seed=2)
+@example(n=6, c=1, with_supers=True, modes=["any", "any"], seed=3)
+@example(n=8, c=2, with_supers=False, modes=["any", "any"], seed=9)
+def test_solution_lies_on_the_cardinality_face(n, c, with_supers, modes, seed):
+    ker = pinned_kernel(n, c, with_supers, modes[:c], seed)
+    prog = build_program(ker, 0)
+    mv = solve(prog)
+    W = lifted_null_vectors(prog)
+    assert np.linalg.norm(mv.moment_matrix() @ W, axis=0).max() <= 1e-6
+    assert mv.min_eigenvalue() >= -PSD_TOL
+    assert mv.objective_value(prog.edges) >= reduced_optimum(ker) - 1e-6
+
+
+def test_face_basis_is_the_orthogonal_complement_of_the_null_vectors():
+    # with no supers D is the identity and the lifted rows are the free rows
+    prog = build_program(pinned_kernel(8, 2, False, ["any", "any"], 5), 0)
+    V = face_basis(prog)
+    W = lifted_null_vectors(prog)
+    N = moment_structure(prog.n, prog.level).dim_mat
+    assert V.shape == (N, N - np.linalg.matrix_rank(W))
+    assert np.allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-12)
+    assert np.abs(V.T @ W).max() <= 1e-12
+
+
+def test_depth_cap_zero_keeps_the_full_cone():
+    # with no depth-1 cardinality rows the face is not implied: the basis
+    # spans every row and the looser program can only score higher
+    ker = kernelize_multi(gen_random(7, 0.6, "uniform", 2, "uniform", seed=11), 0.5)
+    loose = build_program(ker, 0, Config(depth_cap=0))
+    tight = build_program(ker, 0, Config(depth_cap=2))
+    V = face_basis(loose)
+    N = moment_structure(loose.n - len(loose.forbidden), loose.level).dim_mat
+    assert V.shape == (N, N) and np.linalg.matrix_rank(V) == N
+    assert face_basis(tight).shape[1] < N
+    obj_loose = solve(loose).objective_value(loose.edges)
+    obj_tight = solve(tight).objective_value(tight.edges)
+    assert obj_loose >= obj_tight - 1e-7
