@@ -6,7 +6,7 @@ size <= 2L.  The moment matrix indexed by subsets of size <= L has entry
 marginal extraction, and conditioning are all cheap index arithmetic on
 bitmasks.  The program solver is a first-order ADMM loop alternating an
 eigendecomposition-based projection onto the PSD cone with an exact
-projection onto the affine constraint set.
+step over the affine constraint set, taken in coordinates on that set.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from itertools import combinations, product
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
+import scipy.sparse
 
 from .config import Config, PSD_TOL
 from .errors import (
@@ -31,6 +33,11 @@ from .errors import (
 from .kernel import KernelResult
 
 _LUT_N_MAX = 20  # mask lookup tables get size 2^n
+# Largest block that _psd_projection hands to scipy's LAPACK.  Per call it
+# costs 0.09 ms against numpy's 0.14 ms at r = 27; but scipy ships its own
+# OpenBLAS, whose threaded syevd contends with numpy's thread pool at full
+# cone sizes (N = 163 measured 3x slower inside the ADMM loop).
+_SMALL_EIGH = 64
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +282,8 @@ def entropy_of_vertex(m: MomentVector, i: int) -> float:
     return _entropy_bits([(1 + b) / 2.0, (1 - b) / 2.0])
 
 
-def block_independence_score(m: MomentVector, parts):
-    """Average pairwise MI inside each part plus the cross-part total.
-
-    Per-part scores average over unordered distinct pairs; parts with fewer
-    than two vertices score 0.  The cross term sums, over unordered part
-    pairs, the average MI between vertices drawn from the two parts.
-    """
-    parts = [sorted(p) for p in parts]
+def _part_scores(m: MomentVector, parts) -> list:
+    """Average pairwise MI inside each sorted part; 0 below two vertices."""
     per_part = []
     for p in parts:
         if len(p) < 2:
@@ -294,6 +295,18 @@ def block_independence_score(m: MomentVector, parts):
             tot += mutual_information(m, a, b)
             cnt += 1
         per_part.append(tot / cnt)
+    return per_part
+
+
+def block_independence_score(m: MomentVector, parts):
+    """Average pairwise MI inside each part plus the cross-part total.
+
+    Per-part scores average over unordered distinct pairs; parts with fewer
+    than two vertices score 0.  The cross term sums, over unordered part
+    pairs, the average MI between vertices drawn from the two parts.
+    """
+    parts = [sorted(p) for p in parts]
+    per_part = _part_scores(m, parts)
     cross = 0.0
     for pa, pb in combinations(range(len(parts)), 2):
         a_list, b_list = parts[pa], parts[pb]
@@ -401,16 +414,15 @@ def make_block_independent(
         )
     start_obj = m.objective_value(edges) if edges is not None else None
 
-    def qualifies(mv: MomentVector) -> bool:
-        scores, _ = block_independence_score(mv, parts)
-        if max(scores) > alpha:
+    def qualifies(mv: MomentVector, worst: float) -> bool:
+        if worst > alpha:
             return False
         if start_obj is not None:
             if mv.objective_value(edges) < start_obj - alpha - 1e-9:
                 return False
         return True
 
-    if qualifies(m):
+    if qualifies(m, max(_part_scores(m, parts))):
         return m
 
     best_candidate = None  # (max_part_score, restart, MomentVector)
@@ -433,11 +445,10 @@ def make_block_independent(
             else:
                 break
             cur = nxt
-            scores, _ = block_independence_score(cur, parts)
-            worst = max(scores)
+            worst = max(_part_scores(cur, parts))
             if best_candidate is None or worst < best_candidate[0]:
                 best_candidate = (worst, r, cur)
-            if qualifies(cur):
+            if qualifies(cur, worst):
                 key = -cur.objective_value(edges) if edges is not None else worst
                 winners.append((key, r, cur))
                 break
@@ -514,42 +525,45 @@ def build_program(
     )
 
 
+def _face_imposed(program: SdpProgram) -> bool:
+    """Whether the depth-1 cardinality rows are in, which forces the face
+    (see `face_basis`)."""
+    return min(program.level - 1, program.depth_cap) >= 1
+
+
 def _affine_rows(program: SdpProgram, basis: SubsetBasis, label):
-    """Dense equality system B y = d over the selectable vertices.
+    """Sparse equality system B y = d over the selectable vertices.
 
     `basis` spans the selectable vertices under the labels in `label`; the
     super vertices are substituted out, so only normalization and the
-    per-part cardinality rows remain.
+    per-part cardinality rows remain.  The row at depth S of a part reads
+    sum_{i in K} y_{S ^ {i}} - t y_S = 0.  With the face imposed, every
+    depth up to 2 level - 1 is in: those rows are implied by the depth-0
+    and depth-1 rows and M >= 0 (entry U of M v_T is the row at U ^ T),
+    and with them every point of the affine set has its moment matrix on
+    the face.  Without it only the depth-0 rows are.
     """
-    f = basis.n
-    dim = basis.masks.size
-    rows = []
-    rhs = []
-
-    def depth_subsets(max_depth):
-        for r in range(max_depth + 1):
-            yield from combinations(range(f), r)
-
-    # normalization
-    row = np.zeros(dim)
-    row[basis.position(())] = 1.0
-    rows.append(row)
-    rhs.append(1.0)
-
-    # cardinality per part, at every depth up to the cap
-    depth = min(program.level - 1, program.depth_cap)
-    for part, k in zip(program.parts, program.budgets):
-        kept = sorted(label[v] for v in part - program.forbidden)
-        target = 2.0 * k - len(kept)
-        for t in depth_subsets(depth):
-            row = np.zeros(dim)
-            for i in kept:
-                row[basis.position(tuple(sorted(set(t) ^ {i})))] += 1.0
-            row[basis.position(t)] -= target
-            rows.append(row)
-            rhs.append(0.0)
-
-    return np.asarray(rows), np.asarray(rhs)
+    depth = 2 * program.level - 1 if _face_imposed(program) else 0
+    pos = basis.pos
+    S = basis.masks[: basis_dim(basis.n, depth)]  # masks sort by size
+    rows, cols, vals = [np.zeros(1, dtype=np.int64)], [pos[:1]], [np.ones(1)]
+    for p, (part, k) in enumerate(zip(program.parts, program.budgets)):
+        kept = [label[v] for v in part - program.forbidden]
+        at = 1 + p * S.size + np.arange(S.size)
+        for i in kept:
+            rows.append(at)
+            cols.append(pos[S ^ (1 << i)])
+            vals.append(np.ones(S.size))
+        rows.append(at)
+        cols.append(pos[S])
+        vals.append(np.full(S.size, len(kept) - 2.0 * k))
+    shape = (1 + len(program.parts) * S.size, basis.masks.size)
+    B = scipy.sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
+    )
+    d = np.zeros(shape[0])
+    d[0] = 1.0
+    return B, d
 
 
 def _objective_vector(program: SdpProgram, basis: SubsetBasis, label):
@@ -594,26 +608,36 @@ def _lift(y_free, n: int, level: int, free) -> np.ndarray:
 # first-order solver
 
 
-class _AffineProjector:
-    """Projection onto {y : By = d} in the class-count-weighted norm."""
+def _affine_chart(B, d, weights):
+    """q, K with {y : B y = d} = {q + K u : u in R^k}.
 
-    def __init__(self, B, d, weights):
-        self.B = B
-        self.d = d
-        self.WBt = (B / weights[None, :]).T  # dim_y x rows
-        G = B @ self.WBt
-        try:
-            cho = scipy.linalg.cho_factor(G)
-            self._solve = lambda r: scipy.linalg.cho_solve(cho, r)
-        except np.linalg.LinAlgError:
-            # With c >= 2 the rows are dependent (P's budget rows at depths
-            # {q}, q in Q, and Q's at depths {p}, p in P, both sum to the
-            # product of the two budget equations), so G is singular.
-            Gp = np.linalg.pinv(G, rcond=1e-12)
-            self._solve = lambda r: Gp @ r
-
-    def __call__(self, y):
-        return y - self.WBt @ self._solve(self.B @ y - self.d)
+    K is a basis of null(B) orthonormal in the weighted inner product
+    <a, b> = sum_s w_s a_s b_s, so K' W K = I, and q is the W-nearest
+    solution to 0, so K' W q = 0.  With A = B W^-1/2, one pivoted Cholesky
+    of the sparse Gram matrix, P' A'A P = U'U with U = [U1 U2] of the rank
+    of B, gives the null space P [-U1^-1 U2; I] and a solution on the
+    pivot columns.  Dependent rows (with c >= 2, P's row at depth {q}, q
+    in Q, and Q's at depth {p}, p in P, both sum to the product of the two
+    budget equations) need no special case.  The Gram matrix squares the
+    condition of A; on the benchmark programs the nonzero singular values
+    of A lie in [0.048, 1.44] and the rest are rounding (1e-15), so the
+    rank is clear.
+    """
+    root = np.sqrt(weights)
+    A = scipy.sparse.csr_array(B / root[None, :])
+    G = np.asfortranarray((A.T @ A).toarray())
+    U, piv, rank, _ = scipy.linalg.lapack.dpstrf(G, overwrite_a=True)
+    piv -= 1
+    U1, U2 = U[:rank, :rank], U[:rank, rank:]  # the solvers read the upper triangle
+    K = np.zeros((A.shape[1], A.shape[1] - rank))
+    K[piv[:rank]] = -scipy.linalg.solve_triangular(U1, U2)
+    K[piv[rank:], np.arange(K.shape[1])] = 1.0
+    for _ in range(2):  # orthonormalise (K'K >= I, so the Cholesky exists); twice for rounding
+        K = np.linalg.solve(np.linalg.cholesky(K.T @ K), K.T).T
+    q = np.zeros(A.shape[1])
+    q[piv[:rank]] = scipy.linalg.cho_solve((U1, False), (A.T @ d)[piv[:rank]])
+    q -= K @ (K.T @ q)
+    return q / root, K / root[:, None]
 
 
 def _free_rows(program: SdpProgram):
@@ -649,12 +673,10 @@ def face_basis(program: SdpProgram) -> np.ndarray:
     """
     _, label, ms, mult = _free_rows(program)
     N = ms.dim_mat
-    if min(program.level - 1, program.depth_cap) < 1:
+    if not _face_imposed(program):
         return np.eye(N)
     pos = ms.basis.pos
-    rows = ms.row_masks
-    popcount = np.array([bin(int(t)).count("1") for t in rows])
-    T = rows[popcount <= program.level - 1]
+    T = ms.row_masks[: basis_dim(ms.n, program.level - 1)]  # masks sort by size
     cols = np.arange(T.size)
     null = []
     for part, k in zip(program.parts, program.budgets):
@@ -666,6 +688,45 @@ def face_basis(program: SdpProgram) -> np.ndarray:
         null.append(v)
     W = np.hstack(null) / np.sqrt(mult)[:, None]
     return scipy.linalg.null_space(W.T)
+
+
+def _face_operator(K, V, class_idx, scale):
+    """The r^2 x k matrix whose column j is vec(V' M(K e_j) V), built a
+    few columns at a time so that no k x N x N array is ever held."""
+    N, r = V.shape
+    L = np.empty((r * r, K.shape[1]))
+    step = max(1, (1 << 14) // (N * N))
+    for j in range(0, K.shape[1], step):
+        Mj = K[:, j : j + step].T[:, class_idx] * scale
+        L[:, j : j + step] = (V.T @ Mj @ V).reshape(-1, r * r).T
+    return L
+
+
+def _face_maps(q, K, V, class_idx, scale):
+    """L(u) = V' M(q + K u) V, its adjoint on the K u part, and the class
+    sums of V X V' for an r x r block X.
+
+    Since K' W K = I, L_adj(L(u) - L(0)) = u.  On the face the two maps go
+    through the r^2 x k face operator.  On the whole cone (V = None) the
+    blocks are the N x N matrices themselves, and the maps gather M(y) from
+    y and sum X back by class, so no k x N^2 matrix is ever held.
+    """
+    dim_y = K.shape[0]
+
+    def to_matrix(y):
+        return y[class_idx] * scale
+
+    def classes(X):
+        if V is not None:
+            X = V @ X @ V.T
+        return np.bincount(class_idx.ravel(), weights=(X * scale).ravel(), minlength=dim_y)
+
+    if V is None:
+        return lambda u: to_matrix(q + K @ u), lambda X: K.T @ classes(X), classes
+    r = V.shape[1]
+    Lq = V.T @ to_matrix(q) @ V
+    Lu = _face_operator(K, V, class_idx, scale)
+    return lambda u: Lq + (Lu @ u).reshape(r, r), lambda X: Lu.T @ X.ravel(), classes
 
 
 def solve(
@@ -684,9 +745,12 @@ def solve(
     The iterates span the selectable vertices only, at the program's level:
     super vertices are constant, so their moments are substituted out and
     restored by sign flips once the loop has converged (the simplest form
-    of facial reduction).  The matrix copy further lives on the face that
-    the cardinality rows force (see `face_basis`), so each projection
-    eigendecomposes an r x r block instead of the N x N matrix.
+    of facial reduction).  The moment vector runs over the affine set in
+    coordinates, y = q + K u (see `_affine_chart`).  With the face imposed
+    (see `face_basis`), M(y) lies on it for every such y, so the matrix
+    copy and its dual are r x r blocks S of V S V', ||M(y) - V S V'|| =
+    ||V' M(y) V - S||, and only the dual residual, computed when the stop
+    test or the rho update reads it, touches an N x N matrix.
     """
     config = config or Config()
     tol = config.sdp_tol if tol is None else tol
@@ -698,51 +762,48 @@ def solve(
     # spectrum and the Frobenius norm of the full matrix, so the residuals
     # and the PSD gate keep their meaning for the lifted answer.
     weight = np.outer(mult, mult)
-    scale = np.sqrt(weight)
     counts = np.bincount(
         ms.class_idx.ravel(), weights=weight.ravel(), minlength=basis.masks.size
     )
-    cvec, const = _objective_vector(program, basis, label)
-    B, d = _affine_rows(program, basis, label)
-    project_affine = _AffineProjector(B, d, counts)
+    cvec, _ = _objective_vector(program, basis, label)
+    q, K = _affine_chart(*_affine_rows(program, basis, label), counts)
     V = face_basis(program)
     if V.shape[1] == ms.dim_mat:
         V = None  # the whole cone: skip the change of basis
+    L, L_adj, classes = _face_maps(q, K, V, ms.class_idx, np.sqrt(weight))
 
-    def to_matrix(y):
-        return y[ms.class_idx] * scale
-
-    def to_classes(X):
-        return np.bincount(
-            ms.class_idx.ravel(), weights=(X * scale).ravel(), minlength=basis.masks.size
-        )
-
-    y = project_affine(np.zeros(basis.masks.size))
-    X = _psd_projection(to_matrix(y), V)
+    kc = K.T @ cvec
+    kwq = K.T @ (counts * q)  # 0 up to rounding: q is W-orthogonal to K
+    u = np.zeros(K.shape[1])
+    X = _psd_projection(L(u))
     Z = np.zeros_like(X)
+    x_u = L_adj(X)
+    z_u = np.zeros_like(u)
     rho = 1.0
     prim = dual = np.inf
 
     for it in range(1, max_iter + 1):
-        x_cls = to_classes(X)
-        z_cls = to_classes(Z)
-        y_hat = (cvec - z_cls + rho * x_cls) / (rho * counts)
-        y = project_affine(y_hat)
-        M = to_matrix(y)
+        u = (kc - z_u + rho * x_u) / rho - kwq
+        Ly = L(u)
         X_prev = X
-        X = _psd_projection(M + Z / rho, V)
-        R = M - X
-        Z = Z + rho * R
+        X = _psd_projection(Ly + Z / rho)
+        R = Ly - X
+        Z += rho * R
+        x_u = L_adj(X)
+        z_u += rho * (u + kwq - x_u)
 
-        prim_abs = np.linalg.norm(R)
-        prim = prim_abs / max(1.0, np.linalg.norm(M))
-        dual = (
-            rho
-            * np.linalg.norm(to_classes(X - X_prev) / counts)
-            / max(1.0, np.linalg.norm(y))
-        )
+        prim_abs = _norm(R)
+        prim = prim_abs / max(1.0, _norm(Ly))
         # the absolute gate keeps the assembled matrix PSD within PSD_TOL
-        if prim < tol and dual < tol and prim_abs < 0.5 * PSD_TOL:
+        primal_ok = prim < tol and prim_abs < 0.5 * PSD_TOL
+        # only the stop test and the rho update read the dual residual
+        if primal_ok or it % 20 == 0 or it == max_iter:
+            dual = (
+                rho
+                * np.linalg.norm(classes(X - X_prev) / counts)
+                / max(1.0, np.linalg.norm(q + K @ u))
+            )
+        if primal_ok and dual < tol:
             break
         if it % 20 == 0:
             if prim > 10.0 * dual:
@@ -758,6 +819,7 @@ def solve(
             iterations=max_iter,
         )
 
+    y = q + K @ u
     mv = MomentVector(program.n, program.level, _lift(y, program.n, program.level, free))
     min_eig = mv.min_eigenvalue()
     if min_eig < -PSD_TOL:
@@ -770,14 +832,19 @@ def solve(
     return mv
 
 
-def _psd_projection(M, V=None):
-    """Nearest PSD matrix to M in Frobenius norm, V [V' M V]_+ V' on the
-    face spanned by V's orthonormal columns (the whole cone when V is None)."""
-    A = (M + M.T) / 2.0
-    if V is not None:
-        A = V.T @ A @ V
-    vals, vecs = np.linalg.eigh(A)
-    vals = np.clip(vals, 0.0, None)
-    if V is not None:
-        vecs = V @ vecs
-    return (vecs * vals) @ vecs.T
+def _norm(A) -> float:
+    """Frobenius norm, as np.linalg.norm computes it, minus its per-call
+    overhead."""
+    return math.sqrt(np.vdot(A, A))
+
+
+def _psd_projection(A):
+    """Nearest PSD matrix to A in Frobenius norm."""
+    A = (A + A.T) / 2.0
+    if A.shape[0] <= _SMALL_EIGH:
+        # the same LAPACK routine np.linalg.eigh calls (syevd, lower
+        # triangle), minus its per-call overhead; A.T is A in Fortran order
+        vals, vecs, _ = scipy.linalg.lapack.dsyevd(A.T, lower=1, overwrite_a=1)
+    else:
+        vals, vecs = np.linalg.eigh(A)
+    return (vecs * np.maximum(vals, 0.0)) @ vecs.T

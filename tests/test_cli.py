@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import shutil
 from pathlib import Path
@@ -187,6 +189,36 @@ def test_shipped_corpus_bench_all_methods(tmp_path, capsys):
     report = json.loads((tmp_path / "shipped.json").read_text())
     for method in ("sdp", "pipage", "greedy", "oracle"):
         assert report["aggregates"][method]["min_ratio"] >= 0.5
+
+
+GOLDEN_BENCH = Path(__file__).resolve().parent / "data" / "corpus_bench.csv"
+GOLDEN_VALUES = ("value", "oracle_value", "ratio")
+
+
+def test_shipped_corpus_bench_matches_the_golden_csv(tmp_path, capsys):
+    # tests/data/corpus_bench.csv is the output of
+    #   cutkit bench corpus --methods sdp,pipage,greedy,oracle --seeds 1,2,3
+    # A change that means to move an answer regenerates it and says why.
+    code, _ = run(
+        capsys,
+        [
+            "bench", CORPUS_DIR,
+            "--methods", "sdp,pipage,greedy,oracle",
+            "--seeds", "1,2,3",
+            "--out", str(tmp_path / "golden"),
+        ],
+    )
+    assert code == 0
+    fresh = list(csv.DictReader(io.StringIO((tmp_path / "golden.csv").read_text())))
+    golden = list(csv.DictReader(io.StringIO(GOLDEN_BENCH.read_text())))
+    assert len(fresh) == len(golden) == 4 * 5 * 3
+    for got, want in zip(fresh, golden):
+        assert got.keys() == want.keys()
+        for key in want:
+            if key in GOLDEN_VALUES:
+                assert float(got[key]) == pytest.approx(float(want[key]), rel=0, abs=1e-9), (want, key)
+            else:
+                assert got[key] == want[key], (want, key)
 
 
 def test_shipped_gadget_file(tmp_path, capsys):

@@ -15,8 +15,12 @@ from cutkit.errors import (
 from cutkit.forge import gen_random
 from cutkit.graph import ConstrainedInstance, WeightedGraph
 from cutkit.kernel import KernelResult, kernelize_multi, kernelize_single
+from cutkit import moments
 from cutkit.moments import (
     MomentVector,
+    _affine_chart,
+    _affine_rows,
+    _free_rows,
     block_independence_score,
     build_program,
     condition,
@@ -464,16 +468,6 @@ def test_edge_between_super_vertices_is_never_cut(n, seed, w):
     assert obj <= opt + 1e-6
 
 
-def test_affine_projector_with_dependent_rows():
-    from cutkit.moments import _AffineProjector
-
-    B = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0]])
-    d = np.array([1.0, 1.0, 2.0])
-    project = _AffineProjector(B, d, np.array([1.0, 2.0, 1.0, 3.0]))
-    for y in (np.zeros(4), np.array([3.0, -1.0, 0.5, 2.0])):
-        assert np.allclose(B @ project(y), d, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # the face forced by the cardinality rows
 
@@ -577,3 +571,67 @@ def test_depth_cap_zero_keeps_the_full_cone():
     obj_loose = solve(loose).objective_value(loose.edges)
     obj_tight = solve(tight).objective_value(tight.edges)
     assert obj_loose >= obj_tight - 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the affine set in coordinates, y = q + K u
+
+
+def test_affine_chart_with_dependent_rows():
+    # c = 2: P's row at depth {q}, q in Q, and Q's at depth {p}, p in P,
+    # both sum to the product of the two budget equations
+    prog = build_program(pinned_kernel(7, 2, False, ["any", "any"], 4), 0)
+    _, label, ms, _ = _free_rows(prog)
+    B, d = _affine_rows(prog, ms.basis, label)
+    B = B.toarray()
+    assert np.linalg.matrix_rank(B) < B.shape[0]
+    W = np.bincount(ms.class_idx.ravel(), minlength=ms.dim_y).astype(float)  # no supers
+    q, K = _affine_chart(B, d, W)
+    assert 0 < K.shape[1] == ms.dim_y - np.linalg.matrix_rank(B)
+    assert np.abs(K.T @ (W[:, None] * K) - np.eye(K.shape[1])).max() <= 1e-10
+    assert np.abs(K.T @ (W * q)).max() <= 1e-10
+    null = lifted_null_vectors(prog)
+    rng = np.random.default_rng(0)
+    for u in [np.zeros(K.shape[1])] + [rng.normal(size=K.shape[1]) for _ in range(4)]:
+        y = q + K @ u
+        assert np.abs(B @ y - d).max() <= 1e-10
+        assert np.linalg.norm(y[ms.class_idx] @ null) <= 1e-10
+
+
+@pytest.mark.parametrize("with_supers", [False, True])
+def test_single_feasible_point_solves(with_supers):
+    # every budget 0 or full: the rows pin the moment vector, so k = 0
+    ker = pinned_kernel(7, 2, with_supers, ["zero", "full"], 6)
+    prog = build_program(ker, 0)
+    _, label, ms, mult = _free_rows(prog)
+    weight = np.outer(mult, mult).ravel()
+    q, K = _affine_chart(
+        *_affine_rows(prog, ms.basis, label),
+        np.bincount(ms.class_idx.ravel(), weights=weight, minlength=ms.dim_y),
+    )
+    assert K.shape[1] == 0
+    mv = solve(prog)
+    chosen = [v for p, k in zip(ker.parts, ker.budgets) if k for v in p - ker.forbidden]
+    assert np.allclose(mv.y, integral_moment_vector(prog.n, prog.level, chosen).y, atol=1e-9)
+    assert mv.objective_value(prog.edges) == pytest.approx(reduced_optimum(ker), abs=1e-9)
+
+
+def test_every_depth_cap_from_one_gives_one_program():
+    # rows of every depth up to 2 level - 1 go in once the depth-1 rows do
+    ker = kernelize_multi(gen_random(7, 0.6, "uniform", 2, "uniform", seed=11), 0.5)
+    objs = []
+    for cap in (1, 2, 3):
+        prog = build_program(ker, 0, Config(depth_cap=cap))
+        assert prog.level >= 4  # so min(level - 1, cap) differs across caps
+        objs.append(solve(prog).objective_value(prog.edges))
+    assert max(objs) - min(objs) <= 1e-7
+
+
+def test_full_cone_gathers_instead_of_a_dense_operator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("k x N^2 operator built on the full cone")
+
+    monkeypatch.setattr(moments, "_face_operator", refuse)
+    ker = kernelize_multi(gen_random(6, 0.6, "uniform", 2, "uniform", seed=11), 0.5)
+    prog = build_program(ker, 0, Config(depth_cap=0))
+    assert solve(prog).objective_value(prog.edges) > 0.0
