@@ -33,11 +33,6 @@ from .errors import (
 from .kernel import KernelResult
 
 _LUT_N_MAX = 20  # mask lookup tables get size 2^n
-# Largest block that _psd_projection hands to scipy's LAPACK.  Per call it
-# costs 0.09 ms against numpy's 0.14 ms at r = 27; but scipy ships its own
-# OpenBLAS, whose threaded syevd contends with numpy's thread pool at full
-# cone sizes (N = 163 measured 3x slower inside the ADMM loop).
-_SMALL_EIGH = 64
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +787,8 @@ def solve(
         x_u = L_adj(X)
         z_u += rho * (u + kwq - x_u)
 
-        prim_abs = _norm(R)
-        prim = prim_abs / max(1.0, _norm(Ly))
+        prim_abs = np.linalg.norm(R)
+        prim = prim_abs / max(1.0, np.linalg.norm(Ly))
         # the absolute gate keeps the assembled matrix PSD within PSD_TOL
         primal_ok = prim < tol and prim_abs < 0.5 * PSD_TOL
         # only the stop test and the rho update read the dual residual
@@ -832,19 +827,7 @@ def solve(
     return mv
 
 
-def _norm(A) -> float:
-    """Frobenius norm, as np.linalg.norm computes it, minus its per-call
-    overhead."""
-    return math.sqrt(np.vdot(A, A))
-
-
 def _psd_projection(A):
     """Nearest PSD matrix to A in Frobenius norm."""
-    A = (A + A.T) / 2.0
-    if A.shape[0] <= _SMALL_EIGH:
-        # the same LAPACK routine np.linalg.eigh calls (syevd, lower
-        # triangle), minus its per-call overhead; A.T is A in Fortran order
-        vals, vecs, _ = scipy.linalg.lapack.dsyevd(A.T, lower=1, overwrite_a=1)
-    else:
-        vals, vecs = np.linalg.eigh(A)
+    vals, vecs = np.linalg.eigh((A + A.T) / 2.0)
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T
