@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
         if name not in SUITES:
             raise InputError(f"unknown suite {name!r}; try --list")
     ok = True
-    for res in run_suites(names):
+    for res in run_suites(names, load_config(args.config)):
         sys.stdout.write(f"{'PASS' if res.passed else 'FAIL'} {res.report}\n")
         for f in res.failures:
             sys.stdout.write(f"  counterexample: {f}\n")

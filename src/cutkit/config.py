@@ -27,7 +27,6 @@ class Config:
     # Moment-hierarchy caps.
     n_max_sdp: int = 14
     level: int = 0  # 0 selects the level automatically from the graph size
-    depth_cap: int = 2  # 0: depth-0 cardinality rows only; >= 1: every depth <= 2*level-1 (all alike)
     auto_level4_dim: int = 200  # max moment-matrix side to pick level 4
     auto_level3_dim: int = 300  # max moment-matrix side to pick level 3
 

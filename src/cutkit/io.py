@@ -275,16 +275,6 @@ def format_instance_json(inst: ConstrainedInstance, matroid=None) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def write_instance(path: str, inst: ConstrainedInstance, matroid=None):
-    text = (
-        format_instance_json(inst, matroid)
-        if path.endswith(".json")
-        else format_instance_text(inst, matroid)
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def parse_3dm(text: str) -> ThreeDMInstance:
     triples = []
     top = -1

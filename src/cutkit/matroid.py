@@ -58,11 +58,12 @@ class MatroidOracle:
                 cur.add(v)
         return frozenset(cur)
 
-    def polytope_constraints(self):
+    def polytope_constraints(self, config: Config | None = None):
         """(masks, bounds) rows x(A) <= bound defining the independence part
         of the base polytope, plus the implicit box [0,1]^n; together with
-        x(V) = rank they carve out the base polytope exactly."""
-        raise NotImplementedError
+        x(V) = rank they carve out the base polytope exactly.  By default
+        every rank constraint is enumerated (`_enumerated_constraints`)."""
+        return _enumerated_constraints(self, config)
 
 
 class UniformMatroid(MatroidOracle):
@@ -80,7 +81,7 @@ class UniformMatroid(MatroidOracle):
     def rank(self) -> int:
         return self.k
 
-    def polytope_constraints(self):
+    def polytope_constraints(self, config: Config | None = None):
         return [(frozenset(range(self.n)), float(self.k))]
 
 
@@ -111,7 +112,7 @@ class PartitionMatroid(MatroidOracle):
     def rank(self) -> int:
         return sum(self.budgets)
 
-    def polytope_constraints(self):
+    def polytope_constraints(self, config: Config | None = None):
         return [(p, float(k)) for p, k in zip(self.parts, self.budgets)]
 
 
@@ -159,9 +160,6 @@ class GraphicMatroid(MatroidOracle):
     def rank(self) -> int:
         return self.rank_of(range(self.n))
 
-    def polytope_constraints(self, config: Config | None = None):
-        return _enumerated_constraints(self, config)
-
 
 class ExplicitMatroid(MatroidOracle):
     """Independence given by the downward closure of explicitly listed sets."""
@@ -198,9 +196,6 @@ class ExplicitMatroid(MatroidOracle):
 
     def rank(self) -> int:
         return max(len(s) for s in self.maximal)
-
-    def polytope_constraints(self, config: Config | None = None):
-        return _enumerated_constraints(self, config)
 
 
 def _enumerated_constraints(m: MatroidOracle, config: Config | None = None):
@@ -267,9 +262,7 @@ class FractionalPoint:
 
 
 def _base_polytope_rows(m: MatroidOracle, config: Config):
-    if isinstance(m, (GraphicMatroid, ExplicitMatroid)):
-        return m.polytope_constraints(config)
-    return m.polytope_constraints()
+    return m.polytope_constraints(config)
 
 
 def _constraint_matrix(m: MatroidOracle, n: int, config: Config):

@@ -471,10 +471,6 @@ class SdpProgram:
     parts: tuple  # frozensets, including super vertices
     budgets: tuple
     forbidden: frozenset
-    depth_cap: int
-
-    def kept_parts(self):
-        return tuple(p - self.forbidden for p in self.parts)
 
 
 def auto_level(n: int, config: Config | None = None) -> int:
@@ -516,14 +512,7 @@ def build_program(
         parts=kernel.parts,
         budgets=kernel.budgets,
         forbidden=kernel.forbidden,
-        depth_cap=config.depth_cap,
     )
-
-
-def _face_imposed(program: SdpProgram) -> bool:
-    """Whether the depth-1 cardinality rows are in, which forces the face
-    (see `face_basis`)."""
-    return min(program.level - 1, program.depth_cap) >= 1
 
 
 def _affine_rows(program: SdpProgram, basis: SubsetBasis, label):
@@ -532,15 +521,13 @@ def _affine_rows(program: SdpProgram, basis: SubsetBasis, label):
     `basis` spans the selectable vertices under the labels in `label`; the
     super vertices are substituted out, so only normalization and the
     per-part cardinality rows remain.  The row at depth S of a part reads
-    sum_{i in K} y_{S ^ {i}} - t y_S = 0.  With the face imposed, every
-    depth up to 2 level - 1 is in: those rows are implied by the depth-0
-    and depth-1 rows and M >= 0 (entry U of M v_T is the row at U ^ T),
-    and with them every point of the affine set has its moment matrix on
-    the face.  Without it only the depth-0 rows are.
+    sum_{i in K} y_{S ^ {i}} - t y_S = 0.  Every depth up to 2 level - 1
+    is in: those rows are implied by the depth-0 and depth-1 rows and
+    M >= 0 (entry U of M v_T is the row at U ^ T), and with them every
+    point of the affine set has its moment matrix on the face.
     """
-    depth = 2 * program.level - 1 if _face_imposed(program) else 0
     pos = basis.pos
-    S = basis.masks[: basis_dim(basis.n, depth)]  # masks sort by size
+    S = basis.masks[: basis_dim(basis.n, 2 * program.level - 1)]  # masks sort by size
     rows, cols, vals = [np.zeros(1, dtype=np.int64)], [pos[:1]], [np.ones(1)]
     for p, (part, k) in enumerate(zip(program.parts, program.budgets)):
         kept = [label[v] for v in part - program.forbidden]
@@ -663,13 +650,10 @@ def face_basis(program: SdpProgram) -> np.ndarray:
     gives M v_T = 0 on every feasible point.  On the scaled free matrix
     D M D, D = diag(sqrt(m_T)), the null vector is D^-1 v_T.  V spans the
     complement of those vectors, so restricting the PSD cone to
-    {V S V' : S >= 0} is exact and leaves the optimum unchanged.  Below
-    depth 1 the face is not implied and V is the identity: the full cone.
+    {V S V' : S >= 0} is exact and leaves the optimum unchanged.
     """
     _, label, ms, mult = _free_rows(program)
     N = ms.dim_mat
-    if not _face_imposed(program):
-        return np.eye(N)
     pos = ms.basis.pos
     T = ms.row_masks[: basis_dim(ms.n, program.level - 1)]  # masks sort by size
     cols = np.arange(T.size)
@@ -697,59 +681,28 @@ def _face_operator(K, V, class_idx, scale):
     return L
 
 
-def _face_maps(q, K, V, class_idx, scale):
-    """L(u) = V' M(q + K u) V, its adjoint on the K u part, and the class
-    sums of V X V' for an r x r block X.
-
-    Since K' W K = I, L_adj(L(u) - L(0)) = u.  On the face the two maps go
-    through the r^2 x k face operator.  On the whole cone (V = None) the
-    blocks are the N x N matrices themselves, and the maps gather M(y) from
-    y and sum X back by class, so no k x N^2 matrix is ever held.
-    """
-    dim_y = K.shape[0]
-
-    def to_matrix(y):
-        return y[class_idx] * scale
-
-    def classes(X):
-        if V is not None:
-            X = V @ X @ V.T
-        return np.bincount(class_idx.ravel(), weights=(X * scale).ravel(), minlength=dim_y)
-
-    if V is None:
-        return lambda u: to_matrix(q + K @ u), lambda X: K.T @ classes(X), classes
-    r = V.shape[1]
-    Lq = V.T @ to_matrix(q) @ V
-    Lu = _face_operator(K, V, class_idx, scale)
-    return lambda u: Lq + (Lu @ u).reshape(r, r), lambda X: Lu.T @ X.ravel(), classes
-
-
-def solve(
-    program: SdpProgram,
-    tol: float | None = None,
-    max_iter: int | None = None,
-    config: Config | None = None,
-) -> MomentVector:
+def solve(program: SdpProgram, config: Config | None = None) -> MomentVector:
     """Solve the relaxation to a feasible near-optimal moment vector.
 
     ADMM splitting: the moment vector carries the affine constraints, a
     matrix copy carries the PSD cone, and scaled dual ascent ties them
-    together.  Stops when primal and dual residuals drop below `tol` and
-    the assembled moment matrix is PSD within tolerance.
+    together.  Stops when primal and dual residuals drop below
+    `config.sdp_tol` and the assembled moment matrix is PSD within
+    tolerance; raises ConvergenceError after `config.sdp_max_iter`
+    iterations.
 
     The iterates span the selectable vertices only, at the program's level:
     super vertices are constant, so their moments are substituted out and
     restored by sign flips once the loop has converged (the simplest form
     of facial reduction).  The moment vector runs over the affine set in
-    coordinates, y = q + K u (see `_affine_chart`).  With the face imposed
-    (see `face_basis`), M(y) lies on it for every such y, so the matrix
-    copy and its dual are r x r blocks S of V S V', ||M(y) - V S V'|| =
-    ||V' M(y) V - S||, and only the dual residual, computed when the stop
-    test or the rho update reads it, touches an N x N matrix.
+    coordinates, y = q + K u (see `_affine_chart`).  M(y) lies on the face
+    (see `face_basis`) for every such y, so the matrix copy and its dual
+    are r x r blocks S of V S V', ||M(y) - V S V'|| = ||V' M(y) V - S||,
+    and only the dual residual, computed when the stop test or the rho
+    update reads it, touches an N x N matrix.
     """
     config = config or Config()
-    tol = config.sdp_tol if tol is None else tol
-    max_iter = config.sdp_max_iter if max_iter is None else max_iter
+    tol, max_iter = config.sdp_tol, config.sdp_max_iter
 
     free, label, ms, mult = _free_rows(program)
     basis = ms.basis
@@ -763,28 +716,30 @@ def solve(
     cvec, _ = _objective_vector(program, basis, label)
     q, K = _affine_chart(*_affine_rows(program, basis, label), counts)
     V = face_basis(program)
-    if V.shape[1] == ms.dim_mat:
-        V = None  # the whole cone: skip the change of basis
-    L, L_adj, classes = _face_maps(q, K, V, ms.class_idx, np.sqrt(weight))
+    scale = np.sqrt(weight)
+    r = V.shape[1]
+    # L(u) = V' M(q + K u) V = Lq + Lu u; since K' W K = I, Lu' vec(L(u) - Lq) = u
+    Lq = V.T @ (q[ms.class_idx] * scale) @ V
+    Lu = _face_operator(K, V, ms.class_idx, scale)
 
     kc = K.T @ cvec
     kwq = K.T @ (counts * q)  # 0 up to rounding: q is W-orthogonal to K
     u = np.zeros(K.shape[1])
-    X = _psd_projection(L(u))
+    X = _psd_projection(Lq)
     Z = np.zeros_like(X)
-    x_u = L_adj(X)
+    x_u = Lu.T @ X.ravel()
     z_u = np.zeros_like(u)
     rho = 1.0
     prim = dual = np.inf
 
     for it in range(1, max_iter + 1):
         u = (kc - z_u + rho * x_u) / rho - kwq
-        Ly = L(u)
+        Ly = Lq + (Lu @ u).reshape(r, r)
         X_prev = X
         X = _psd_projection(Ly + Z / rho)
         R = Ly - X
         Z += rho * R
-        x_u = L_adj(X)
+        x_u = Lu.T @ X.ravel()
         z_u += rho * (u + kwq - x_u)
 
         prim_abs = np.linalg.norm(R)
@@ -793,9 +748,11 @@ def solve(
         primal_ok = prim < tol and prim_abs < 0.5 * PSD_TOL
         # only the stop test and the rho update read the dual residual
         if primal_ok or it % 20 == 0 or it == max_iter:
+            dX = (V @ (X - X_prev) @ V.T) * scale
+            classes = np.bincount(ms.class_idx.ravel(), weights=dX.ravel(), minlength=ms.dim_y)
             dual = (
                 rho
-                * np.linalg.norm(classes(X - X_prev) / counts)
+                * np.linalg.norm(classes / counts)
                 / max(1.0, np.linalg.norm(q + K @ u))
             )
         if primal_ok and dual < tol:

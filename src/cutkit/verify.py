@@ -64,7 +64,7 @@ def _fmt(x: float) -> str:
 # kernel guarantees (acceptance criteria 1-3)
 
 
-def _kernel_corpus_single(count, seed0, config):
+def _kernel_corpus_single(count, seed0):
     """Deterministic stream of (graph, k, eps) triples with n <= 12.
 
     Half the stream uses small budgets on larger graphs so the contraction
@@ -94,7 +94,7 @@ def suite_kernel_single(config: Config | None = None, count=200, seed0=1000):
     failures = []
     steps_total = 0
     min_margin = np.inf
-    for g, k, eps, s in _kernel_corpus_single(count, seed0, config):
+    for g, k, eps, s in _kernel_corpus_single(count, seed0):
         ker = kernelize_single(g, k, eps)
         opt = oracle_maxcut_k(g, k, config=config)
         restricted = oracle_maxcut_k(
@@ -284,7 +284,7 @@ def suite_sandwich(config: Config | None = None, grid=201, randoms=100_000, seed
 # relaxation consistency (criterion 6)
 
 
-def _sdp_corpus(count, seed0, config, max_n=8):
+def _sdp_corpus(count, seed0, max_n=8):
     rng = np.random.default_rng(seed0)
     built = 0
     s = seed0
@@ -308,7 +308,7 @@ def suite_relaxation_consistency(config: Config | None = None, count=50, seed0=5
     auto_level = replace(config, level=0)
     failures = []
     rng = np.random.default_rng(seed0)
-    for s, inst in _sdp_corpus(count, seed0, config):
+    for s, inst in _sdp_corpus(count, seed0):
         relaxation = relax_multi(inst, 0.5, auto_level)
         ker, program, mv = relaxation.kernel, relaxation.program, relaxation.moments
 
@@ -392,7 +392,7 @@ def suite_conditioning_telescope(
     config = config or Config()
     failures = []
     summaries = []
-    for s, inst in _sdp_corpus(count, seed0, config, max_n=7):
+    for s, inst in _sdp_corpus(count, seed0, max_n=7):
         c = inst.c
         # a kernel has at most max_n = 7 vertices here, so it runs at level 4
         relaxation = relax_multi(inst, 0.5, replace(config, level=4))
@@ -458,7 +458,7 @@ def suite_bias_preservation(
     auto_level = replace(config, level=0)
     failures = []
     worst = 0.0
-    for s, inst in _sdp_corpus(count, seed0, config):
+    for s, inst in _sdp_corpus(count, seed0):
         mv = relax_multi(inst, 0.5, auto_level).moments
         bias = BiasProfile.from_moment_vector(mv)
         n = bias.n

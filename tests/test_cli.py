@@ -167,6 +167,13 @@ def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == 1
 
 
+def test_verify_reads_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("oracle_combo_cap = 1\n")
+    assert main(["--config", str(cfg), "verify", "--suite", "gadget"]) == 3
+    assert "exceed enumeration cap 1" in capsys.readouterr().err
+
+
 CORPUS_DIR = str(Path(__file__).resolve().parent.parent / "corpus")
 
 

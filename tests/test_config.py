@@ -18,9 +18,11 @@ def test_parse_overrides():
     assert cfg.seed == 3
 
 
-def test_parse_rejects_unknown_key():
+@pytest.mark.parametrize("key", ["mystery", "depth_cap"])
+def test_parse_rejects_unknown_key(key):
+    # depth_cap was a key once; an old config file that sets it fails loudly
     with pytest.raises(ParseError):
-        parse_config_text("mystery = 1\n")
+        parse_config_text(f"{key} = 1\n")
 
 
 def test_parse_rejects_bad_value():
