@@ -10,7 +10,6 @@ never drops, until the point is integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
@@ -41,14 +40,9 @@ class MatroidOracle:
     def rank(self) -> int:
         raise NotImplementedError
 
-    def rank_of(self, s) -> int:
-        """Rank of an arbitrary subset (max independent subset size)."""
-        s = sorted(set(s))
-        for size in range(len(s), -1, -1):
-            for c in combinations(s, size):
-                if self.is_independent(frozenset(c)):
-                    return size
-        return 0
+    def _rank_table(self, masks) -> np.ndarray:
+        """Rank of every subset in `masks` (int64 bitmasks over [n])."""
+        raise NotImplementedError
 
     def any_base(self) -> frozenset:
         """Greedy base through the exchange property."""
@@ -59,10 +53,11 @@ class MatroidOracle:
         return frozenset(cur)
 
     def polytope_constraints(self, config: Config | None = None):
-        """(masks, bounds) rows x(A) <= bound defining the independence part
-        of the base polytope, plus the implicit box [0,1]^n; together with
-        x(V) = rank they carve out the base polytope exactly.  By default
-        every rank constraint is enumerated (`_enumerated_constraints`)."""
+        """Rows x(A) <= bound defining the independence part of the base
+        polytope, plus the implicit box [0,1]^n; together with x(V) = rank
+        they carve out the base polytope exactly.  An (R, n+1) float array:
+        the indicator of A in the first n columns, the bound in the last.
+        By default every rank constraint is enumerated."""
         return _enumerated_constraints(self, config)
 
 
@@ -82,7 +77,7 @@ class UniformMatroid(MatroidOracle):
         return self.k
 
     def polytope_constraints(self, config: Config | None = None):
-        return [(frozenset(range(self.n)), float(self.k))]
+        return _set_rows(self.n, [range(self.n)], [self.k])
 
 
 class PartitionMatroid(MatroidOracle):
@@ -113,7 +108,7 @@ class PartitionMatroid(MatroidOracle):
         return sum(self.budgets)
 
     def polytope_constraints(self, config: Config | None = None):
-        return [(p, float(k)) for p, k in zip(self.parts, self.budgets)]
+        return _set_rows(self.n, self.parts, self.budgets)
 
 
 class GraphicMatroid(MatroidOracle):
@@ -160,6 +155,20 @@ class GraphicMatroid(MatroidOracle):
     def rank(self) -> int:
         return self.rank_of(range(self.n))
 
+    def _rank_table(self, masks) -> np.ndarray:
+        # one union-find over every subset at once: a row of component
+        # labels per subset, relabelled edge by edge in index order
+        verts, ends = np.unique(np.ravel(self.aux_edges), return_inverse=True)
+        ends = ends.reshape(-1, 2)
+        label = np.tile(np.arange(len(verts), dtype=np.int16), (len(masks), 1))
+        rank = np.zeros(len(masks), dtype=np.int64)
+        for e, (a, b) in enumerate(ends):
+            la, lb = label[:, a, None], label[:, b, None]
+            join = ((masks >> e) & 1).astype(bool) & (la[:, 0] != lb[:, 0])
+            rank += join
+            label = np.where(join[:, None] & (label == lb), la, label)
+        return rank
+
 
 class ExplicitMatroid(MatroidOracle):
     """Independence given by the downward closure of explicitly listed sets."""
@@ -187,12 +196,15 @@ class ExplicitMatroid(MatroidOracle):
         s = frozenset(s)
         return any(s <= t for t in self.maximal)
 
-    def rank_of(self, s) -> int:
-        mask = 0
-        for v in s:
-            mask |= 1 << v
-        inter = self._masks & mask
-        return max(int(m).bit_count() for m in inter)
+    def _rank_table(self, masks) -> np.ndarray:
+        # max |A & T| over the listed sets T, a chunk of sets at a time so
+        # that the (subsets x sets) temporary stays near 2^20 entries
+        rank = np.zeros(len(masks), dtype=np.uint8)
+        step = max(1, (1 << 20) // max(1, len(masks)))
+        for i in range(0, len(self._masks), step):
+            inter = np.bitwise_count(masks[:, None] & self._masks[None, i : i + step])
+            np.maximum(rank, inter.max(axis=1), out=rank)
+        return rank
 
     def rank(self) -> int:
         return max(len(s) for s in self.maximal)
@@ -206,11 +218,20 @@ def _enumerated_constraints(m: MatroidOracle, config: Config | None = None):
             f"ground set {m.n} exceeds enumerated-constraint cap "
             f"{config.matroid_enum_cap}"
         )
-    out = []
-    for mask in range(1, 1 << m.n):
-        subset = frozenset(v for v in range(m.n) if (mask >> v) & 1)
-        out.append((subset, float(m.rank_of(subset))))
-    return out
+    masks = np.arange(1, 1 << m.n, dtype=np.int64)
+    rows = np.empty((len(masks), m.n + 1))
+    rows[:, : m.n] = (masks[:, None] >> np.arange(m.n)) & 1
+    rows[:, m.n] = m._rank_table(masks)
+    return rows
+
+
+def _set_rows(n: int, sets, bounds):
+    """Constraint rows x(A) <= bound for a short list of sets."""
+    rows = np.zeros((len(bounds), n + 1))
+    for r, (subset, bound) in enumerate(zip(sets, bounds)):
+        rows[r, list(subset)] = 1.0
+        rows[r, n] = bound
+    return rows
 
 
 def spot_check_axioms(m: MatroidOracle, rng_seed=0, rounds=200) -> bool:
@@ -265,15 +286,10 @@ def _base_polytope_rows(m: MatroidOracle, config: Config):
     return m.polytope_constraints(config)
 
 
-def _constraint_matrix(m: MatroidOracle, n: int, config: Config):
-    """Boolean membership matrix and bounds for the rank constraints."""
+def _constraint_matrix(m: MatroidOracle, config: Config):
+    """0/1 membership matrix and bounds of the rank constraints."""
     rows = _base_polytope_rows(m, config)
-    mat = np.zeros((len(rows), n), dtype=bool)
-    bounds = np.zeros(len(rows))
-    for r, (subset, bound) in enumerate(rows):
-        mat[r, sorted(subset)] = True
-        bounds[r] = bound
-    return mat, bounds
+    return rows[:, : m.n], rows[:, m.n]
 
 
 def in_base_polytope(m: MatroidOracle, x, tol: float = _FEAS_TOL, config=None) -> bool:
@@ -284,7 +300,7 @@ def in_base_polytope(m: MatroidOracle, x, tol: float = _FEAS_TOL, config=None) -
         return False
     if abs(x.sum() - m.rank()) > tol * max(1, m.n):
         return False
-    mat, bounds = _constraint_matrix(m, m.n, config)
+    mat, bounds = _constraint_matrix(m, config)
     if mat.size and (mat @ x > bounds + tol * np.maximum(1, mat.sum(axis=1))).any():
         return False
     return True
@@ -298,47 +314,36 @@ def solve_lp(
     if g.n != m.n:
         raise InputError("graph and matroid ground sets differ")
     rank = m.rank()
-    if not m.is_independent(m.any_base()) or len(m.any_base()) < rank:
+    base = m.any_base()
+    if not m.is_independent(base) or len(base) < rank:
         raise InfeasibleError("matroid has no base")
 
-    n, edges = g.n, g.edges
-    nv = n + len(edges)
+    n, ne = g.n, len(g.edges)
+    nv = n + ne
     cost = np.zeros(nv)
-    for e, (u, v, w) in enumerate(edges):
-        cost[n + e] = -w  # linprog minimizes
+    cost[n:] = [-w for _, _, w in g.edges]  # linprog minimizes
 
-    a_ub = []
-    b_ub = []
-    for e, (u, v, _) in enumerate(edges):
-        row = np.zeros(nv)
-        row[n + e] = 1.0
-        row[u] -= 1.0
-        row[v] -= 1.0
-        a_ub.append(row)
-        b_ub.append(0.0)
-        row = np.zeros(nv)
-        row[n + e] = 1.0
-        row[u] += 1.0
-        row[v] += 1.0
-        a_ub.append(row)
-        b_ub.append(2.0)
-    for subset, bound in _base_polytope_rows(m, config):
-        if len(subset) == n:
-            continue  # covered by the x(V) = rank equality
-        row = np.zeros(nv)
-        row[sorted(subset)] = 1.0
-        a_ub.append(row)
-        b_ub.append(bound)
-    a_eq = [np.zeros(nv)]
-    a_eq[0][:n] = 1.0
-    b_eq = [float(rank)]
+    # per edge, y_e - x_u - x_v <= 0 and y_e + x_u + x_v <= 2, then the rank
+    # rows other than x(V) <= rank, which the equality x(V) = rank covers
+    rows = _base_polytope_rows(m, config)
+    rows = rows[rows[:, :n].sum(axis=1) < n]
+    a_ub = np.zeros((2 * ne + len(rows), nv))
+    caps = a_ub[: 2 * ne].reshape(ne, 2, nv)
+    e = np.arange(ne)
+    ends = np.asarray([(u, v) for u, v, _ in g.edges], dtype=np.intp).reshape(ne, 2)
+    caps[e, :, n + e] = 1.0
+    caps[e, :, ends[:, 0]] = caps[e, :, ends[:, 1]] = [-1.0, 1.0]
+    a_ub[2 * ne :, :n] = rows[:, :n]
+    b_ub = np.concatenate([np.tile([0.0, 2.0], ne), rows[:, n]])
+    a_eq = np.zeros((1, nv))
+    a_eq[0, :n] = 1.0
 
     res = linprog(
         cost,
-        A_ub=np.asarray(a_ub) if a_ub else None,
-        b_ub=np.asarray(b_ub) if b_ub else None,
-        A_eq=np.asarray(a_eq),
-        b_eq=np.asarray(b_eq),
+        A_ub=a_ub if len(a_ub) else None,
+        b_ub=b_ub if len(b_ub) else None,
+        A_eq=a_eq,
+        b_eq=np.asarray([float(rank)]),
         bounds=[(0.0, 1.0)] * nv,
         method="highs",
     )
@@ -379,7 +384,7 @@ def _max_step(x, u, v, mat, bounds):
     """Largest t >= 0 with x + t(e_u - e_v) inside the polytope."""
     t = min(1.0 - x[u], x[v])
     if mat.size:
-        sel = mat[:, u] & ~mat[:, v]
+        sel = mat[:, u] > mat[:, v]  # holds u but not v
         if sel.any():
             slack = bounds[sel] - mat[sel] @ x
             t = min(t, float(slack.min()))
@@ -406,7 +411,7 @@ def pipage_round(
     if not in_base_polytope(m, x, tol=_FEAS_TOL, config=config):
         raise InputError("point is outside the base polytope")
 
-    mat, bounds = _constraint_matrix(m, g.n, config)
+    mat, bounds = _constraint_matrix(m, config)
 
     def snap(vec):
         vec[np.abs(vec) < _STEP_TOL] = 0.0
@@ -423,7 +428,7 @@ def pipage_round(
         # minimal tight set containing u (x(V) = rank is always tight)
         tight = np.ones(g.n, dtype=bool)
         if mat.size:
-            is_tight = (mat @ x >= bounds - _STEP_TOL) & mat[:, u]
+            is_tight = (mat @ x >= bounds - _STEP_TOL) & (mat[:, u] > 0)
             if is_tight.any():
                 tight = mat[is_tight].all(axis=0)
         partners = [int(v) for v in frac if v != u and tight[v]]

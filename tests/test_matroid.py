@@ -1,7 +1,15 @@
+import itertools
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cutkit.errors import InfeasibleError, InputError
+from cutkit.cli import main
+from cutkit.config import Config
+from cutkit.errors import CapacityError, InfeasibleError, InputError
 from cutkit.forge import gen_random
 from cutkit.graph import WeightedGraph, cut_value
 from cutkit.matroid import (
@@ -307,3 +315,154 @@ def test_pipage_random_multigraph_graphic():
         sol = solve_matroid(g, m)
         assert sol.feasible
         assert sol.value >= 0.5 * oracle_matroid(g, m).opt_value - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# enumerated rank rows
+
+
+def _forest_rank(aux_n, aux_edges, subset):
+    parent = list(range(aux_n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    rank = 0
+    for i in subset:
+        a, b = find(aux_edges[i][0]), find(aux_edges[i][1])
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
+
+
+def _check_rows(m, rank_of):
+    rows = m.polytope_constraints()
+    assert rows.shape == ((1 << m.n) - 1, m.n + 1)
+    for r, row in enumerate(rows):
+        subset = [v for v in range(m.n) if (r + 1) >> v & 1]
+        assert row[: m.n].tolist() == [float(v in subset) for v in range(m.n)]
+        assert row[m.n] == rank_of(subset)
+
+
+@st.composite
+def multigraphs(draw):
+    aux_n = draw(st.integers(1, 6))
+    vertex = st.integers(0, aux_n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    return aux_n, edges
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=multigraphs())
+@example(case=(4, [(1, 0), (2, 1), (3, 0), (0, 3), (3, 2), (2, 1), (1, 0), (3, 2)]))
+def test_graphic_rank_rows_match_a_union_find_per_subset(case):
+    aux_n, edges = case
+    m = GraphicMatroid(aux_n, edges)
+    _check_rows(m, lambda s: _forest_rank(aux_n, edges, s))
+    assert m.rank() == _forest_rank(aux_n, edges, range(len(edges)))
+
+
+@st.composite
+def families(draw):
+    n = draw(st.integers(0, 8))
+    subset = st.frozensets(st.integers(0, n - 1), max_size=n) if n else st.just(frozenset())
+    return n, draw(st.lists(subset, min_size=1, max_size=8))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=families())
+@example(case=(4, [{0, 1}, {1, 2}, {2, 3}]))  # not a matroid
+def test_explicit_rank_rows_are_the_largest_overlap_with_a_listed_set(case):
+    n, sets = case
+    m = ExplicitMatroid(n, sets)
+    _check_rows(m, lambda s: max(len(set(s) & t) for t in sets))
+
+
+def test_explicit_rank_rows_stay_in_bounded_memory():
+    # unchunked, the (subsets x listed sets) temporary would be 16383 x 3432
+    # int64 entries, about 450 MB
+    m = ExplicitMatroid(14, itertools.combinations(range(14), 7))
+    tracemalloc.start()
+    try:
+        rows = m.polytope_constraints()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows[:, 14], np.minimum(rows[:, :14].sum(axis=1), 7))
+    assert peak < 32 << 20
+
+
+def test_enum_cap_stops_the_lp():
+    m = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    g = WeightedGraph(5, [(0, 1, 0.5), (2, 3, 0.5)])
+    assert solve_lp(g, m, Config(matroid_enum_cap=5)).value > 0
+    with pytest.raises(CapacityError):
+        solve_lp(g, m, Config(matroid_enum_cap=4))
+
+
+def test_enum_cap_marks_the_bench_pipage_rows(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "graphic.txt").write_text(
+        "5 2 1\n0 1 0.5\n2 3 0.5\n5 2 0 1 2 3 4\n"
+        "matroid graphic 4 5\n0 1\n1 2\n2 3\n3 0\n0 2\n"
+    )
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("matroid_enum_cap = 4\n")
+    out = tmp_path / "report"
+    argv = ["--config", str(cfg), "bench", str(corpus), "--methods", "pipage,greedy",
+            "--seeds", "1,2", "--out", str(out)]
+    assert main(argv) == 0
+    rows = json.loads(out.with_suffix(".json").read_text())["rows"]
+    skipped = {(r["method"], r["seed"]): r["skipped"] for r in rows}
+    for seed in (1, 2):
+        assert skipped["pipage", seed].startswith("CapacityError: ")
+        assert skipped["greedy", seed] is None
+
+
+# ---------------------------------------------------------------------------
+# pinned answers on graphic and explicit instances
+
+
+def _disjoint_cycles(seed, n=14, sizes=(5, 4, 5)):
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(n)
+    edges, base = [], 0
+    for s in sizes:
+        edges += [(int(label[base + i]), int(label[base + (i + 1) % s])) for i in range(s)]
+        base += s
+    return GraphicMatroid(n, [edges[i] for i in rng.permutation(n)])
+
+
+def _partition_bases(seed, n=12, r=4):
+    rng = np.random.default_rng(seed)
+    order = [int(v) for v in rng.permutation(n)]
+    return ExplicitMatroid(n, itertools.product(*(order[i::r] for i in range(r))))
+
+
+PINNED = [
+    (
+        _disjoint_cycles, 5, 14, "0x1.12c7e0e1306f2p-1",
+        [0.6666666666666667, 1, 0.6666666666666667, 0.3333333333333333, 0.6666666666666667,
+         1, 0.33333333333333326, 1, 1, 1, 0.6666666666666667, 1, 0.6666666666666667, 1],
+        {1, 2, 4, 5, 7, 8, 9, 10, 11, 12, 13},
+    ),
+    (
+        _partition_bases, 6, 12, "0x1.a7eced018e502p-1",
+        [0.5, 0.5, 0.5, 0.5, 0, 0.5, 0.5, 0.5, 0, 0, 0, 0.5],
+        {1, 3, 5, 11},
+    ),
+]
+
+
+@pytest.mark.parametrize("make,seed,n,value,x,chosen", PINNED, ids=["graphic", "explicit"])
+def test_pinned_lp_and_pipage_answers(make, seed, n, value, x, chosen):
+    m = make(seed)
+    g = gen_random(n, 0.35, "uniform", 1, "one", seed=seed).graph
+    fp = solve_lp(g, m)
+    assert fp.value == float.fromhex(value)
+    assert fp.x.tolist() == x
+    assert pipage_round(g, m, fp.x) == chosen
