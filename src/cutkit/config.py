@@ -30,11 +30,12 @@ class Config:
     auto_level4_dim: int = 200  # max moment-matrix side to pick level 4
     auto_level3_dim: int = 300  # max moment-matrix side to pick level 3
 
-    # First-order SDP solver.  The residual target is paired with an
-    # absolute gate in the solver that keeps moment matrices PSD within
-    # the eigenvalue tolerance regardless of problem scale.
+    # Interior-point SDP solver.  It stops once the relative duality gap
+    # and the relative primal and dual residuals are all at most sdp_tol,
+    # so sdp_tol bounds the relative objective error; sdp_max_iter caps
+    # its Newton steps.
     sdp_tol: float = 2e-8
-    sdp_max_iter: int = 20000
+    sdp_max_iter: int = 100
 
     # Conditioning search.
     restarts: int = 64

@@ -33,6 +33,7 @@ class MatroidOracle:
 
     def __init__(self, n: int):
         self.n = int(n)
+        self._rows = None  # (enumeration cap, rows) once _base_polytope_rows ran
 
     def is_independent(self, s) -> bool:
         raise NotImplementedError
@@ -185,12 +186,10 @@ class ExplicitMatroid(MatroidOracle):
         if not sets:
             raise InfeasibleError("explicit matroid needs at least one set")
         # keep only maximal sets; the closure is unchanged
-        self.maximal = tuple(
-            s for s in sets if not any(s < t for t in sets)
-        )
-        self._masks = np.asarray(
-            [sum(1 << v for v in s) for s in self.maximal], dtype=np.int64
-        )
+        masks = np.asarray([sum(1 << v for v in s) for s in sets], dtype=np.int64)
+        keep = _not_dominated(masks)
+        self.maximal = tuple(s for s, k in zip(sets, keep) if k)
+        self._masks = masks[keep]
 
     def is_independent(self, s) -> bool:
         s = frozenset(s)
@@ -208,6 +207,26 @@ class ExplicitMatroid(MatroidOracle):
 
     def rank(self) -> int:
         return max(len(s) for s in self.maximal)
+
+
+def _not_dominated(masks) -> np.ndarray:
+    """True where no mask in the list is a proper superset of the entry.
+
+    A proper superset has a strictly larger popcount, so each size class is
+    compared only with the larger sets, a chunk at a time so that the
+    (sets x larger sets) temporary stays near 2^20 entries.
+    """
+    sizes = np.bitwise_count(masks)
+    keep = np.ones(len(masks), dtype=bool)
+    for size in np.unique(sizes):
+        larger = masks[sizes > size]
+        here = np.nonzero(sizes == size)[0]
+        step = max(1, (1 << 20) // max(1, larger.size))
+        for i in range(0, here.size, step):
+            idx = here[i : i + step]
+            m = masks[idx, None]
+            keep[idx] = ~((m & larger[None, :]) == m).any(axis=1)
+    return keep
 
 
 def _enumerated_constraints(m: MatroidOracle, config: Config | None = None):
@@ -283,7 +302,14 @@ class FractionalPoint:
 
 
 def _base_polytope_rows(m: MatroidOracle, config: Config):
-    return m.polytope_constraints(config)
+    """The kind's constraint rows, built once per matroid and enumeration
+    cap, and shared read-only by the LP, the membership test and pipage."""
+    cap = config.matroid_enum_cap
+    if m._rows is None or m._rows[0] != cap:
+        rows = m.polytope_constraints(config)
+        rows.flags.writeable = False
+        m._rows = (cap, rows)
+    return m._rows[1]
 
 
 def _constraint_matrix(m: MatroidOracle, config: Config):

@@ -4,9 +4,10 @@ A level-L vector stores pseudo-moments of all +-1 monomials on subsets of
 size <= 2L.  The moment matrix indexed by subsets of size <= L has entry
 (I, J) equal to the moment of the symmetric difference I ^ J, so PSD-ness,
 marginal extraction, and conditioning are all cheap index arithmetic on
-bitmasks.  The program solver is a first-order ADMM loop alternating an
-eigendecomposition-based projection onto the PSD cone with an exact
-step over the affine constraint set, taken in coordinates on that set.
+bitmasks.  The program solver takes coordinates on the affine constraint
+set and on the face of the PSD cone that the cardinality rows force, and
+solves the resulting small linear matrix inequality by a primal-dual
+interior-point method.
 """
 
 from __future__ import annotations
@@ -587,7 +588,7 @@ def _lift(y_free, n: int, level: int, free) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# first-order solver
+# solver
 
 
 def _affine_chart(B, d, weights):
@@ -684,31 +685,25 @@ def _face_operator(K, V, class_idx, scale):
 def solve(program: SdpProgram, config: Config | None = None) -> MomentVector:
     """Solve the relaxation to a feasible near-optimal moment vector.
 
-    ADMM splitting: the moment vector carries the affine constraints, a
-    matrix copy carries the PSD cone, and scaled dual ascent ties them
-    together.  Stops when primal and dual residuals drop below
-    `config.sdp_tol` and the assembled moment matrix is PSD within
-    tolerance; raises ConvergenceError after `config.sdp_max_iter`
-    iterations.
-
-    The iterates span the selectable vertices only, at the program's level:
+    The unknowns span the selectable vertices only, at the program's level:
     super vertices are constant, so their moments are substituted out and
-    restored by sign flips once the loop has converged (the simplest form
-    of facial reduction).  The moment vector runs over the affine set in
-    coordinates, y = q + K u (see `_affine_chart`).  M(y) lies on the face
-    (see `face_basis`) for every such y, so the matrix copy and its dual
-    are r x r blocks S of V S V', ||M(y) - V S V'|| = ||V' M(y) V - S||,
-    and only the dual residual, computed when the stop test or the rho
-    update reads it, touches an N x N matrix.
+    restored by sign flips once the solve is done (the simplest form of
+    facial reduction).  The moment vector runs over the affine set in
+    coordinates, y = q + K u (see `_affine_chart`), and M(y) lies on the
+    face V S V' (see `face_basis`) for every such y.  So the relaxation is
+    the small LMI: maximise kc'u subject to Lq + mat(Lu u) >= 0, with
+    Lq + mat(Lu u) = V' M(q + K u) V, which `_interior_point` solves to
+    relative gap and residuals within `config.sdp_tol`.  Raises
+    ConvergenceError after `config.sdp_max_iter` Newton steps, or when the
+    lifted moment matrix is not PSD within PSD_TOL.
     """
     config = config or Config()
-    tol, max_iter = config.sdp_tol, config.sdp_max_iter
 
     free, label, ms, mult = _free_rows(program)
     basis = ms.basis
-    # Scaling entry (T, U) by sqrt(m_T m_U) gives the iterate the nonzero
+    # Scaling entry (T, U) by sqrt(m_T m_U) gives the face block the nonzero
     # spectrum and the Frobenius norm of the full matrix, so the residuals
-    # and the PSD gate keep their meaning for the lifted answer.
+    # keep their meaning for the lifted answer.
     weight = np.outer(mult, mult)
     counts = np.bincount(
         ms.class_idx.ravel(), weights=weight.ravel(), minlength=basis.masks.size
@@ -717,59 +712,14 @@ def solve(program: SdpProgram, config: Config | None = None) -> MomentVector:
     q, K = _affine_chart(*_affine_rows(program, basis, label), counts)
     V = face_basis(program)
     scale = np.sqrt(weight)
-    r = V.shape[1]
     # L(u) = V' M(q + K u) V = Lq + Lu u; since K' W K = I, Lu' vec(L(u) - Lq) = u
     Lq = V.T @ (q[ms.class_idx] * scale) @ V
     Lu = _face_operator(K, V, ms.class_idx, scale)
 
     kc = K.T @ cvec
-    kwq = K.T @ (counts * q)  # 0 up to rounding: q is W-orthogonal to K
-    u = np.zeros(K.shape[1])
-    X = _psd_projection(Lq)
-    Z = np.zeros_like(X)
-    x_u = Lu.T @ X.ravel()
-    z_u = np.zeros_like(u)
-    rho = 1.0
-    prim = dual = np.inf
-
-    for it in range(1, max_iter + 1):
-        u = (kc - z_u + rho * x_u) / rho - kwq
-        Ly = Lq + (Lu @ u).reshape(r, r)
-        X_prev = X
-        X = _psd_projection(Ly + Z / rho)
-        R = Ly - X
-        Z += rho * R
-        x_u = Lu.T @ X.ravel()
-        z_u += rho * (u + kwq - x_u)
-
-        prim_abs = np.linalg.norm(R)
-        prim = prim_abs / max(1.0, np.linalg.norm(Ly))
-        # the absolute gate keeps the assembled matrix PSD within PSD_TOL
-        primal_ok = prim < tol and prim_abs < 0.5 * PSD_TOL
-        # only the stop test and the rho update read the dual residual
-        if primal_ok or it % 20 == 0 or it == max_iter:
-            dX = (V @ (X - X_prev) @ V.T) * scale
-            classes = np.bincount(ms.class_idx.ravel(), weights=dX.ravel(), minlength=ms.dim_y)
-            dual = (
-                rho
-                * np.linalg.norm(classes / counts)
-                / max(1.0, np.linalg.norm(q + K @ u))
-            )
-        if primal_ok and dual < tol:
-            break
-        if it % 20 == 0:
-            if prim > 10.0 * dual:
-                rho *= 2.0
-            elif dual > 10.0 * prim:
-                rho /= 2.0
-    else:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations "
-            f"(primal {prim:.2e}, dual {dual:.2e})",
-            primal=prim,
-            dual=dual,
-            iterations=max_iter,
-        )
+    u, steps, (_, prim, dual) = _interior_point(
+        Lq, Lu, kc, config.sdp_tol, config.sdp_max_iter
+    )
 
     y = q + K @ u
     mv = MomentVector(program.n, program.level, _lift(y, program.n, program.level, free))
@@ -779,12 +729,101 @@ def solve(program: SdpProgram, config: Config | None = None) -> MomentVector:
             f"moment matrix not PSD within tolerance (min eigenvalue {min_eig:.2e})",
             primal=prim,
             dual=dual,
-            iterations=it,
+            iterations=steps,
         )
     return mv
 
 
+def _interior_point(Lq, Lu, kc, tol, max_steps):
+    """Primal-dual path following on the LMI pair
+
+        primal: minimise <Lq, X>  subject to  Lu' vec X = -kc,  X >= 0,
+        dual:   maximise kc'u     subject to  S = Lq + mat(Lu u) >= 0,
+
+    where <Lq, X> - kc'u = <X, S> on feasible points.  Each Newton step is
+    Mehrotra's predictor-corrector on the HKM direction: the Schur matrix
+    M_ij = tr(A_i X A_j S^-1), A_j = mat(Lu e_j), is the Gram matrix of
+    the blocks R' A_j P, X = R R', S^-1 = P P'.  Each iterate moves to 0.98
+    of the way to the boundary of the cone, separately for X and for
+    (u, S).  The start is infeasible, u = 0, S = Lq + tI, X = sI, so Lq
+    need not be definite.
+
+    Returns u, the number of Newton steps, and (gap, primal, dual): the
+    relative gap |<Lq, X> - kc'u| / max(1, |<Lq, X>|, |kc'u|) and the two
+    relative residuals, all within `tol`.  The iterates approach the
+    relative interior of the optimal face, so where the optimum is not
+    unique the answer is its maximum-rank point.
+    """
+    r, k = Lq.shape[0], kc.size
+    A = np.ascontiguousarray(Lu.T).reshape(k, r, r)  # A[j] = A_j, contiguous for matmul
+    kc_scale = max(1.0, np.linalg.norm(kc))
+    lq_scale = max(1.0, np.linalg.norm(Lq))
+    eye = np.eye(r)
+    u = np.zeros(k)
+    S = Lq + (1.0 - min(0.0, np.linalg.eigvalsh(Lq)[0])) * eye
+    X = max(1.0, np.abs(kc).max(initial=0.0)) * eye
+
+    for step in range(max_steps + 1):
+        Rp = -kc - Lu.T @ X.ravel()
+        Rd = Lq + (Lu @ u).reshape(r, r) - S
+        pobj, dobj = np.vdot(Lq, X), kc @ u
+        gap = abs(pobj - dobj) / max(1.0, abs(pobj), abs(dobj))
+        prim, dual = np.linalg.norm(Rp) / kc_scale, np.linalg.norm(Rd) / lq_scale
+        if max(gap, prim, dual) <= tol:
+            return u, step, (gap, prim, dual)
+        if step == max_steps:
+            raise ConvergenceError(
+                f"no convergence after {max_steps} Newton steps "
+                f"(gap {gap:.2e}, primal {prim:.2e}, dual {dual:.2e})",
+                primal=prim,
+                dual=dual,
+                iterations=max_steps,
+            )
+
+        RX = np.linalg.cholesky(X)
+        RX_inv = np.linalg.inv(RX)
+        P = np.linalg.inv(np.linalg.cholesky(S)).T
+        S_inv = P @ P.T
+        G = (RX.T @ (A @ P)).reshape(k, r * r)  # row j is vec(R' A_j P)
+        w, Q = np.linalg.eigh(G @ G.T)
+        # M is singular to rounding near the optimum: solve on its range
+        keep = w > 1e-14 * w.max(initial=0.0)
+        w, Q = w[keep], Q[:, keep]
+
+        def direction(target, corr):
+            # X dS + dX S = target I - X S - corr, linearised, with the
+            # residual equations substituted in
+            base = target * S_inv - X
+            rhs = Lu.T @ (base - (corr + X @ Rd) @ S_inv).ravel() - Rp
+            du = Q @ ((Q.T @ rhs) / w)
+            dS = Rd + (Lu @ du).reshape(r, r)
+            dX = base - (corr + X @ dS) @ S_inv
+            return (dX + dX.T) / 2.0, du, dS
+
+        mu = np.vdot(X, S) / r
+        dX, du, dS = direction(0.0, 0.0)
+        ap, ad = _step_to_boundary(RX_inv, dX), _step_to_boundary(P.T, dS)
+        mu_aff = np.vdot(X + ap * dX, S + ad * dS) / r
+        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+        dX, du, dS = direction(sigma * mu, dX @ dS)
+        ap, ad = _step_to_boundary(RX_inv, dX), _step_to_boundary(P.T, dS)
+        X = X + ap * dX
+        u = u + ad * du
+        S = S + ad * dS
+
+
+def _step_to_boundary(L_inv, D):
+    """min(1, 0.98 a) for the largest a with L L' + a D >= 0, from
+    lambda_min(L^-1 D L^-T)."""
+    lam = np.linalg.eigvalsh(L_inv @ D @ L_inv.T)[0]
+    return min(1.0, -0.98 / lam) if lam < 0.0 else 1.0
+
+
 def _psd_projection(A):
-    """Nearest PSD matrix to A in Frobenius norm."""
+    """Nearest PSD matrix to A in Frobenius norm.
+
+    The solver no longer calls it.  It stays because perfbench's tracer
+    wraps it by name and refuses to run when the name is missing.
+    """
     vals, vecs = np.linalg.eigh((A + A.T) / 2.0)
     return (vecs * np.maximum(vals, 0.0)) @ vecs.T

@@ -1,7 +1,7 @@
 """Bias-preserving rounding, balance checks, random correction, and the
 end-to-end kernel -> relaxation -> conditioning -> rounding -> correction
 pipelines for single and multi-part instances.  The pipelines run in two
-stages: `relax_*` (kernel, program, ADMM; no randomness) and
+stages: `relax_*` (kernel, program, SDP solve; no randomness) and
 `round_relaxation` (everything seeded), so one relaxation can be rounded
 under many seeds.
 
@@ -268,7 +268,7 @@ class Relaxation:
     """The seed-independent half of the pipeline: a solved relaxation.
 
     Rounding it again with another seed repeats none of the kernel,
-    program-building or ADMM work.
+    program-building or SDP-solving work.
     """
 
     kernel: KernelResult
@@ -400,7 +400,7 @@ def round_relaxation(
 def _settings(eps: float, params: RoundingParams | None, config: Config | None):
     """The params and config a pipeline runs with; params default from config.
 
-    Checked before relaxing, so a bad setting fails before the ADMM solve.
+    Checked before relaxing, so a bad setting fails before the SDP solve.
     """
     config = config or Config()
     if params is None:

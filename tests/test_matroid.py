@@ -366,10 +366,10 @@ def test_graphic_rank_rows_match_a_union_find_per_subset(case):
 
 
 @st.composite
-def families(draw):
+def families(draw, max_sets=8):
     n = draw(st.integers(0, 8))
     subset = st.frozensets(st.integers(0, n - 1), max_size=n) if n else st.just(frozenset())
-    return n, draw(st.lists(subset, min_size=1, max_size=8))
+    return n, draw(st.lists(subset, min_size=1, max_size=max_sets))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -379,6 +379,31 @@ def test_explicit_rank_rows_are_the_largest_overlap_with_a_listed_set(case):
     n, sets = case
     m = ExplicitMatroid(n, sets)
     _check_rows(m, lambda s: max(len(set(s) & t) for t in sets))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=families(max_sets=40))
+@example(case=(3, [{0, 1}, {0}, {0, 1}, set(), {2}]))  # repeats and nested sets
+def test_explicit_maximal_sets_match_the_pairwise_rule(case):
+    n, sets = case
+    listed = [frozenset(s) for s in sets]
+    expected = tuple(s for s in listed if not any(s < t for t in listed))
+    assert ExplicitMatroid(n, sets).maximal == expected
+
+
+def test_solve_matroid_builds_its_rank_rows_once(monkeypatch):
+    # the LP, the membership test and pipage share one table
+    calls = []
+    build = GraphicMatroid.polytope_constraints
+
+    def counted(self, config=None):
+        calls.append(self)
+        return build(self, config)
+
+    monkeypatch.setattr(GraphicMatroid, "polytope_constraints", counted)
+    m = _disjoint_cycles(5)
+    solve_matroid(gen_random(14, 0.35, "uniform", 1, "one", seed=5).graph, m)
+    assert calls == [m]
 
 
 def test_explicit_rank_rows_stay_in_bounded_memory():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,6 +16,7 @@ from cutkit.errors import (
 )
 from cutkit.forge import gen_random
 from cutkit.graph import ConstrainedInstance, WeightedGraph
+from cutkit.io import read_instance
 from cutkit.kernel import KernelResult, kernelize_multi, kernelize_single
 from cutkit import moments
 from cutkit.moments import (
@@ -559,8 +562,8 @@ def test_face_basis_is_the_orthogonal_complement_of_the_null_vectors():
 
 
 def test_full_cone_reaches_the_face_objective(monkeypatch):
-    # the face is exact: the same loop run on the whole PSD cone (V = I)
-    # finds the same optimum
+    # the face is exact: the same solver run on the whole PSD cone (V = I),
+    # where the LMI has no interior, finds the same optimum
     ker = kernelize_multi(gen_random(7, 0.6, "uniform", 2, "uniform", seed=11), 0.5)
     prog = build_program(ker, 0)
     face = solve(prog).objective_value(prog.edges)
@@ -610,3 +613,57 @@ def test_single_feasible_point_solves(with_supers):
     chosen = [v for p, k in zip(ker.parts, ker.budgets) if k for v in p - ker.forbidden]
     assert np.allclose(mv.y, integral_moment_vector(prog.n, prog.level, chosen).y, atol=1e-9)
     assert mv.objective_value(prog.edges) == pytest.approx(reduced_optimum(ker), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the interior-point solver
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+# relaxation objectives of the corpus at the default Config, as the ADMM
+# solver that preceded the interior-point method returned them
+ADMM_OBJECTIVES = {
+    "c1_n6.txt": 0.7777777780483479,
+    "c1_n6_uniform_matroid.txt": 0.7837014323005004,
+    "c1_n7.json": 0.8181818180945339,
+    "c2_n7.txt": 0.8000000001389153,
+    "c2_n8.txt": 0.7500000002211269,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMM_OBJECTIVES))
+def test_corpus_objective_matches_the_admm_answer(name):
+    inst, _ = read_instance(str(CORPUS / name))
+    prog = build_program(kernelize_multi(inst, 0.5), 0)
+    mv = solve(prog)
+    assert mv.objective_value(prog.edges) == pytest.approx(ADMM_OBJECTIVES[name], abs=1e-6)
+    assert mv.min_eigenvalue() >= -PSD_TOL
+
+
+def test_newton_step_cap_reports_the_gap():
+    prog = build_program(pinned_kernel(8, 2, False, ["any", "any"], 5), 0)
+    with pytest.raises(ConvergenceError, match="after 1 Newton steps \\(gap ") as info:
+        solve(prog, Config(sdp_max_iter=1))
+    assert info.value.iterations == 1
+    assert info.value.primal is not None and info.value.dual is not None
+
+
+def test_singular_face_block_at_the_chart_origin_solves(monkeypatch):
+    # here Lq = V' M(q) V is singular to rounding (r 35, k 1), so the
+    # start cannot take S = Lq
+    seen = []
+    run = moments._interior_point
+
+    def recording(Lq, Lu, kc, tol, max_steps):
+        seen.append((Lq, kc.size))
+        return run(Lq, Lu, kc, tol, max_steps)
+
+    monkeypatch.setattr(moments, "_interior_point", recording)
+    ker = pinned_kernel(8, 2, False, ["any", "any"], 9)
+    prog = build_program(ker, 0)
+    mv = solve(prog)
+    ((Lq, k),) = seen
+    assert (Lq.shape, k) == ((35, 35), 1)
+    assert np.linalg.eigvalsh(Lq)[0] <= 1e-12
+    assert mv.min_eigenvalue() >= -PSD_TOL
+    assert mv.objective_value(prog.edges) >= reduced_optimum(ker) - 1e-6
