@@ -12,7 +12,9 @@ interior-point method.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -682,6 +684,69 @@ def _face_operator(K, V, class_idx, scale):
     return L
 
 
+@lru_cache(maxsize=1)
+def _openblas_thread_setters() -> tuple:
+    """openblas_set_num_threads_local of every OpenBLAS mapped into this
+    process, as ctypes functions; numpy and scipy each bundle their own.
+
+    The libraries are found by name in /proc/self/maps.  Opening one that
+    is already mapped loads nothing new.  Where that file or the symbol is
+    missing (not Linux, another BLAS, OpenBLAS before 0.3.27) the tuple is
+    empty and the solve runs at the caller's thread count.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = dict.fromkeys(
+                line.split(None, 5)[5].strip() for line in maps if "openblas" in line
+            )
+    except OSError:
+        return ()
+    setters = []
+    for path in paths:
+        try:
+            set_local = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_local.argtypes = [ctypes.c_int]
+        set_local.restype = ctypes.c_int
+        setters.append(set_local)
+    return tuple(setters)
+
+
+class _OneBlasThread:
+    """Holds OpenBLAS to one thread while any solve runs.
+
+    The Newton loop makes many BLAS calls on matrices a few dozen wide at
+    most, where waking OpenBLAS's other threads costs more than the calls.
+    openblas_set_num_threads_local sets the count for the whole process,
+    despite its name, so concurrent solves share one cap: the first thread
+    in saves each library's count and sets 1, and the last one out
+    restores the saved counts.  The libraries are looked up at the first
+    solve, not at import.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(f, f(1)) for f in _openblas_thread_setters()]
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_local, count in self._saved:
+                    set_local(count)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def solve(program: SdpProgram, config: Config | None = None) -> MomentVector:
     """Solve the relaxation to a feasible near-optimal moment vector.
 
@@ -696,42 +761,51 @@ def solve(program: SdpProgram, config: Config | None = None) -> MomentVector:
     relative gap and residuals within `config.sdp_tol`.  Raises
     ConvergenceError after `config.sdp_max_iter` Newton steps, or when the
     lifted moment matrix is not PSD within PSD_TOL.
+
+    The solve runs with OpenBLAS held to one thread (see `_OneBlasThread`),
+    and the caller's thread count is restored when it returns or raises.
     """
     config = config or Config()
 
-    free, label, ms, mult = _free_rows(program)
-    basis = ms.basis
-    # Scaling entry (T, U) by sqrt(m_T m_U) gives the face block the nonzero
-    # spectrum and the Frobenius norm of the full matrix, so the residuals
-    # keep their meaning for the lifted answer.
-    weight = np.outer(mult, mult)
-    counts = np.bincount(
-        ms.class_idx.ravel(), weights=weight.ravel(), minlength=basis.masks.size
-    )
-    cvec, _ = _objective_vector(program, basis, label)
-    q, K = _affine_chart(*_affine_rows(program, basis, label), counts)
-    V = face_basis(program)
-    scale = np.sqrt(weight)
-    # L(u) = V' M(q + K u) V = Lq + Lu u; since K' W K = I, Lu' vec(L(u) - Lq) = u
-    Lq = V.T @ (q[ms.class_idx] * scale) @ V
-    Lu = _face_operator(K, V, ms.class_idx, scale)
-
-    kc = K.T @ cvec
-    u, steps, (_, prim, dual) = _interior_point(
-        Lq, Lu, kc, config.sdp_tol, config.sdp_max_iter
-    )
-
-    y = q + K @ u
-    mv = MomentVector(program.n, program.level, _lift(y, program.n, program.level, free))
-    min_eig = mv.min_eigenvalue()
-    if min_eig < -PSD_TOL:
-        raise ConvergenceError(
-            f"moment matrix not PSD within tolerance (min eigenvalue {min_eig:.2e})",
-            primal=prim,
-            dual=dual,
-            iterations=steps,
+    with _ONE_BLAS_THREAD:
+        free, label, ms, mult = _free_rows(program)
+        basis = ms.basis
+        # Scaling entry (T, U) by sqrt(m_T m_U) gives the face block the
+        # nonzero spectrum and the Frobenius norm of the full matrix, so the
+        # residuals keep their meaning for the lifted answer.
+        weight = np.outer(mult, mult)
+        counts = np.bincount(
+            ms.class_idx.ravel(),
+            weights=weight.ravel(),
+            minlength=basis.masks.size,
         )
-    return mv
+        cvec, _ = _objective_vector(program, basis, label)
+        q, K = _affine_chart(*_affine_rows(program, basis, label), counts)
+        V = face_basis(program)
+        scale = np.sqrt(weight)
+        # L(u) = V' M(q + K u) V = Lq + Lu u;
+        # since K' W K = I, Lu' vec(L(u) - Lq) = u
+        Lq = V.T @ (q[ms.class_idx] * scale) @ V
+        Lu = _face_operator(K, V, ms.class_idx, scale)
+
+        kc = K.T @ cvec
+        u, steps, (_, prim, dual) = _interior_point(
+            Lq, Lu, kc, config.sdp_tol, config.sdp_max_iter
+        )
+
+        y = q + K @ u
+        mv = MomentVector(
+            program.n, program.level, _lift(y, program.n, program.level, free)
+        )
+        min_eig = mv.min_eigenvalue()
+        if min_eig < -PSD_TOL:
+            raise ConvergenceError(
+                f"moment matrix not PSD within tolerance (min eigenvalue {min_eig:.2e})",
+                primal=prim,
+                dual=dual,
+                iterations=steps,
+            )
+        return mv
 
 
 def _interior_point(Lq, Lu, kc, tol, max_steps):

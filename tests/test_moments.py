@@ -1,3 +1,5 @@
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -667,3 +669,97 @@ def test_singular_face_block_at_the_chart_origin_solves(monkeypatch):
     assert np.linalg.eigvalsh(Lq)[0] <= 1e-12
     assert mv.min_eigenvalue() >= -PSD_TOL
     assert mv.objective_value(prog.edges) >= reduced_optimum(ker) - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread per solve
+
+needs_proc_maps = pytest.mark.skipif(
+    not Path("/proc/self/maps").exists(), reason="no /proc/self/maps to find OpenBLAS in"
+)
+
+
+def blas_counts():
+    """The thread count of every OpenBLAS the solver caps, read by setting it
+    and setting it back."""
+    counts = []
+    for set_local in moments._openblas_thread_setters():
+        count = set_local(1)
+        set_local(count)
+        counts.append(count)
+    return counts
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Runs the test with every capped OpenBLAS at two threads, so a restored
+    count differs from the cap, and puts the counts back afterwards."""
+    saved = [(f, f(2)) for f in moments._openblas_thread_setters()]
+    yield [2] * len(saved)
+    for set_local, count in saved:
+        set_local(count)
+
+
+@needs_proc_maps
+def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, two_blas_threads):
+    inside = []
+    run = moments._interior_point
+
+    def spying(*args):
+        inside.append(blas_counts())
+        return run(*args)
+
+    monkeypatch.setattr(moments, "_interior_point", spying)
+    prog = build_program(pinned_kernel(8, 2, False, ["any", "any"], 5), 0)
+    solve(prog)
+    assert inside == [[1] * len(two_blas_threads)]
+    assert blas_counts() == two_blas_threads
+
+
+@needs_proc_maps
+def test_failed_solve_restores_the_blas_count(two_blas_threads):
+    prog = build_program(pinned_kernel(8, 2, False, ["any", "any"], 5), 0)
+    with pytest.raises(ConvergenceError):
+        solve(prog, Config(sdp_max_iter=1))
+    assert blas_counts() == two_blas_threads
+
+
+@needs_proc_maps
+def test_concurrent_solves_leave_the_blas_count_as_it_was(two_blas_threads):
+    programs = [
+        build_program(kernelize_multi(read_instance(str(CORPUS / name))[0], 0.5), 0)
+        for name in ("c1_n6.txt", "c2_n7.txt", "c1_n7.json")
+    ]
+    expected = [solve(prog).y for prog in programs]
+    results = {}
+
+    def worker(t):
+        order = [(t + i) % len(programs) for i in range(2 * len(programs))]
+        results[t] = [(i, solve(programs[i]).y) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(3)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(results) == [0, 1, 2]
+    for answers in results.values():
+        for i, y in answers:
+            assert np.array_equal(y, expected[i])
+    assert blas_counts() == two_blas_threads
+
+
+def test_openblas_lookup_finds_numpys_bundled_blas():
+    # a renamed wheel library must not silently drop the one-thread cap
+    if not sys.platform.startswith("linux"):
+        pytest.skip("the OpenBLAS lookup reads /proc/self/maps")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy is built against {blas.get('name')}, not scipy-openblas")
+    assert len(moments._openblas_thread_setters()) >= 1
