@@ -24,7 +24,7 @@ from .io import (
     read_instance,
 )
 from .kernel import kernelize_multi
-from .moments import block_independence_score
+from .moments import block_independence_score, pair_moments
 from .rounding import relax_multi
 
 
@@ -174,18 +174,16 @@ def cmd_inspect_sdp(args) -> int:
     inst, _ = read_instance(args.instance)
     relaxation = relax_multi(inst, args.eps, cfg)
     ker, program, mv = relaxation.kernel, relaxation.program, relaxation.moments
-    n = ker.reduced.n
     parts = [sorted(p - ker.forbidden) for p in ker.parts]
     per_part, cross = block_independence_score(mv, parts)
+    biases, correlations = pair_moments(mv)
     _emit(
         {
             "schema": SCHEMA,
             "level": mv.level,
             "objective": mv.objective_value(program.edges),
-            "biases": [mv.bias(i) for i in range(n)],
-            "correlations": [
-                [mv.corr(i, j) for j in range(n)] for i in range(n)
-            ],
+            "biases": biases.tolist(),
+            "correlations": correlations.tolist(),
             "block_scores": per_part,
             "cross_block": cross,
             "forbidden": sorted(ker.forbidden),

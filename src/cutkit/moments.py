@@ -233,67 +233,89 @@ def marginals(m: MomentVector, s) -> LocalDistribution:
     return LocalDistribution(s, probs)
 
 
-def _entropy_bits(probs) -> float:
-    p = np.asarray(probs, dtype=np.float64)
-    p = np.clip(p, 0.0, None)
-    t = p.sum()
-    if t <= 0.0:
-        return 0.0
-    p = p / t
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+def pair_moments(m: MomentVector):
+    """Biases b_i = E[x_i] and the unit-diagonal pair moments
+    rho_ij = E[x_i x_j], read through the basis in one index."""
+    if m.level < 1:
+        raise InputError("pair moments need level >= 1")
+    bits = np.left_shift(1, np.arange(m.n, dtype=np.int64))
+    rho = m.y[m.basis.pos[bits[:, None] | bits[None, :]]]
+    b = np.diagonal(rho).copy()  # {i} | {i} is the singleton {i}
+    np.fill_diagonal(rho, 1.0)
+    return b, rho
 
 
-def _pair_joint(m: MomentVector, i: int, j: int) -> np.ndarray:
-    """2x2 joint of (x_i, x_j) in order (++, +-, -+, --), clipped."""
-    b_i, b_j, r = m.bias(i), m.bias(j), m.corr(i, j)
-    joint = np.array(
-        [
-            (1 + b_i + b_j + r),
-            (1 + b_i - b_j - r),
-            (1 - b_i + b_j - r),
-            (1 - b_i - b_j + r),
-        ]
-    ) / 4.0
-    return np.clip(joint, 0.0, 1.0)
+def _normalised(p) -> np.ndarray:
+    """p clipped at 0 and scaled to sum 1 along the last axis; 0 where no mass is left."""
+    p = np.maximum(p, 0.0)
+    t = p.sum(axis=-1, keepdims=True)
+    return np.divide(p, t, out=np.zeros_like(p), where=t > 0.0)
+
+
+def _entropy_bits(p) -> np.ndarray:
+    """Entropy in bits of each distribution along the last axis of p."""
+    p = _normalised(p)
+    return -(p * np.log2(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=-1)
+
+
+# the signs of x_i and of x_j in the joint's order (++, +-, -+, --)
+_PAIR_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+
+
+def information_matrix(m: MomentVector) -> np.ndarray:
+    """I(X_i; X_j) in bits for every vertex pair, under the 2x2 joint of the
+    pair moments clipped to [0, 1].  The diagonal holds H(X_i) = I(X_i; X_i);
+    entries (i, j) and (j, i) agree up to rounding."""
+    if m.level < 2:
+        raise InputError("mutual information needs level >= 2")
+    b, rho = pair_moments(m)
+    s_i, s_j = _PAIR_SIGNS
+    joint = 1 + s_i * b[:, None, None] + s_j * b[None, :, None] + s_i * s_j * rho[..., None]
+    joint = _normalised(np.minimum(joint / 4.0, 1.0))
+    # the marginals of x_i, (+., -.), and of x_j, (.+, .-)
+    h_i, h_j = _entropy_bits(
+        np.stack([joint[..., [0, 2]] + joint[..., [1, 3]], joint[..., [0, 1]] + joint[..., [2, 3]]])
+    )
+    return np.clip(h_i + h_j - _entropy_bits(joint), 0.0, 1.0)
+
+
+def _vertex(m: MomentVector, i) -> int:
+    i = int(i)
+    if not 0 <= i < m.n:
+        raise InputError(f"vertex {i} outside [0, {m.n})")
+    return i
+
+
+def _checked_parts(m: MomentVector, parts) -> list:
+    """The parts as sorted vertex lists; InputError unless every vertex is
+    in [0, n) and in one place only."""
+    parts = [sorted(_vertex(m, v) for v in p) for p in parts]
+    flat = [v for p in parts for v in p]
+    if len(set(flat)) != len(flat):
+        raise InputError("parts repeat a vertex")
+    return parts
 
 
 def mutual_information(m: MomentVector, i: int, j: int) -> float:
     """I(X_i; X_j) in bits under the pairwise local distribution."""
     if i == j:
         raise InputError("mutual information needs two distinct vertices")
-    if m.level < 2:
-        raise InputError("mutual information needs level >= 2")
-    joint = _pair_joint(m, i, j)
-    t = joint.sum()
-    if t <= 0.0:
-        return 0.0
-    joint = joint / t
-    h_i = _entropy_bits([joint[0] + joint[1], joint[2] + joint[3]])
-    h_j = _entropy_bits([joint[0] + joint[2], joint[1] + joint[3]])
-    h_ij = _entropy_bits(joint)
-    return min(max(h_i + h_j - h_ij, 0.0), 1.0)
+    return float(information_matrix(m)[_vertex(m, i), _vertex(m, j)])
 
 
 def entropy_of_vertex(m: MomentVector, i: int) -> float:
-    b = m.bias(i)
-    return _entropy_bits([(1 + b) / 2.0, (1 - b) / 2.0])
+    i = _vertex(m, i)
+    return float(information_matrix(m)[i, i])
 
 
-def _part_scores(m: MomentVector, parts) -> list:
-    """Average pairwise MI inside each sorted part; 0 below two vertices."""
-    per_part = []
-    for p in parts:
-        if len(p) < 2:
-            per_part.append(0.0)
-            continue
-        tot = 0.0
-        cnt = 0
-        for a, b in combinations(p, 2):
-            tot += mutual_information(m, a, b)
-            cnt += 1
-        per_part.append(tot / cnt)
-    return per_part
+def _part_scores(info: np.ndarray, parts) -> list:
+    """Average pairwise MI inside each sorted part, over its upper triangle
+    (the pairs a < b, without the entropy diagonal); 0 below two vertices."""
+    upper = np.triu(info, 1)
+    return [
+        float(upper[np.ix_(p, p)].sum() / (len(p) * (len(p) - 1) / 2)) if len(p) > 1 else 0.0
+        for p in parts
+    ]
 
 
 def block_independence_score(m: MomentVector, parts):
@@ -303,47 +325,25 @@ def block_independence_score(m: MomentVector, parts):
     than two vertices score 0.  The cross term sums, over unordered part
     pairs, the average MI between vertices drawn from the two parts.
     """
-    parts = [sorted(p) for p in parts]
-    per_part = _part_scores(m, parts)
-    cross = 0.0
-    for pa, pb in combinations(range(len(parts)), 2):
-        a_list, b_list = parts[pa], parts[pb]
-        if not a_list or not b_list:
-            continue
-        tot = 0.0
-        for a in a_list:
-            for b in b_list:
-                tot += mutual_information(m, a, b)
-        cross += tot / (len(a_list) * len(b_list))
-    return per_part, cross
+    parts = _checked_parts(m, parts)
+    info = information_matrix(m)
+    cross = sum(
+        (float(info[np.ix_(a, b)].mean()) for a, b in combinations(parts, 2) if a and b),
+        0.0,
+    )
+    return _part_scores(info, parts), cross
 
 
 def iid_pair_information_sum(m: MomentVector, parts) -> float:
-    """Sum over ordered part pairs of E_{i,j}[I(X_i;X_j)] with i, j drawn
-    independently (so coinciding draws contribute the vertex entropy).
+    """Sum over ordered part pairs (a, b) of E_{i in a, j in b}[I(X_i;X_j)]
+    with i, j drawn independently (so coinciding draws contribute the
+    vertex entropy, the diagonal of `information_matrix`).
 
     This is the exact quantity telescoped by the conditioning potential.
     """
-    parts = [sorted(p) for p in parts]
-    total = 0.0
-    for pa in parts:
-        if not pa:
-            continue
-        block = 0.0
-        for a in pa:
-            block += entropy_of_vertex(m, a)
-        for a, b in combinations(pa, 2):
-            block += 2.0 * mutual_information(m, a, b)
-        total += block / (len(pa) ** 2)
-    for pa, pb in combinations(parts, 2):
-        if not pa or not pb:
-            continue
-        cross = 0.0
-        for a in pa:
-            for b in pb:
-                cross += mutual_information(m, a, b)
-        total += 2.0 * cross / (len(pa) * len(pb))
-    return total
+    parts = [p for p in _checked_parts(m, parts) if p]
+    info = information_matrix(m)
+    return sum((float(info[np.ix_(a, b)].mean()) for a in parts for b in parts), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ def make_block_independent(
     starting objective.  The best-objective qualifier wins; exhausting all
     restarts raises SearchFailureError carrying the closest candidate.
     """
-    parts = [sorted(p) for p in parts if len(p) > 0]
+    parts = [p for p in _checked_parts(m, parts) if p]
     if not parts:
         raise InputError("need at least one nonempty part")
     if budget_L < 0:
@@ -420,7 +420,10 @@ def make_block_independent(
                 return False
         return True
 
-    if qualifies(m, max(_part_scores(m, parts))):
+    def worst_part(mv: MomentVector) -> float:
+        return max(_part_scores(information_matrix(mv), parts))
+
+    if qualifies(m, worst_part(m)):
         return m
 
     best_candidate = None  # (max_part_score, restart, MomentVector)
@@ -443,7 +446,7 @@ def make_block_independent(
             else:
                 break
             cur = nxt
-            worst = max(_part_scores(cur, parts))
+            worst = worst_part(cur)
             if best_candidate is None or worst < best_candidate[0]:
                 best_candidate = (worst, r, cur)
             if qualifies(cur, worst):

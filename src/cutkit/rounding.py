@@ -28,6 +28,7 @@ from .moments import (
     SdpProgram,
     build_program,
     make_block_independent,
+    pair_moments,
     solve,
 )
 
@@ -80,13 +81,7 @@ class BiasProfile:
 
     @classmethod
     def from_moment_vector(cls, m: MomentVector) -> "BiasProfile":
-        n = m.n
-        b = np.array([m.bias(i) for i in range(n)])
-        rho = np.eye(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                rho[i, j] = rho[j, i] = m.corr(i, j)
-        return cls(b, rho)
+        return cls(*pair_moments(m))
 
     @property
     def n(self) -> int:
@@ -325,11 +320,9 @@ def round_relaxation(
     kept_parts = tuple(p - kernel.forbidden for p in kernel.parts)
     c = len(kept_parts)
     alpha = params.eps**6  # independence target
-    budget = min(
-        int(np.ceil(4.0 * c * c / (alpha**2))),
-        config.independence_budget,
-        mv.level - 2,
-    )
+    cap = min(config.independence_budget, mv.level - 2)
+    # min(ceil(4c^2 / alpha^2), cap), compared before dividing, which overflows for tiny eps
+    budget = cap if 4.0 * c * c >= cap * alpha**2 else int(np.ceil(4.0 * c * c / alpha**2))
     try:
         mv = make_block_independent(
             mv,

@@ -17,8 +17,8 @@ from .graph import ConstrainedInstance, WeightedGraph, cut_value
 from .kernel import kernelize_multi, kernelize_single, migrate_to_kernel
 from .moments import (
     condition,
-    entropy_of_vertex,
     iid_pair_information_sum,
+    information_matrix,
     marginals,
 )
 from .matroid import (
@@ -368,12 +368,8 @@ def _phi(leaves, parts):
     """Budget-weighted average vertex entropy over the value mixture."""
     total = 0.0
     for w, m in leaves:
-        acc = 0.0
-        for part in parts:
-            if not part:
-                continue
-            acc += sum(entropy_of_vertex(m, v) for v in part) / len(part)
-        total += w * acc / len(parts)
+        h = np.diag(information_matrix(m))
+        total += w * sum(h[part].mean() for part in parts if part) / len(parts)
     return total
 
 

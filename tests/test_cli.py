@@ -2,14 +2,19 @@ import csv
 import io
 import json
 import shutil
+from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cutkit.cli import main
-from cutkit.io import format_instance_text, parse_instance
+from cutkit.config import Config
+from cutkit.io import format_instance_text, parse_instance, read_instance
 from cutkit.forge import gen_random
 from cutkit.graph import ConstrainedInstance, WeightedGraph
+from cutkit.moments import mutual_information
+from cutkit.rounding import relax_multi
 
 
 def k3_file(tmp_path):
@@ -117,12 +122,45 @@ def test_kernelize_command(tmp_path, capsys):
     assert obj["budgets"] == [1]
 
 
+def check_inspect_pair_fields(path, obj):
+    # the pair fields against the relaxation's own moments, read one pair
+    # at a time
+    relaxation = relax_multi(read_instance(path)[0], 0.5, Config())
+    mv, ker = relaxation.moments, relaxation.kernel
+    rho = np.array(obj["correlations"])
+    assert np.array_equal(rho, rho.T)
+    assert np.array_equal(np.diag(rho), np.ones(mv.n))
+    assert rho.tolist() == [[mv.corr(i, j) for j in range(mv.n)] for i in range(mv.n)]
+    assert obj["biases"] == [mv.bias(i) for i in range(mv.n)]
+    parts = [sorted(p - ker.forbidden) for p in ker.parts]
+    for score, part in zip(obj["block_scores"], parts, strict=True):
+        pairs = [mutual_information(mv, a, b) for a, b in combinations(part, 2)]
+        assert score == pytest.approx(np.mean(pairs) if pairs else 0.0, abs=1e-12)
+    cross = sum(
+        np.mean([mutual_information(mv, a, b) for a in pa for b in pb])
+        for pa, pb in combinations(parts, 2)
+        if pa and pb
+    )
+    assert obj["cross_block"] == pytest.approx(cross, abs=1e-12)
+
+
 def test_inspect_sdp_command(tmp_path, capsys):
-    code, out = run(capsys, ["inspect-sdp", k3_file(tmp_path)])
+    path = k3_file(tmp_path)
+    code, out = run(capsys, ["inspect-sdp", path])
     assert code == 0
     obj = json.loads(out)
     assert len(obj["biases"]) == 3
     assert obj["objective"] >= 2 / 3 - 1e-6
+    check_inspect_pair_fields(path, obj)
+
+
+def test_inspect_sdp_two_parts(capsys):
+    path = str(Path(CORPUS_DIR) / "c2_n8.txt")
+    code, out = run(capsys, ["inspect-sdp", path])
+    assert code == 0
+    obj = json.loads(out)
+    assert len(obj["block_scores"]) == 2 and obj["cross_block"] > 0.0
+    check_inspect_pair_fields(path, obj)
 
 
 def test_bench_command(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import math
 import sys
 import threading
+from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,10 @@ from cutkit.moments import (
     block_independence_score,
     build_program,
     condition,
+    entropy_of_vertex,
     face_basis,
+    iid_pair_information_sum,
+    information_matrix,
     integral_moment_vector,
     make_block_independent,
     marginals,
@@ -300,6 +306,122 @@ def test_block_score_singleton_parts():
     per_part, cross = block_independence_score(mv, [[0], [1]])
     assert per_part == [0.0, 0.0]
     assert cross == pytest.approx(mutual_information(mv, 0, 1), abs=1e-12)
+
+
+@pytest.mark.parametrize("i, j", [(0, 5), (0, -1), (3, 0), (-3, 1)])
+def test_mi_rejects_vertices_outside_the_graph(i, j):
+    with pytest.raises(InputError, match="outside"):
+        mutual_information(product_uniform(3, 2), i, j)
+
+
+@pytest.mark.parametrize("i", [3, -1])
+def test_entropy_rejects_vertices_outside_the_graph(i):
+    with pytest.raises(InputError, match="outside"):
+        entropy_of_vertex(product_uniform(3, 2), i)
+
+
+BAD_PARTS = [
+    ([[0, 5]], "outside"),
+    ([[7], [0, 1]], "outside"),
+    ([[0, -1]], "outside"),
+    ([[0, 1], [1, 2]], "repeat"),
+    ([[0, 0, 1]], "repeat"),
+]
+
+
+@pytest.mark.parametrize("parts, message", BAD_PARTS)
+def test_part_scores_reject_bad_parts(parts, message):
+    mv = product_uniform(3, 2)
+    with pytest.raises(InputError, match=message):
+        block_independence_score(mv, parts)
+    with pytest.raises(InputError, match=message):
+        iid_pair_information_sum(mv, parts)
+    with pytest.raises(InputError, match=message):
+        make_block_independent(mv, parts, 0.1, 0, rng_seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the all-pairs information matrix against a reference from the marginals
+
+
+def binary_entropy(p):
+    p = min(max(p, 0.0), 1.0)
+    return -sum(q * math.log2(q) for q in (p, 1.0 - p) if q > 0.0)
+
+
+def reference_information(mv, i, j):
+    """I(X_i; X_j) in bits from the local distribution on {i, j}."""
+    probs = marginals(mv, (i, j)).probs
+    total = sum(probs.values())
+    joint = {a: p / total for a, p in probs.items()}
+
+    def entropy(ps):
+        return -sum(p * math.log2(p) for p in ps if p > 0.0)
+
+    sides = [[sum(p for a, p in joint.items() if a[k] == s) for s in (1, -1)] for k in (0, 1)]
+    return max(entropy(sides[0]) + entropy(sides[1]) - entropy(joint.values()), 0.0)
+
+
+def reference_pair(mv, i, j):
+    return binary_entropy((1.0 + mv.bias(i)) / 2.0) if i == j else reference_information(mv, i, j)
+
+
+@st.composite
+def explicit_distributions(draw):
+    n = draw(st.integers(2, 5))
+    points = draw(
+        st.lists(
+            st.tuples(st.integers(1, 50), st.tuples(*[st.sampled_from((1, -1))] * n)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    total = sum(w for w, _ in points)
+    return mv_from_dist(n, 2, [(w / total, a) for w, a in points])
+
+
+@lru_cache(maxsize=1)
+def corpus_relaxation():
+    inst, _ = read_instance(str(CORPUS / "c2_n7.txt"))
+    return solve(build_program(kernelize_multi(inst, 0.5), 0))
+
+
+@st.composite
+def conditioned_children(draw):
+    mv = corpus_relaxation()
+    for _ in range(draw(st.integers(0, mv.level - 2))):
+        i = draw(st.integers(0, mv.n - 1))
+        value = draw(st.sampled_from((1, -1)))
+        if (1.0 + value * mv.bias(i)) / 2.0 >= 1e-6:
+            mv, _ = condition(mv, i, value)
+    return mv
+
+
+MOMENT_VECTORS = st.one_of(explicit_distributions(), conditioned_children())
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(mv=MOMENT_VECTORS)
+def test_information_matrix_matches_the_marginals(mv):
+    info = information_matrix(mv)
+    assert info.shape == (mv.n, mv.n)
+    for i, j in product(range(mv.n), repeat=2):
+        assert abs(info[i, j] - reference_pair(mv, i, j)) <= 1e-12
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(mv=MOMENT_VECTORS, data=st.data())
+def test_iid_pair_information_sum_over_ordered_pairs(mv, data):
+    # each vertex goes to one of three parts or to none; parts may be empty
+    where = data.draw(st.lists(st.integers(-1, 2), min_size=mv.n, max_size=mv.n))
+    parts = [[v for v in range(mv.n) if where[v] == p] for p in range(3)]
+    expect = 0.0
+    for a in parts:
+        for b in parts:
+            if a and b:
+                pairs = sum(reference_pair(mv, i, j) for i in a for j in b)
+                expect += pairs / (len(a) * len(b))
+    assert iid_pair_information_sum(mv, parts) == pytest.approx(expect, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

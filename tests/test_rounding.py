@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cutkit import rounding
 from cutkit.config import Config
 from cutkit.errors import InfeasibleError, InputError
 from cutkit.forge import gen_random
@@ -263,6 +264,26 @@ def test_pipeline_part_cap():
     inst = gen_random(10, 0.5, "unit", 5, "one", seed=23)
     with pytest.raises(InputError):
         solve_multi(inst, 0.5, config=Config(c_cap=4))
+
+
+@pytest.mark.parametrize("eps", [1e-26, 1e-30])
+def test_pipeline_tiny_eps_caps_the_conditioning_budget(monkeypatch, eps):
+    # 4c^2 / eps^12 overflows to inf at 1e-26 and divides by 0 at 1e-30;
+    # the budget is the cap, min(independence_budget, level - 2), instead
+    budgets = []
+    search = rounding.make_block_independent
+
+    def recording(mv, parts, alpha, budget_L, *args, **kwargs):
+        budgets.append((budget_L, mv.level))
+        return search(mv, parts, alpha, budget_L, *args, **kwargs)
+
+    monkeypatch.setattr(rounding, "make_block_independent", recording)
+    inst = gen_random(7, 0.6, "unit", 2, "uniform", seed=5)
+    cfg = Config(trials=4)
+    sol = solve_multi(inst, eps, RoundingParams(eps=eps, rng_seed=3), cfg)
+    assert inst.is_feasible_set(sol.set)
+    ((budget, level),) = budgets
+    assert level > 2 and budget == min(cfg.independence_budget, level - 2)
 
 
 def test_variance_tracks_independence_score():
