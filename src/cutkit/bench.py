@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import oracle
 from .config import Config
@@ -19,7 +19,7 @@ from .graph import CutSolution, cut_value
 from .io import read_instance
 from .matroid import PartitionMatroid, solve_matroid
 from .oracle import oracle_constrained
-from .rounding import RoundingParams, greedy_feasible, relax_multi, round_relaxation
+from .rounding import greedy_feasible, relax_multi, round_relaxation
 from .rounding import solve_multi  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 CSV_HEADER = "instance,method,value,oracle_value,ratio,feasible,seed"
@@ -114,9 +114,7 @@ class BenchReport:
 
 def _sdp(inst, matroid, eps, config):
     relaxation = relax_multi(inst, eps, config)
-    return lambda seed: round_relaxation(
-        relaxation, RoundingParams(eps=eps, rng_seed=seed), config
-    )
+    return lambda seed: round_relaxation(relaxation, replace(config, seed=seed))
 
 
 def _pipage(inst, matroid, eps, config):

@@ -32,13 +32,6 @@ def _add_instance_arg(p):
     p.add_argument("instance", help="instance file (text or JSON mirror)")
 
 
-def _add_common_solver_flags(p):
-    p.add_argument("--eps", type=float, default=0.5, help="approximation knob")
-    p.add_argument("--level", type=int, default=None, help="hierarchy level (0=auto)")
-    p.add_argument("--trials", type=int, default=None, help="rounding repetitions")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="cutkit",
@@ -50,11 +43,15 @@ def build_parser():
     p = sub.add_parser("solve", help="run a solver method on an instance")
     _add_instance_arg(p)
     p.add_argument("--method", choices=METHODS, default="sdp")
-    _add_common_solver_flags(p)
+    p.add_argument("--eps", type=float, default=0.5, help="approximation knob")
+    p.add_argument("--level", type=int, default=None, help="hierarchy level (0=auto)")
+    p.add_argument("--trials", type=int, default=None, help="rounding repetitions")
+    p.add_argument("--seed", type=int, default=None, help="master seed")
 
     p = sub.add_parser("oracle", help="exact optimum by enumeration")
     _add_instance_arg(p)
-    _add_common_solver_flags(p)
+    p.add_argument("--seed", type=int, default=None, help="master seed, echoed in the output")
+    p.set_defaults(method="oracle", eps=None)
 
     p = sub.add_parser("kernelize", help="write the kernelized instance as JSON")
     _add_instance_arg(p)
@@ -129,13 +126,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    args.method = "oracle"
-    return cmd_solve(args)
-
-
 def cmd_kernelize(args) -> int:
-    cfg = _config_from_args(args)
     inst, _ = read_instance(args.instance)
     ker = kernelize_multi(inst, args.eps)
     out = ker.to_json_dict()
@@ -233,7 +224,7 @@ def cmd_verify(args) -> int:
 
 _DISPATCH = {
     "solve": cmd_solve,
-    "oracle": cmd_oracle,
+    "oracle": cmd_solve,
     "kernelize": cmd_kernelize,
     "gen": cmd_gen,
     "gadget": cmd_gadget,

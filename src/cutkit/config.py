@@ -27,8 +27,6 @@ class Config:
     # Moment-hierarchy caps.
     n_max_sdp: int = 14
     level: int = 0  # 0 selects the level automatically from the graph size
-    auto_level4_dim: int = 200  # max moment-matrix side to pick level 4
-    auto_level3_dim: int = 300  # max moment-matrix side to pick level 3
 
     # Interior-point SDP solver.  It stops once the relative duality gap
     # and the relative primal and dual residuals are all at most sdp_tol,
@@ -39,7 +37,6 @@ class Config:
 
     # Conditioning search.
     restarts: int = 64
-    independence_budget: int = 12  # hard cap on conditioning steps
 
     # Rounding pipeline.
     trials: int = 8

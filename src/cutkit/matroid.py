@@ -77,6 +77,9 @@ class UniformMatroid(MatroidOracle):
     def rank(self) -> int:
         return self.k
 
+    def _rank_table(self, masks) -> np.ndarray:
+        return np.minimum(np.bitwise_count(masks.view(np.uint64)), self.k)
+
     def polytope_constraints(self, config: Config | None = None):
         return _set_rows(self.n, [range(self.n)], [self.k])
 
@@ -107,6 +110,13 @@ class PartitionMatroid(MatroidOracle):
 
     def rank(self) -> int:
         return sum(self.budgets)
+
+    def _rank_table(self, masks) -> np.ndarray:
+        masks = masks.view(np.uint64)
+        rank = np.zeros(len(masks), dtype=np.int64)
+        for p, k in zip(self.parts, self.budgets):
+            rank += np.minimum(np.bitwise_count(masks & np.uint64(sum(1 << v for v in p))), k)
+        return rank
 
     def polytope_constraints(self, config: Config | None = None):
         return _set_rows(self.n, self.parts, self.budgets)

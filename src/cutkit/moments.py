@@ -37,6 +37,10 @@ from .kernel import KernelResult
 
 _LUT_N_MAX = 20  # mask lookup tables get size 2^n
 
+# auto_level picks level 4, else 3, while the moment-matrix side N stays within these
+_LEVEL4_MAX_DIM, _LEVEL3_MAX_DIM = 200, 300
+_MAX_DIM = 3 * _LEVEL3_MAX_DIM  # the largest N at any level
+
 
 # ---------------------------------------------------------------------------
 # subset bases and moment-matrix structure
@@ -479,11 +483,11 @@ class SdpProgram:
     forbidden: frozenset
 
 
-def auto_level(n: int, config: Config | None = None) -> int:
-    config = config or Config()
-    if basis_dim(n, 4) <= config.auto_level4_dim:
+def auto_level(n: int) -> int:
+    """The highest level 2..4 whose moment-matrix side stays within its cap."""
+    if basis_dim(n, 4) <= _LEVEL4_MAX_DIM:
         return 4
-    if basis_dim(n, 3) <= config.auto_level3_dim:
+    if basis_dim(n, 3) <= _LEVEL3_MAX_DIM:
         return 3
     return 2
 
@@ -495,13 +499,13 @@ def build_program(
     config = config or Config()
     g = kernel.reduced
     if level == 0:
-        level = auto_level(g.n, config)
+        level = auto_level(g.n)
     if level < 2:
         raise InputError(f"level must be >= 2, got {level}")
     if g.n > config.n_max_sdp:
         raise CapacityError(f"n={g.n} exceeds configured cap {config.n_max_sdp}")
     dim = basis_dim(g.n, level)
-    if dim > max(config.auto_level3_dim, config.auto_level4_dim) * 3:
+    if dim > _MAX_DIM:
         raise CapacityError(
             f"moment matrix side {dim} too large for n={g.n}, level={level}"
         )
@@ -857,36 +861,52 @@ def _interior_point(Lq, Lu, kc, tol, max_steps):
                 iterations=max_steps,
             )
 
-        RX = np.linalg.cholesky(X)
-        RX_inv = np.linalg.inv(RX)
-        P = np.linalg.inv(np.linalg.cholesky(S)).T
-        S_inv = P @ P.T
-        G = (RX.T @ (A @ P)).reshape(k, r * r)  # row j is vec(R' A_j P)
-        w, Q = np.linalg.eigh(G @ G.T)
-        # M is singular to rounding near the optimum: solve on its range
-        keep = w > 1e-14 * w.max(initial=0.0)
-        w, Q = w[keep], Q[:, keep]
+        try:
+            X, u, S = _newton_step(A, Lu, X, u, S, Rp, Rd)
+        except np.linalg.LinAlgError as exc:
+            # X or S lost definiteness to rounding, as on a program whose
+            # face has no interior
+            raise ConvergenceError(
+                f"Newton step {step} failed: {exc} "
+                f"(gap {gap:.2e}, primal {prim:.2e}, dual {dual:.2e})",
+                primal=prim,
+                dual=dual,
+                iterations=step,
+            ) from exc
 
-        def direction(target, corr):
-            # X dS + dX S = target I - X S - corr, linearised, with the
-            # residual equations substituted in
-            base = target * S_inv - X
-            rhs = Lu.T @ (base - (corr + X @ Rd) @ S_inv).ravel() - Rp
-            du = Q @ ((Q.T @ rhs) / w)
-            dS = Rd + (Lu @ du).reshape(r, r)
-            dX = base - (corr + X @ dS) @ S_inv
-            return (dX + dX.T) / 2.0, du, dS
 
-        mu = np.vdot(X, S) / r
-        dX, du, dS = direction(0.0, 0.0)
-        ap, ad = _step_to_boundary(RX_inv, dX), _step_to_boundary(P.T, dS)
-        mu_aff = np.vdot(X + ap * dX, S + ad * dS) / r
-        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
-        dX, du, dS = direction(sigma * mu, dX @ dS)
-        ap, ad = _step_to_boundary(RX_inv, dX), _step_to_boundary(P.T, dS)
-        X = X + ap * dX
-        u = u + ad * du
-        S = S + ad * dS
+def _newton_step(A, Lu, X, u, S, Rp, Rd):
+    """One predictor-corrector step of `_interior_point` from (X, u, S) with
+    residuals Rp and Rd; returns the next (X, u, S)."""
+    r, k = X.shape[0], u.size
+    RX = np.linalg.cholesky(X)
+    RX_inv = np.linalg.inv(RX)
+    P = np.linalg.inv(np.linalg.cholesky(S)).T
+    S_inv = P @ P.T
+    G = (RX.T @ (A @ P)).reshape(k, r * r)  # row j is vec(R' A_j P)
+    w, Q = np.linalg.eigh(G @ G.T)
+    # M is singular to rounding near the optimum: solve on its range
+    keep = w > 1e-14 * w.max(initial=0.0)
+    w, Q = w[keep], Q[:, keep]
+
+    def direction(target, corr):
+        # X dS + dX S = target I - X S - corr, linearised, with the
+        # residual equations substituted in
+        base = target * S_inv - X
+        rhs = Lu.T @ (base - (corr + X @ Rd) @ S_inv).ravel() - Rp
+        du = Q @ ((Q.T @ rhs) / w)
+        dS = Rd + (Lu @ du).reshape(r, r)
+        dX = base - (corr + X @ dS) @ S_inv
+        return (dX + dX.T) / 2.0, du, dS
+
+    mu = np.vdot(X, S) / r
+    dX, du, dS = direction(0.0, 0.0)
+    ap, ad = _step_to_boundary(RX_inv, dX), _step_to_boundary(P.T, dS)
+    mu_aff = np.vdot(X + ap * dX, S + ad * dS) / r
+    sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+    dX, du, dS = direction(sigma * mu, dX @ dS)
+    ap, ad = _step_to_boundary(RX_inv, dX), _step_to_boundary(P.T, dS)
+    return X + ap * dX, u + ad * du, S + ad * dS
 
 
 def _step_to_boundary(L_inv, D):

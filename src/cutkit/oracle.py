@@ -3,15 +3,14 @@
 Candidate sets are uint64 bitmasks built as numpy arrays, and cut values
 are evaluated for whole blocks of them at once, so n = 22 (about 7e5
 candidate sets at k = 11) takes a fraction of a second.  The matroid oracle
-still asks `is_independent` once per rank-sized subset.  Ties on the
-optimum are broken toward the lexicographically smallest vertex list.
+keeps the rank-sized sets whose rank, from the matroid's rank table, is
+their size.  Ties on the optimum go to the lexicographically smallest list.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -120,36 +119,13 @@ def _chunks(masks: np.ndarray):
         yield masks[start : start + _CHUNK]
 
 
-def oracle_maxcut_k(
-    g: WeightedGraph, k: int, forbidden=frozenset(), config: Config | None = None
-) -> OracleResult:
-    """Exact maximum cut over all k-subsets avoiding `forbidden`."""
-    config = config or Config()
-    k = int(k)
-    if k < 0 or k > g.n:
-        raise InputError(f"k={k} out of range for n={g.n}")
-    if g.n > config.oracle_n_max:
-        raise CapacityError(f"n={g.n} exceeds oracle cap {config.oracle_n_max}")
-    _check_mask_width(g.n)
-    forbidden = as_vertex_set(forbidden, g.n)
-    pool = sorted(set(range(g.n)) - forbidden)
-    if k > len(pool):
-        raise InfeasibleError(f"need {k} vertices but only {len(pool)} allowed")
-    if math.comb(len(pool), k) > config.oracle_combo_cap:
-        raise CapacityError(
-            f"C({len(pool)},{k}) exceeds enumeration cap {config.oracle_combo_cap}"
-        )
-    tracker = _BestTracker(g)
-    for masks in _chunks(_subset_masks(pool, k)):
-        tracker.feed(masks)
-    return tracker.result()
-
-
-def _feasible_mask_chunks(inst: ConstrainedInstance, forbidden, cap):
-    """Yield mask arrays for all feasible sets of a constrained instance."""
+def _feasible_masks(parts, budgets, forbidden, cap) -> np.ndarray:
+    """uint64 masks of every set with exactly k_i vertices from part i
+    outside `forbidden`: the first part's subsets vary slowest, each in lex
+    order."""
     pools = []
     total = 1
-    for p, k in zip(inst.parts, inst.budgets):
+    for p, k in zip(parts, budgets):
         pool = sorted(p - forbidden)
         if k > len(pool):
             raise InfeasibleError(
@@ -163,7 +139,32 @@ def _feasible_mask_chunks(inst: ConstrainedInstance, forbidden, cap):
     combined = _subset_masks(*pools[0])
     for pool, k in pools[1:]:
         combined = np.bitwise_or.outer(combined, _subset_masks(pool, k)).ravel()
-    yield from _chunks(combined)
+    return combined
+
+
+def _best(g: WeightedGraph, masks: np.ndarray) -> OracleResult:
+    tracker = _BestTracker(g)
+    for chunk in _chunks(masks):
+        tracker.feed(chunk)
+    if tracker.best_mask is None:
+        raise InfeasibleError("no feasible set")
+    return tracker.result()
+
+
+def oracle_maxcut_k(
+    g: WeightedGraph, k: int, forbidden=frozenset(), config: Config | None = None
+) -> OracleResult:
+    """Exact maximum cut over all k-subsets avoiding `forbidden`."""
+    config = config or Config()
+    k = int(k)
+    if k < 0 or k > g.n:
+        raise InputError(f"k={k} out of range for n={g.n}")
+    if g.n > config.oracle_n_max:
+        raise CapacityError(f"n={g.n} exceeds oracle cap {config.oracle_n_max}")
+    _check_mask_width(g.n)
+    forbidden = as_vertex_set(forbidden, g.n)
+    everyone = frozenset(range(g.n))
+    return _best(g, _feasible_masks([everyone], [k], forbidden, config.oracle_combo_cap))
 
 
 def oracle_constrained(
@@ -173,12 +174,8 @@ def oracle_constrained(
     config = config or Config()
     _check_mask_width(inst.graph.n)
     forbidden = as_vertex_set(forbidden, inst.graph.n)
-    tracker = _BestTracker(inst.graph)
-    for masks in _feasible_mask_chunks(inst, forbidden, config.oracle_combo_cap):
-        tracker.feed(masks)
-    if tracker.best_mask is None:
-        raise InfeasibleError("no feasible set")
-    return tracker.result()
+    masks = _feasible_masks(inst.parts, inst.budgets, forbidden, config.oracle_combo_cap)
+    return _best(inst.graph, masks)
 
 
 def oracle_matroid(g: WeightedGraph, m, config: Config | None = None) -> OracleResult:
@@ -190,18 +187,10 @@ def oracle_matroid(g: WeightedGraph, m, config: Config | None = None) -> OracleR
         raise CapacityError(
             f"C({g.n},{rank}) exceeds enumeration cap {config.oracle_combo_cap}"
         )
-    tracker = _BestTracker(g)
-    block = []
-    for combo in combinations(range(g.n), rank):
-        if m.is_independent(frozenset(combo)):
-            block.append(sum(1 << v for v in combo))
-            if len(block) == _CHUNK:
-                tracker.feed(np.asarray(block, dtype=np.uint64))
-                block = []
-    tracker.feed(np.asarray(block, dtype=np.uint64))
-    if tracker.best_mask is None:
-        raise InfeasibleError("matroid has no base")
-    return tracker.result()
+    masks = _subset_masks(range(g.n), rank)
+    # a block at a time, which bounds the rank table's temporaries
+    bases = [c[m._rank_table(c.view(np.int64)) == rank] for c in _chunks(masks)]
+    return _best(g, np.concatenate([masks[:0], *bases]))
 
 
 def oracle_all_cut_decision(
@@ -215,11 +204,10 @@ def oracle_all_cut_decision(
     _check_mask_width(inst.graph.n)
     target = inst.graph.total_weight
     try:
-        chunks = _feasible_mask_chunks(inst, frozenset(), config.oracle_combo_cap)
-        for masks in chunks:
-            vals = _mask_values(inst.graph, masks)
-            if vals.size and float(vals.max()) >= target - TOL:
-                return True
+        masks = _feasible_masks(inst.parts, inst.budgets, frozenset(), config.oracle_combo_cap)
     except InfeasibleError:
         return False
+    for chunk in _chunks(masks):
+        if float(_mask_values(inst.graph, chunk).max()) >= target - TOL:
+            return True
     return False

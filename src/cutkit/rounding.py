@@ -13,7 +13,7 @@ exactly while pairwise correlations carry over from the relaxation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -34,10 +34,14 @@ from .moments import (
 
 _PAIR_TOL = 1e-6
 
+# Cap on conditioning steps.  The paper's ceil(4c^2 / alpha^2), alpha = eps^6,
+# is at least 4 * 2^12 = 16 384 for every eps <= 1/2, so only this cap binds.
+INDEPENDENCE_BUDGET = 12
+
 
 @dataclass
 class RoundingParams:
-    """Per-call knobs of the pipeline; every other setting lives in Config."""
+    """Optional to solve_*: eps must equal their eps; rng_seed replaces config.seed."""
 
     eps: float = 0.5
     rng_seed: int = 7
@@ -298,38 +302,32 @@ def relax_multi(
     return _relax(kernelize_multi(inst, eps), inst.graph, config)
 
 
-def _check_round(params: RoundingParams, eps: float, config: Config):
-    if params.eps != eps:
-        raise InputError("eps argument disagrees with params.eps")
+def _check_trials(config: Config):
     if config.trials < 1:
         raise InputError("need at least one rounding trial")
 
 
-def round_relaxation(
-    relaxation: Relaxation, params: RoundingParams, config: Config | None = None
-) -> CutSolution:
-    """Condition, round, correct and lift one solved relaxation.
+def round_relaxation(relaxation: Relaxation, config: Config | None = None) -> CutSolution:
+    """Condition, round, correct and lift one solved relaxation at its eps.
 
-    All randomness of the pipeline is here, drawn from params.rng_seed.
+    All randomness of the pipeline is here, drawn from config.seed.
     """
     config = config or Config()
-    _check_round(params, relaxation.eps, config)
+    _check_trials(config)
     kernel, program, mv = relaxation.kernel, relaxation.program, relaxation.moments
     trace = ["kernel", "sdp"]
 
     kept_parts = tuple(p - kernel.forbidden for p in kernel.parts)
     c = len(kept_parts)
-    alpha = params.eps**6  # independence target
-    cap = min(config.independence_budget, mv.level - 2)
-    # min(ceil(4c^2 / alpha^2), cap), compared before dividing, which overflows for tiny eps
-    budget = cap if 4.0 * c * c >= cap * alpha**2 else int(np.ceil(4.0 * c * c / alpha**2))
+    alpha = relaxation.eps**6  # independence target
+    budget = min(INDEPENDENCE_BUDGET, mv.level - 2)
     try:
         mv = make_block_independent(
             mv,
             kept_parts,
             alpha,
             budget,
-            params.rng_seed,
+            config.seed,
             restarts=config.restarts,
             edges=program.edges,
         )
@@ -340,7 +338,7 @@ def round_relaxation(
 
     bias = BiasProfile.from_moment_vector(mv)
     reduced = kernel.reduced
-    seedseq = np.random.SeedSequence((params.rng_seed, 1))
+    seedseq = np.random.SeedSequence((config.seed, 1))
     trial_seeds = seedseq.spawn(config.trials)
 
     best = None  # (value, trial_index, reduced-id set)
@@ -351,7 +349,7 @@ def round_relaxation(
         hat_val = cut_value(reduced, s_hat)
         if fallback_hat is None or hat_val > fallback_hat[0]:
             fallback_hat = (hat_val, t, s_hat)
-        report = check_balance(s_hat, kernel.parts, kernel.budgets, params.eps)
+        report = check_balance(s_hat, kernel.parts, kernel.budgets, relaxation.eps)
         if not report.joint:
             continue
         s = s_hat
@@ -390,16 +388,18 @@ def round_relaxation(
     )
 
 
-def _settings(eps: float, params: RoundingParams | None, config: Config | None):
-    """The params and config a pipeline runs with; params default from config.
+def _settings(eps: float, params: RoundingParams | None, config: Config | None) -> Config:
+    """The config a pipeline runs with, seeded from params when given.
 
     Checked before relaxing, so a bad setting fails before the SDP solve.
     """
     config = config or Config()
-    if params is None:
-        params = RoundingParams(eps=eps, rng_seed=config.seed)
-    _check_round(params, eps, config)
-    return params, config
+    if params is not None:
+        if params.eps != eps:
+            raise InputError("eps argument disagrees with params.eps")
+        config = replace(config, seed=params.rng_seed)
+    _check_trials(config)
+    return config
 
 
 def solve_single(
@@ -410,8 +410,8 @@ def solve_single(
     config: Config | None = None,
 ) -> CutSolution:
     """Full pipeline for a single cardinality constraint |S| = k."""
-    params, config = _settings(eps, params, config)
-    return round_relaxation(relax_single(g, k, eps, config), params, config)
+    config = _settings(eps, params, config)
+    return round_relaxation(relax_single(g, k, eps, config), config)
 
 
 def solve_multi(
@@ -421,5 +421,5 @@ def solve_multi(
     config: Config | None = None,
 ) -> CutSolution:
     """Full pipeline for a partitioned instance with per-part budgets."""
-    params, config = _settings(eps, params, config)
-    return round_relaxation(relax_multi(inst, eps, config), params, config)
+    config = _settings(eps, params, config)
+    return round_relaxation(relax_multi(inst, eps, config), config)

@@ -15,12 +15,7 @@ from .config import Config
 from .forge import gadget_from_3dm, gen_3dm, gen_random, tdm_has_perfect_matching
 from .graph import ConstrainedInstance, WeightedGraph, cut_value
 from .kernel import kernelize_multi, kernelize_single, migrate_to_kernel
-from .moments import (
-    condition,
-    iid_pair_information_sum,
-    information_matrix,
-    marginals,
-)
+from .moments import condition, information_matrix, marginals
 from .matroid import (
     GraphicMatroid,
     PartitionMatroid,
@@ -36,8 +31,8 @@ from .oracle import (
     oracle_maxcut_k,
 )
 from .rounding import (
+    INDEPENDENCE_BUDGET,
     BiasProfile,
-    RoundingParams,
     random_correct,
     realized_correction_prob,
     relax_multi,
@@ -364,20 +359,20 @@ def suite_relaxation_consistency(config: Config | None = None, count=50, seed0=5
 # conditioning telescoping (criterion 7)
 
 
-def _phi(leaves, parts):
-    """Budget-weighted average vertex entropy over the value mixture."""
-    total = 0.0
+def _potentials(leaves, parts):
+    """(phi, cross) over the value mixture, from one information matrix per
+    leaf: phi is the budget-weighted average vertex entropy, cross the
+    telescoped sum of `moments.iid_pair_information_sum`."""
+    nonempty = [p for p in parts if p]
+    phi = cross = 0.0
     for w, m in leaves:
-        h = np.diag(information_matrix(m))
-        total += w * sum(h[part].mean() for part in parts if part) / len(parts)
-    return total
-
-
-def _cross(leaves, parts):
-    total = 0.0
-    for w, m in leaves:
-        total += w * iid_pair_information_sum(m, parts)
-    return total
+        info = information_matrix(m)
+        h = np.diag(info)
+        phi += w * sum(h[part].mean() for part in nonempty) / len(parts)
+        cross += w * sum(
+            (float(info[np.ix_(a, b)].mean()) for a in nonempty for b in nonempty), 0.0
+        )
+    return phi, cross
 
 
 def suite_conditioning_telescope(
@@ -394,15 +389,16 @@ def suite_conditioning_telescope(
         relaxation = relax_multi(inst, 0.5, replace(config, level=4))
         ker, mv = relaxation.kernel, relaxation.moments
         parts = [sorted(p - ker.forbidden) for p in ker.parts]
-        budget = min(config.independence_budget, mv.level - 2)
+        budget = min(INDEPENDENCE_BUDGET, mv.level - 2)
         path_sums = []
         for p_idx in range(paths):
             rng = np.random.default_rng(np.random.SeedSequence((seed0, s, p_idx)))
             leaves = [(1.0, mv)]
-            phis = [_phi(leaves, parts)]
+            phi, cross = _potentials(leaves, parts)
+            phis = [phi]
             crosses = []
             for _ in range(budget):
-                crosses.append(_cross(leaves, parts))
+                crosses.append(cross)
                 block = parts[int(rng.integers(len(parts)))]
                 vertex = int(block[int(rng.integers(len(block)))])
                 new_leaves = []
@@ -414,7 +410,8 @@ def suite_conditioning_telescope(
                         child, l = condition(m, vertex, v)
                         new_leaves.append((w * l, child))
                 leaves = new_leaves
-                phis.append(_phi(leaves, parts))
+                phi, cross = _potentials(leaves, parts)
+                phis.append(phi)
             for t in range(len(phis) - 1):
                 if phis[t + 1] > phis[t] + 1e-7:
                     failures.append(
@@ -587,12 +584,12 @@ def suite_pipeline_ratio(config: Config | None = None, seed0=9000):
     ratios = []
     eps = 0.5
     for s, inst in _pipeline_corpus(seed0):
-        params = RoundingParams(eps=eps, rng_seed=s)
+        seeded = replace(config, seed=s)
         if inst.c == 1:
-            sol = solve_single(inst.graph, inst.budgets[0], eps, params, config)
+            sol = solve_single(inst.graph, inst.budgets[0], eps, config=seeded)
             opt = oracle_maxcut_k(inst.graph, inst.budgets[0], config=config)
         else:
-            sol = solve_multi(inst, eps, params, config)
+            sol = solve_multi(inst, eps, config=seeded)
             opt = oracle_constrained(inst, config=config)
         if not inst.is_feasible_set(sol.set):
             failures.append(f"seed={s}: infeasible pipeline output")

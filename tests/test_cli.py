@@ -10,6 +10,7 @@ import pytest
 
 from cutkit.cli import main
 from cutkit.config import Config
+from cutkit.errors import ConvergenceError
 from cutkit.io import format_instance_text, parse_instance, read_instance
 from cutkit.forge import gen_random
 from cutkit.graph import ConstrainedInstance, WeightedGraph
@@ -364,3 +365,61 @@ def test_verify_default_quartet(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("PASS")]
     assert len(lines) == 4
+
+
+def singular_face_instance():
+    """12 vertices in three parts of 4 with budget 1: at eps 0.05 the kernel
+    keeps whole parts, and the relaxation's face has no interior, so the
+    interior-point method loses definiteness near the optimum."""
+    rng = np.random.default_rng(0)
+    edges = [(u, v, 1.0) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.5]
+    perm = rng.permutation(12)
+    parts = [sorted(int(v) for v in perm[i : i + 4]) for i in (0, 4, 8)]
+    return ConstrainedInstance(WeightedGraph(12, edges), parts, [1, 1, 1])
+
+
+def test_relaxation_that_loses_definiteness_raises_convergence_error():
+    with pytest.raises(ConvergenceError, match="Newton step") as info:
+        relax_multi(singular_face_instance(), 0.05)
+    err = info.value
+    assert err.iterations > 0 and err.primal is not None and err.dual is not None
+
+
+def test_solve_that_loses_definiteness_exits_with_code_4(tmp_path, capsys):
+    path = tmp_path / "singular.txt"
+    path.write_text(format_instance_text(singular_face_instance()))
+    assert main(["solve", str(path), "--eps", "0.05"]) == 4
+    assert "error: Newton step" in capsys.readouterr().err
+
+
+def test_bench_skips_the_sdp_row_that_loses_definiteness(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(Path(CORPUS_DIR) / "c1_n6.txt", corpus)
+    (corpus / "singular.txt").write_text(format_instance_text(singular_face_instance()))
+    out = tmp_path / "report"
+    argv = ["bench", str(corpus), "--eps", "0.05", "--methods", "sdp,greedy",
+            "--seeds", "1", "--out", str(out)]
+    code, _ = run(capsys, argv)
+    assert code == 0
+    csv_rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+    assert "singular.txt,sdp,skipped,skipped,,false,1" in csv_rows
+    assert any(r.startswith("singular.txt,greedy,") and r.endswith(",true,1") for r in csv_rows)
+    golden = GOLDEN_BENCH.read_text().splitlines()
+    for method in ("sdp", "greedy"):
+        want = [r for r in golden if r.startswith(f"c1_n6.txt,{method},") and r.endswith(",1")]
+        assert [r for r in csv_rows if r.startswith(f"c1_n6.txt,{method},")] == want
+    rows = json.loads(out.with_suffix(".json").read_text())["rows"]
+    (skipped,) = [r["skipped"] for r in rows if r["skipped"]]
+    assert skipped.startswith("ConvergenceError: Newton step")
+
+
+def test_oracle_rejects_flags_that_reach_no_oracle(tmp_path, capsys):
+    for flag in (["--eps", "0.1"], ["--level", "3"], ["--trials", "2"]):
+        with pytest.raises(SystemExit) as info:
+            main(["oracle", k3_file(tmp_path), *flag])
+        assert info.value.code == 2
+    code, out = run(capsys, ["oracle", k3_file(tmp_path), "--seed", "4"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["value"] == pytest.approx(2 / 3, abs=1e-9) and obj["seed"] == 4

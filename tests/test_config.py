@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from cutkit.config import CONFIG_ENV_VAR, Config, load_config, parse_config_text
@@ -18,9 +22,12 @@ def test_parse_overrides():
     assert cfg.seed == 3
 
 
-@pytest.mark.parametrize("key", ["mystery", "depth_cap"])
+@pytest.mark.parametrize(
+    "key",
+    ["mystery", "depth_cap", "auto_level4_dim", "auto_level3_dim", "independence_budget"],
+)
 def test_parse_rejects_unknown_key(key):
-    # depth_cap was a key once; an old config file that sets it fails loudly
+    # all but the first were keys once; an old config file that sets one fails loudly
     with pytest.raises(ParseError):
         parse_config_text(f"{key} = 1\n")
 
@@ -42,3 +49,11 @@ def test_load_missing_default_is_fine(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
     assert load_config().trials == Config().trials
+
+
+def test_readme_config_table_names_every_key():
+    # a knob missing from the table, or a row for a removed key, fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = re.findall(r"^\| `(\w+)` \|", readme, flags=re.M)
+    assert len(table) == len(set(table))
+    assert set(table) == {f.name for f in dataclasses.fields(Config)}

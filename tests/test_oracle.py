@@ -11,6 +11,9 @@ from cutkit.errors import CapacityError, InfeasibleError
 from cutkit.graph import ConstrainedInstance, WeightedGraph, cut_value
 from cutkit.matroid import ExplicitMatroid, GraphicMatroid, PartitionMatroid, UniformMatroid
 from cutkit.oracle import (
+    _CHUNK,
+    _BestTracker,
+    _subset_masks,
     oracle_all_cut_decision,
     oracle_constrained,
     oracle_maxcut_k,
@@ -358,6 +361,76 @@ def test_property_cap_is_exact(inst):
         with pytest.raises(CapacityError):
             call(Config(oracle_combo_cap=count - 1))
         call(Config(oracle_combo_cap=count))
+
+
+# ---------------------------------------------------------------------------
+# the enumerators the shared one replaced, kept as references: same tracker,
+# same blocks, so any difference is in which sets are fed and in what order
+
+
+def reference_maxcut_k(g, k, forbidden):
+    """k-subsets of the allowed pool, fed in blocks of _CHUNK sets."""
+    masks = _subset_masks(sorted(set(range(g.n)) - forbidden), k)
+    tracker = _BestTracker(g)
+    for start in range(0, masks.size, _CHUNK):
+        tracker.feed(masks[start : start + _CHUNK])
+    return tracker.result()
+
+
+def reference_matroid(g, m):
+    """Rank-sized combinations that `is_independent` accepts, one call per
+    set, fed in blocks of _CHUNK bases."""
+    tracker = _BestTracker(g)
+    block = []
+    for combo in itertools.combinations(range(g.n), m.rank()):
+        if m.is_independent(frozenset(combo)):
+            block.append(sum(1 << v for v in combo))
+            if len(block) == _CHUNK:
+                tracker.feed(np.asarray(block, dtype=np.uint64))
+                block = []
+    tracker.feed(np.asarray(block, dtype=np.uint64))
+    return tracker.result()
+
+
+@st.composite
+def float_graphs(draw, n):
+    # arbitrary floats plus a few repeated values, so exact ties and sums
+    # that differ in the last bits both occur
+    pairs = list(itertools.combinations(range(n), 2))
+    weight = st.one_of(st.sampled_from([0.0, 0.1, 0.3]), st.floats(0.0, 1.0))
+    weights = draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in zip(pairs, weights) if w])
+
+
+@st.composite
+def any_matroid(draw, n):
+    kind = draw(st.sampled_from(["uniform", "partition", "graphic", "explicit"]))
+    if kind == "uniform":
+        return UniformMatroid(n, draw(st.integers(0, n)))
+    if kind == "partition":
+        label = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        parts = [p for p in ([v for v in range(n) if label[v] == i] for i in range(3)) if p]
+        return PartitionMatroid(n, parts, [draw(st.integers(0, len(p))) for p in parts])
+    if kind == "graphic":
+        aux_n = draw(st.integers(2, 5))
+        vertex = st.integers(0, aux_n - 1)
+        edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+        return GraphicMatroid(aux_n, draw(st.lists(edge, min_size=n, max_size=n)))
+    # any listed family: both enumerators read independence as its downward closure
+    listed = st.frozensets(st.integers(0, n - 1), max_size=n)
+    return ExplicitMatroid(n, draw(st.lists(listed, min_size=1, max_size=4)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10))
+def test_property_float_weights_match_the_reference_enumerators(data, n):
+    g = data.draw(float_graphs(n))
+    m = data.draw(any_matroid(n))
+    assert as_triple(oracle_matroid(g, m)) == as_triple(reference_matroid(g, m))
+    forbidden = data.draw(st.frozensets(st.integers(0, n - 1), max_size=n - 1))
+    k = data.draw(st.integers(0, n - len(forbidden)))
+    expect = as_triple(reference_maxcut_k(g, k, forbidden))
+    assert as_triple(oracle_maxcut_k(g, k, forbidden=forbidden)) == expect
 
 
 def wide_path(n=70):

@@ -268,8 +268,8 @@ def test_pipeline_part_cap():
 
 @pytest.mark.parametrize("eps", [1e-26, 1e-30])
 def test_pipeline_tiny_eps_caps_the_conditioning_budget(monkeypatch, eps):
-    # 4c^2 / eps^12 overflows to inf at 1e-26 and divides by 0 at 1e-30;
-    # the budget is the cap, min(independence_budget, level - 2), instead
+    # 4c^2 / eps^12 would overflow to inf at 1e-26 and divide by 0 at 1e-30;
+    # the budget is min(INDEPENDENCE_BUDGET, level - 2) at every eps
     budgets = []
     search = rounding.make_block_independent
 
@@ -283,7 +283,7 @@ def test_pipeline_tiny_eps_caps_the_conditioning_budget(monkeypatch, eps):
     sol = solve_multi(inst, eps, RoundingParams(eps=eps, rng_seed=3), cfg)
     assert inst.is_feasible_set(sol.set)
     ((budget, level),) = budgets
-    assert level > 2 and budget == min(cfg.independence_budget, level - 2)
+    assert level > 2 and budget == min(rounding.INDEPENDENCE_BUDGET, level - 2)
 
 
 def test_variance_tracks_independence_score():
