@@ -12,9 +12,7 @@ interior-point method.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -24,6 +22,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse
 
+from ._blas import ONE_BLAS_THREAD
 from .config import Config, PSD_TOL
 from .errors import (
     CapacityError,
@@ -281,6 +280,14 @@ def information_matrix(m: MomentVector) -> np.ndarray:
         np.stack([joint[..., [0, 2]] + joint[..., [1, 3]], joint[..., [0, 1]] + joint[..., [2, 3]]])
     )
     return np.clip(h_i + h_j - _entropy_bits(joint), 0.0, 1.0)
+
+
+def vertex_entropies(m: MomentVector) -> np.ndarray:
+    """H(X_i) in bits for every vertex, from the biases alone: the diagonal
+    of `information_matrix` up to rounding."""
+    singletons = np.left_shift(1, np.arange(m.n, dtype=np.int64))
+    p = (1.0 + m.y[m.basis.pos[singletons]]) / 2.0
+    return _entropy_bits(np.stack([p, 1.0 - p], axis=-1))
 
 
 def _vertex(m: MomentVector, i) -> int:
@@ -691,69 +698,6 @@ def _face_operator(K, V, class_idx, scale):
     return L
 
 
-@lru_cache(maxsize=1)
-def _openblas_thread_setters() -> tuple:
-    """openblas_set_num_threads_local of every OpenBLAS mapped into this
-    process, as ctypes functions; numpy and scipy each bundle their own.
-
-    The libraries are found by name in /proc/self/maps.  Opening one that
-    is already mapped loads nothing new.  Where that file or the symbol is
-    missing (not Linux, another BLAS, OpenBLAS before 0.3.27) the tuple is
-    empty and the solve runs at the caller's thread count.
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = dict.fromkeys(
-                line.split(None, 5)[5].strip() for line in maps if "openblas" in line
-            )
-    except OSError:
-        return ()
-    setters = []
-    for path in paths:
-        try:
-            set_local = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        set_local.argtypes = [ctypes.c_int]
-        set_local.restype = ctypes.c_int
-        setters.append(set_local)
-    return tuple(setters)
-
-
-class _OneBlasThread:
-    """Holds OpenBLAS to one thread while any solve runs.
-
-    The Newton loop makes many BLAS calls on matrices a few dozen wide at
-    most, where waking OpenBLAS's other threads costs more than the calls.
-    openblas_set_num_threads_local sets the count for the whole process,
-    despite its name, so concurrent solves share one cap: the first thread
-    in saves each library's count and sets 1, and the last one out
-    restores the saved counts.  The libraries are looked up at the first
-    solve, not at import.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = ()
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._saved = [(f, f(1)) for f in _openblas_thread_setters()]
-            self._depth += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                for set_local, count in self._saved:
-                    set_local(count)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
-
-
 def solve(program: SdpProgram, config: Config | None = None) -> MomentVector:
     """Solve the relaxation to a feasible near-optimal moment vector.
 
@@ -769,12 +713,12 @@ def solve(program: SdpProgram, config: Config | None = None) -> MomentVector:
     ConvergenceError after `config.sdp_max_iter` Newton steps, or when the
     lifted moment matrix is not PSD within PSD_TOL.
 
-    The solve runs with OpenBLAS held to one thread (see `_OneBlasThread`),
+    The solve runs with OpenBLAS held to one thread (see `cutkit._blas`),
     and the caller's thread count is restored when it returns or raises.
     """
     config = config or Config()
 
-    with _ONE_BLAS_THREAD:
+    with ONE_BLAS_THREAD:
         free, label, ms, mult = _free_rows(program)
         basis = ms.basis
         # Scaling entry (T, U) by sqrt(m_T m_U) gives the face block the

@@ -15,7 +15,7 @@ from .config import Config
 from .forge import gadget_from_3dm, gen_3dm, gen_random, tdm_has_perfect_matching
 from .graph import ConstrainedInstance, WeightedGraph, cut_value
 from .kernel import kernelize_multi, kernelize_single, migrate_to_kernel
-from .moments import condition, information_matrix, marginals
+from .moments import condition, information_matrix, marginals, vertex_entropies
 from .matroid import (
     GraphicMatroid,
     PartitionMatroid,
@@ -359,20 +359,27 @@ def suite_relaxation_consistency(config: Config | None = None, count=50, seed0=5
 # conditioning telescoping (criterion 7)
 
 
-def _potentials(leaves, parts):
-    """(phi, cross) over the value mixture, from one information matrix per
-    leaf: phi is the budget-weighted average vertex entropy, cross the
-    telescoped sum of `moments.iid_pair_information_sum`."""
+def _phi(leaves, parts):
+    """The budget-weighted average vertex entropy over the value mixture."""
     nonempty = [p for p in parts if p]
-    phi = cross = 0.0
+    phi = 0.0
+    for w, m in leaves:
+        h = vertex_entropies(m)
+        phi += w * sum(h[part].mean() for part in nonempty) / len(parts)
+    return phi
+
+
+def _cross(leaves, parts):
+    """The telescoped sum of `moments.iid_pair_information_sum` over the
+    value mixture, from one information matrix per leaf."""
+    nonempty = [p for p in parts if p]
+    cross = 0.0
     for w, m in leaves:
         info = information_matrix(m)
-        h = np.diag(info)
-        phi += w * sum(h[part].mean() for part in nonempty) / len(parts)
         cross += w * sum(
             (float(info[np.ix_(a, b)].mean()) for a in nonempty for b in nonempty), 0.0
         )
-    return phi, cross
+    return cross
 
 
 def suite_conditioning_telescope(
@@ -394,11 +401,10 @@ def suite_conditioning_telescope(
         for p_idx in range(paths):
             rng = np.random.default_rng(np.random.SeedSequence((seed0, s, p_idx)))
             leaves = [(1.0, mv)]
-            phi, cross = _potentials(leaves, parts)
-            phis = [phi]
+            phis = [_phi(leaves, parts)]
             crosses = []
             for _ in range(budget):
-                crosses.append(cross)
+                crosses.append(_cross(leaves, parts))
                 block = parts[int(rng.integers(len(parts)))]
                 vertex = int(block[int(rng.integers(len(block)))])
                 new_leaves = []
@@ -410,8 +416,7 @@ def suite_conditioning_telescope(
                         child, l = condition(m, vertex, v)
                         new_leaves.append((w * l, child))
                 leaves = new_leaves
-                phi, cross = _potentials(leaves, parts)
-                phis.append(phi)
+                phis.append(_phi(leaves, parts))
             for t in range(len(phis) - 1):
                 if phis[t + 1] > phis[t] + 1e-7:
                     failures.append(

@@ -23,7 +23,7 @@ from cutkit.forge import gen_random
 from cutkit.graph import ConstrainedInstance, WeightedGraph
 from cutkit.io import read_instance
 from cutkit.kernel import KernelResult, kernelize_multi, kernelize_single
-from cutkit import moments
+from cutkit import _blas, moments
 from cutkit.moments import (
     MomentVector,
     _affine_chart,
@@ -43,6 +43,7 @@ from cutkit.moments import (
     mutual_information,
     solve,
     subset_basis,
+    vertex_entropies,
 )
 from cutkit.oracle import oracle_constrained
 
@@ -407,6 +408,7 @@ def test_information_matrix_matches_the_marginals(mv):
     assert info.shape == (mv.n, mv.n)
     for i, j in product(range(mv.n), repeat=2):
         assert abs(info[i, j] - reference_pair(mv, i, j)) <= 1e-12
+    assert np.abs(vertex_entropies(mv) - np.diag(info)).max() <= 1e-12
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -805,7 +807,7 @@ def blas_counts():
     """The thread count of every OpenBLAS the solver caps, read by setting it
     and setting it back."""
     counts = []
-    for set_local in moments._openblas_thread_setters():
+    for set_local in _blas._openblas_thread_setters():
         count = set_local(1)
         set_local(count)
         counts.append(count)
@@ -816,7 +818,7 @@ def blas_counts():
 def two_blas_threads():
     """Runs the test with every capped OpenBLAS at two threads, so a restored
     count differs from the cap, and puts the counts back afterwards."""
-    saved = [(f, f(2)) for f in moments._openblas_thread_setters()]
+    saved = [(f, f(2)) for f in _blas._openblas_thread_setters()]
     yield [2] * len(saved)
     for set_local, count in saved:
         set_local(count)
@@ -884,4 +886,4 @@ def test_openblas_lookup_finds_numpys_bundled_blas():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if blas.get("name") != "scipy-openblas":
         pytest.skip(f"numpy is built against {blas.get('name')}, not scipy-openblas")
-    assert len(moments._openblas_thread_setters()) >= 1
+    assert len(_blas._openblas_thread_setters()) >= 1

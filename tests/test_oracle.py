@@ -1,18 +1,25 @@
 import itertools
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cutkit import _blas, oracle
 from cutkit.config import Config
 from cutkit.errors import CapacityError, InfeasibleError
+from cutkit.forge import gadget_from_3dm, gen_3dm, tdm_has_perfect_matching
 from cutkit.graph import ConstrainedInstance, WeightedGraph, cut_value
 from cutkit.matroid import ExplicitMatroid, GraphicMatroid, PartitionMatroid, UniformMatroid
 from cutkit.oracle import (
-    _CHUNK,
-    _BestTracker,
+    _blocks,
+    _mask_values,
+    _pools,
+    _rev_codes,
+    _sides,
     _subset_masks,
     oracle_all_cut_decision,
     oracle_constrained,
@@ -364,28 +371,109 @@ def test_property_cap_is_exact(inst):
 
 
 # ---------------------------------------------------------------------------
-# the enumerators the shared one replaced, kept as references: same tracker,
-# same blocks, so any difference is in which sets are fed and in what order
+# the enumerate-everything oracles, kept as references: every feasible set is
+# listed as a uint64 mask in lex order, scored edge by edge in blocks of
+# REFERENCE_CHUNK sets, and fed to a running (max, lex-min set, tie count)
+
+REFERENCE_CHUNK = 1 << 16
+
+
+def reference_subset_masks(pool, k):
+    """uint64 masks of all k-subsets of the sorted `pool`, in lex order."""
+    by_size = [np.zeros(1, dtype=np.uint64)] + [np.zeros(0, dtype=np.uint64)] * k
+    for left, v in zip(range(len(pool) - 1, -1, -1), reversed(pool)):
+        bit = np.uint64(1 << v)
+        for j in range(k, max(k - left, 1) - 1, -1):
+            by_size[j] = np.concatenate((by_size[j - 1] | bit, by_size[j]))
+    return by_size[k]
+
+
+def reference_mask_values(g, masks):
+    bits = [((masks >> np.uint64(v)) & np.uint64(1)).astype(bool) for v in range(g.n)]
+    vals = np.zeros(masks.shape[0], dtype=np.float64)
+    for u, v, w in g.edges:
+        vals += w * (bits[u] ^ bits[v])
+    return vals
+
+
+def reference_rev_codes(masks, n):
+    rev = np.zeros(masks.shape[0], dtype=np.uint64)
+    for v in range(n):
+        rev |= ((masks >> np.uint64(v)) & np.uint64(1)) << np.uint64(n - 1 - v)
+    return rev
+
+
+class ReferenceTracker:
+    def __init__(self, g, atol=1e-12):
+        self.g, self.atol = g, atol
+        self.best_val, self.best_rev, self.best_mask, self.count = -np.inf, -1, None, 0
+
+    def feed(self, masks):
+        if masks.size == 0:
+            return
+        vals = reference_mask_values(self.g, masks)
+        chunk_max = float(vals.max())
+        if chunk_max < self.best_val - self.atol:
+            return
+        ties = masks[vals >= chunk_max - self.atol]
+        revs = reference_rev_codes(ties, self.g.n)
+        pick = int(revs.argmax())
+        if chunk_max > self.best_val + self.atol:
+            self.best_val, self.count = chunk_max, int(ties.size)
+            self.best_rev, self.best_mask = int(revs[pick]), int(ties[pick])
+        else:
+            self.count += int(ties.size)
+            if int(revs[pick]) > self.best_rev:
+                self.best_rev, self.best_mask = int(revs[pick]), int(ties[pick])
+
+    def result(self):
+        best = frozenset(v for v in range(self.g.n) if (self.best_mask >> v) & 1)
+        return cut_value(self.g, best), best, self.count
+
+
+def reference_feasible_masks(parts, budgets, forbidden=frozenset()):
+    """Masks with k_i allowed vertices from part i, the first part slowest;
+    None when a budget exceeds its allowed vertices."""
+    pools = [sorted(set(p) - forbidden) for p in parts]
+    if any(k > len(pool) for pool, k in zip(pools, budgets)):
+        return None
+    masks = np.zeros(1, dtype=np.uint64)
+    for pool, k in zip(pools, budgets):
+        masks = np.bitwise_or.outer(masks, reference_subset_masks(pool, k)).ravel()
+    return masks
+
+
+def reference_best(g, masks):
+    tracker = ReferenceTracker(g)
+    for start in range(0, masks.size, REFERENCE_CHUNK):
+        tracker.feed(masks[start : start + REFERENCE_CHUNK])
+    return tracker.result()
 
 
 def reference_maxcut_k(g, k, forbidden):
-    """k-subsets of the allowed pool, fed in blocks of _CHUNK sets."""
-    masks = _subset_masks(sorted(set(range(g.n)) - forbidden), k)
-    tracker = _BestTracker(g)
-    for start in range(0, masks.size, _CHUNK):
-        tracker.feed(masks[start : start + _CHUNK])
-    return tracker.result()
+    return reference_best(g, reference_feasible_masks([range(g.n)], [k], forbidden))
+
+
+def reference_constrained(g, parts, budgets, forbidden):
+    return reference_best(g, reference_feasible_masks(parts, budgets, forbidden))
+
+
+def reference_decision(g, parts, budgets):
+    masks = reference_feasible_masks(parts, budgets)
+    if masks is None:
+        return False
+    return bool(reference_mask_values(g, masks).max() >= g.total_weight - 1e-9)
 
 
 def reference_matroid(g, m):
     """Rank-sized combinations that `is_independent` accepts, one call per
-    set, fed in blocks of _CHUNK bases."""
-    tracker = _BestTracker(g)
+    set, fed in blocks of REFERENCE_CHUNK bases."""
+    tracker = ReferenceTracker(g)
     block = []
     for combo in itertools.combinations(range(g.n), m.rank()):
         if m.is_independent(frozenset(combo)):
             block.append(sum(1 << v for v in combo))
-            if len(block) == _CHUNK:
+            if len(block) == REFERENCE_CHUNK:
                 tracker.feed(np.asarray(block, dtype=np.uint64))
                 block = []
     tracker.feed(np.asarray(block, dtype=np.uint64))
@@ -426,10 +514,10 @@ def any_matroid(draw, n):
 def test_property_float_weights_match_the_reference_enumerators(data, n):
     g = data.draw(float_graphs(n))
     m = data.draw(any_matroid(n))
-    assert as_triple(oracle_matroid(g, m)) == as_triple(reference_matroid(g, m))
+    assert as_triple(oracle_matroid(g, m)) == reference_matroid(g, m)
     forbidden = data.draw(st.frozensets(st.integers(0, n - 1), max_size=n - 1))
     k = data.draw(st.integers(0, n - len(forbidden)))
-    expect = as_triple(reference_maxcut_k(g, k, forbidden))
+    expect = reference_maxcut_k(g, k, forbidden)
     assert as_triple(oracle_maxcut_k(g, k, forbidden=forbidden)) == expect
 
 
@@ -452,3 +540,126 @@ def test_oracles_refuse_graphs_wider_than_the_mask():
     for call in calls:
         with pytest.raises(CapacityError, match="64-bit"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# the split enumerator: every feasible set is an A-side set joined to a
+# B-side set, scored in blocks; a small _CHUNK forces splits and many blocks
+# on small graphs
+
+CHUNKS = st.sampled_from([1, 2, 3, 5, 16, 1 << 16])
+
+
+def mask_to_set(mask):
+    return frozenset(v for v in range(64) if (int(mask) >> v) & 1)
+
+
+@st.composite
+def split_instances(draw, n_max=9):
+    """Float or integer weights, 1-4 parts (possibly empty), forbidden
+    vertices, and a budget per part within its allowed vertices."""
+    n = draw(st.integers(1, n_max))
+    g = draw(st.one_of(float_graphs(n), int_graphs(n)))
+    c = draw(st.integers(1, 4))
+    label = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+    parts = [frozenset(v for v in range(n) if label[v] == i) for i in range(c)]
+    forbidden = draw(st.frozensets(st.integers(0, n - 1), max_size=n))
+    budgets = [draw(st.integers(0, len(p - forbidden))) for p in parts]
+    return g, parts, budgets, forbidden
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data(), inst=split_instances(), chunk=CHUNKS)
+def test_property_split_oracles_match_the_reference(data, inst, chunk):
+    g, parts, budgets, forbidden = inst
+    ci = ConstrainedInstance(g, parts, budgets)
+    k = data.draw(st.integers(0, g.n - len(forbidden)))
+    with mock.patch.object(oracle, "_CHUNK", chunk):
+        by_k = oracle_maxcut_k(g, k, forbidden=forbidden)
+        by_parts = oracle_constrained(ci, forbidden=forbidden)
+        decision = oracle_all_cut_decision(ci)
+    assert as_triple(by_k) == reference_maxcut_k(g, k, forbidden)
+    assert as_triple(by_parts) == reference_constrained(g, parts, budgets, forbidden)
+    assert decision is reference_decision(g, parts, budgets)
+
+
+@SEEDED
+@given(inst=split_instances(n_max=10), chunk=CHUNKS)
+def test_property_split_blocks_hold_each_feasible_set_once(inst, chunk):
+    g, parts, budgets, forbidden = inst
+    pools = _pools(parts, budgets, forbidden, cap=10**7)
+    expect = sorted(int(m) for m in reference_feasible_masks(parts, budgets, forbidden))
+    assert len(expect) == math.prod(math.comb(len(pool), k) for pool, k in pools)
+    for at in range(sum(len(pool) for pool, _ in pools) + 1):
+        sides = _sides(pools, at)
+        assert sorted(int(m) for xa, xb in sides for m in np.bitwise_or.outer(xa, xb).ravel()) == expect
+    with mock.patch.object(oracle, "_CHUNK", chunk):
+        blocks = list(_blocks(g, pools))
+    assert sorted(int(m) for _, r, c in blocks for m in np.bitwise_or.outer(r, c).ravel()) == expect
+    for vals, rows, cols in blocks:
+        assert vals.size <= chunk
+        for (r, c), value in np.ndenumerate(vals):
+            assert value == pytest.approx(cut_value(g, mask_to_set(rows[r] | cols[c])), abs=1e-12)
+
+
+GADGETS = [(size, size, seed, drop) for size in (2, 3, 4) for seed in range(3) for drop in (False, True)]
+
+
+# the last two have 653 184 feasible sets, more than one block holds
+@pytest.mark.parametrize("size, extra, seed, drop", GADGETS + [(4, 5, 0, False), (4, 6, 1, True)])
+def test_gadget_decisions_match_the_matching_search(size, extra, seed, drop):
+    tdm, has_matching = gen_3dm(size, extra, seed, drop_planted=drop)
+    assert has_matching is tdm_has_perfect_matching(tdm)
+    gadget = gadget_from_3dm(tdm)
+    assert oracle_all_cut_decision(gadget) is has_matching
+    with mock.patch.object(oracle, "_CHUNK", 64):
+        assert oracle_all_cut_decision(gadget) is has_matching
+
+
+def test_subset_masks_mask_values_and_rev_codes_match_the_references():
+    rng = np.random.default_rng(17)
+    pools = [sorted(rng.choice(64, size, replace=False).tolist()) for size in range(13)]
+    for pool in pools + [list(range(56, 64))]:
+        for k in range(len(pool) + 2):
+            masks = _subset_masks(pool, k)
+            assert masks.dtype == np.uint64
+            assert np.array_equal(masks, reference_subset_masks(pool, k))
+            for n in (64, max(pool, default=-1) + 1):
+                assert np.array_equal(_rev_codes(masks, n), reference_rev_codes(masks, n))
+    for n in (0, 7, 20, 64):
+        g = random_graph(n, 0.5, rng)
+        masks = rng.integers(0, 2**64 - 1, 3000, dtype=np.uint64, endpoint=True) >> np.uint64(64 - n)
+        assert np.array_equal(_mask_values(g, masks), reference_mask_values(g, masks))
+
+
+def blas_counts():
+    counts = []
+    for set_local in _blas._openblas_thread_setters():
+        count = set_local(1)
+        set_local(count)
+        counts.append(count)
+    return counts
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps to find OpenBLAS in")
+def test_split_oracles_score_on_one_blas_thread_and_restore_the_count(monkeypatch):
+    saved = [(f, f(2)) for f in _blas._openblas_thread_setters()]
+    try:
+        seen = []
+        scored = oracle._mask_values
+
+        def spying(g, masks):
+            seen.append(blas_counts())
+            return scored(g, masks)
+
+        monkeypatch.setattr(oracle, "_mask_values", spying)
+        g = random_graph(12, 0.5, np.random.default_rng(3))
+        ci = ConstrainedInstance(g, [range(6), range(6, 12)], [3, 2])
+        oracle_maxcut_k(g, 6)
+        oracle_constrained(ci)
+        oracle_all_cut_decision(ci)
+        assert seen == [[1] * len(saved)] * 3
+        assert blas_counts() == [2] * len(saved)
+    finally:
+        for set_local, count in saved:
+            set_local(count)
