@@ -1,9 +1,9 @@
 """cutkit: Max-Cut under cardinality, partition, and matroid constraints.
 
 Solvers: a kernelize / relax / condition / round / correct pipeline for
-partitioned cardinality constraints, an LP-plus-pipage half-approximation
-for arbitrary matroid bases, and exact enumeration oracles that back every
-guarantee with ground truth at desk scale.
+partitioned cardinality constraints, an LP-plus-swap-rounding
+half-approximation for arbitrary matroid bases, and exact enumeration
+oracles that back every guarantee with ground truth at desk scale.
 """
 
 from .config import Config, load_config

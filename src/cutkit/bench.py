@@ -119,7 +119,7 @@ def _sdp(inst, matroid, eps, config):
 
 def _pipage(inst, matroid, eps, config):
     m = matroid or PartitionMatroid(inst.graph.n, inst.parts, inst.budgets)
-    sol = solve_matroid(inst.graph, m, config)
+    sol = solve_matroid(inst.graph, m)
     return lambda seed: sol
 
 

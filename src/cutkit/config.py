@@ -43,11 +43,7 @@ class Config:
     c_cap: int = 4
 
     # Exact oracle.
-    oracle_n_max: int = 22
     oracle_combo_cap: int = 10_000_000
-
-    # Matroid LP / pipage.
-    matroid_enum_cap: int = 16  # |V| cap for enumerated rank constraints
 
     # Master seed for all derived randomness.
     seed: int = 7

@@ -1,10 +1,15 @@
-"""Half-approximate Max-Cut over matroid bases: LP relaxation plus pipage.
+"""Half-approximate Max-Cut over matroid bases: LP relaxation plus rounding.
 
 The LP maximizes sum_e w_e y_e with y_e capped by both x_u + x_v and
-2 - (x_u + x_v) over the base polytope.  Pipage rounding then walks the
-fractional optimum along two-coordinate directions, using the convexity of
-the quadratic cut proxy sum_e w_e (x_u + x_v - 2 x_u x_v) so its value
-never drops, until the point is integral.
+2 - (x_u + x_v) over the base polytope.  Its point is kept as a convex
+combination of bases, x = sum_B lambda_B 1_B, generated column by column:
+the greedy algorithm prices a maximum-weight base under the edge-row duals
+(Edmonds 1971), so every matroid kind needs only `is_independent`.  Swap
+rounding (Chekuri, Vondrak & Zenklusen 2010) then merges the bases pair by
+pair.  Each exchange moves x along e_i - e_j, where the quadratic cut proxy
+sum_e w_e (x_u + x_v - 2 x_u x_v) is convex (Ageev & Sviridenko 2004), so
+taking the better of the two moves never lowers it, and the final base cuts
+at least half the LP optimum.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .config import Config
-from .errors import CapacityError, InfeasibleError, InputError, StallError
-from .graph import CutSolution, WeightedGraph, cut_value
+from .errors import InfeasibleError, InputError, StallError
+from .graph import CutSolution, WeightedGraph, as_vertex_set, cut_value
 
 _FEAS_TOL = 1e-7
-_STEP_TOL = 1e-9
+_PRICE_TOL = 1e-9  # least reduced-cost gain for a base to enter the master LP
+_TIE_TOL = 1e-12  # quad-value gap, relative to the total weight, read as a tie
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +38,6 @@ class MatroidOracle:
 
     def __init__(self, n: int):
         self.n = int(n)
-        self._rows = None  # (enumeration cap, rows) once _base_polytope_rows ran
 
     def is_independent(self, s) -> bool:
         raise NotImplementedError
@@ -45,21 +49,18 @@ class MatroidOracle:
         """Rank of every subset in `masks` (int64 bitmasks over [n])."""
         raise NotImplementedError
 
-    def any_base(self) -> frozenset:
-        """Greedy base through the exchange property."""
+    def max_weight_base(self, weight) -> frozenset:
+        """Greedy base of largest total weight (Edmonds 1971): elements in
+        decreasing weight, ties to the lower index, each kept when the set
+        stays independent."""
         cur = set()
-        for v in range(self.n):
-            if self.is_independent(frozenset(cur | {v})):
-                cur.add(v)
+        for v in np.argsort(-np.asarray(weight, dtype=np.float64), kind="stable"):
+            if self.is_independent(frozenset(cur | {int(v)})):
+                cur.add(int(v))
         return frozenset(cur)
 
-    def polytope_constraints(self, config: Config | None = None):
-        """Rows x(A) <= bound defining the independence part of the base
-        polytope, plus the implicit box [0,1]^n; together with x(V) = rank
-        they carve out the base polytope exactly.  An (R, n+1) float array:
-        the indicator of A in the first n columns, the bound in the last.
-        By default every rank constraint is enumerated."""
-        return _enumerated_constraints(self, config)
+    def any_base(self) -> frozenset:
+        return self.max_weight_base(np.zeros(self.n))
 
 
 class UniformMatroid(MatroidOracle):
@@ -79,9 +80,6 @@ class UniformMatroid(MatroidOracle):
 
     def _rank_table(self, masks) -> np.ndarray:
         return np.minimum(np.bitwise_count(masks.view(np.uint64)), self.k)
-
-    def polytope_constraints(self, config: Config | None = None):
-        return _set_rows(self.n, [range(self.n)], [self.k])
 
 
 class PartitionMatroid(MatroidOracle):
@@ -117,9 +115,6 @@ class PartitionMatroid(MatroidOracle):
         for p, k in zip(self.parts, self.budgets):
             rank += np.minimum(np.bitwise_count(masks & np.uint64(sum(1 << v for v in p))), k)
         return rank
-
-    def polytope_constraints(self, config: Config | None = None):
-        return _set_rows(self.n, self.parts, self.budgets)
 
 
 class GraphicMatroid(MatroidOracle):
@@ -239,30 +234,6 @@ def _not_dominated(masks) -> np.ndarray:
     return keep
 
 
-def _enumerated_constraints(m: MatroidOracle, config: Config | None = None):
-    """All rank constraints x(A) <= rank(A), enumerated over subsets."""
-    config = config or Config()
-    if m.n > config.matroid_enum_cap:
-        raise CapacityError(
-            f"ground set {m.n} exceeds enumerated-constraint cap "
-            f"{config.matroid_enum_cap}"
-        )
-    masks = np.arange(1, 1 << m.n, dtype=np.int64)
-    rows = np.empty((len(masks), m.n + 1))
-    rows[:, : m.n] = (masks[:, None] >> np.arange(m.n)) & 1
-    rows[:, m.n] = m._rank_table(masks)
-    return rows
-
-
-def _set_rows(n: int, sets, bounds):
-    """Constraint rows x(A) <= bound for a short list of sets."""
-    rows = np.zeros((len(bounds), n + 1))
-    for r, (subset, bound) in enumerate(zip(sets, bounds)):
-        rows[r, list(subset)] = 1.0
-        rows[r, n] = bound
-    return rows
-
-
 def spot_check_axioms(m: MatroidOracle, rng_seed=0, rounds=200) -> bool:
     """Hereditary + exchange checks; returns True when clean.
 
@@ -309,85 +280,70 @@ class FractionalPoint:
     x: np.ndarray
     y: np.ndarray  # per-edge, aligned with g.edges
     value: float
+    bases: tuple  # frozensets, in the order they entered the LP
+    weights: np.ndarray  # x = sum of weights[b] * indicator(bases[b])
 
 
-def _base_polytope_rows(m: MatroidOracle, config: Config):
-    """The kind's constraint rows, built once per matroid and enumeration
-    cap, and shared read-only by the LP, the membership test and pipage."""
-    cap = config.matroid_enum_cap
-    if m._rows is None or m._rows[0] != cap:
-        rows = m.polytope_constraints(config)
-        rows.flags.writeable = False
-        m._rows = (cap, rows)
-    return m._rows[1]
+def _base_polytope_rows(n: int, bases) -> np.ndarray:
+    """0/1 indicator rows of the generated bases, one row per base."""
+    rows = np.zeros((len(bases), n))
+    for r, base in enumerate(bases):
+        rows[r, list(base)] = 1.0
+    return rows
 
 
-def _constraint_matrix(m: MatroidOracle, config: Config):
-    """0/1 membership matrix and bounds of the rank constraints."""
-    rows = _base_polytope_rows(m, config)
-    return rows[:, : m.n], rows[:, m.n]
+def solve_lp(g: WeightedGraph, m: MatroidOracle) -> FractionalPoint:
+    """Optimal fractional point of the edge-capped cut relaxation.
 
-
-def in_base_polytope(m: MatroidOracle, x, tol: float = _FEAS_TOL, config=None) -> bool:
-    """Membership in the base polytope, via the kind's constraint rows."""
-    config = config or Config()
-    x = np.asarray(x, dtype=np.float64)
-    if x.min(initial=0.0) < -tol or x.max(initial=0.0) > 1.0 + tol:
-        return False
-    if abs(x.sum() - m.rank()) > tol * max(1, m.n):
-        return False
-    mat, bounds = _constraint_matrix(m, config)
-    if mat.size and (mat @ x > bounds + tol * np.maximum(1, mat.sum(axis=1))).any():
-        return False
-    return True
-
-
-def solve_lp(
-    g: WeightedGraph, m: MatroidOracle, config: Config | None = None
-) -> FractionalPoint:
-    """Optimal fractional point of the edge-capped cut relaxation."""
-    config = config or Config()
+    The master LP has y_e in [0, 1] and a weight lambda_B >= 0 per generated
+    base B, with y_e <= sum_B lambda_B |B & e| and y_e + sum_B lambda_B
+    |B & e| <= 2 per edge e, and sum_B lambda_B = 1.  With edge-row duals
+    pi1, pi2 and the dual mu of the sum row, a base B improves the master
+    when sum_{v in B} omega_v + mu > 0, where omega_v sums pi2_e - pi1_e over
+    the edges at v; the greedy base of largest omega is the best such B.
+    """
     if g.n != m.n:
         raise InputError("graph and matroid ground sets differ")
-    rank = m.rank()
     base = m.any_base()
-    if not m.is_independent(base) or len(base) < rank:
+    if not m.is_independent(base) or len(base) < m.rank():
         raise InfeasibleError("matroid has no base")
 
     n, ne = g.n, len(g.edges)
-    nv = n + ne
-    cost = np.zeros(nv)
-    cost[n:] = [-w for _, _, w in g.edges]  # linprog minimizes
+    eu, ev, ew = g._edge_arrays
+    incidence = np.zeros((n, ne))
+    incidence[eu, np.arange(ne)] = 1.0
+    incidence[ev, np.arange(ne)] = 1.0
+    bases = [base]
+    while True:
+        rows = _base_polytope_rows(n, bases)
+        cover = rows @ incidence  # |B & e|
+        nb = len(bases)
+        a_ub = np.block([[np.eye(ne), -cover.T], [np.eye(ne), cover.T]])
+        res = linprog(
+            np.concatenate([-ew, np.zeros(nb)]),  # linprog minimizes
+            A_ub=a_ub if ne else None,
+            b_ub=np.repeat([0.0, 2.0], ne) if ne else None,
+            A_eq=np.concatenate([np.zeros(ne), np.ones(nb)])[None, :],
+            b_eq=np.ones(1),
+            bounds=[(0.0, 1.0)] * ne + [(0.0, None)] * nb,
+            method="highs",
+        )
+        if not res.success:
+            raise InfeasibleError(f"LP failed: {res.message}")
+        pi = res.ineqlin.marginals
+        omega = incidence @ (pi[ne:] - pi[:ne])
+        entering = m.max_weight_base(omega)
+        gain = omega[list(entering)].sum() + res.eqlin.marginals[0]
+        if gain <= _PRICE_TOL or entering in bases:
+            break
+        bases.append(entering)
 
-    # per edge, y_e - x_u - x_v <= 0 and y_e + x_u + x_v <= 2, then the rank
-    # rows other than x(V) <= rank, which the equality x(V) = rank covers
-    rows = _base_polytope_rows(m, config)
-    rows = rows[rows[:, :n].sum(axis=1) < n]
-    a_ub = np.zeros((2 * ne + len(rows), nv))
-    caps = a_ub[: 2 * ne].reshape(ne, 2, nv)
-    e = np.arange(ne)
-    ends = np.asarray([(u, v) for u, v, _ in g.edges], dtype=np.intp).reshape(ne, 2)
-    caps[e, :, n + e] = 1.0
-    caps[e, :, ends[:, 0]] = caps[e, :, ends[:, 1]] = [-1.0, 1.0]
-    a_ub[2 * ne :, :n] = rows[:, :n]
-    b_ub = np.concatenate([np.tile([0.0, 2.0], ne), rows[:, n]])
-    a_eq = np.zeros((1, nv))
-    a_eq[0, :n] = 1.0
-
-    res = linprog(
-        cost,
-        A_ub=a_ub if len(a_ub) else None,
-        b_ub=b_ub if len(b_ub) else None,
-        A_eq=a_eq,
-        b_eq=np.asarray([float(rank)]),
-        bounds=[(0.0, 1.0)] * nv,
-        method="highs",
-    )
-    if not res.success:
-        raise InfeasibleError(f"LP failed: {res.message}")
-    x = np.clip(res.x[:n], 0.0, 1.0)
-    y = res.x[n:]
-    return FractionalPoint(x=x, y=y, value=float(-res.fun))
+    lam = np.maximum(res.x[ne:], 0.0)
+    keep = lam > 0.0
+    bases = tuple(b for b, k in zip(bases, keep) if k)
+    weights = lam[keep] / lam[keep].sum()
+    x = weights @ rows[keep]
+    return FractionalPoint(x=x, y=res.x[:ne], value=float(-res.fun), bases=bases, weights=weights)
 
 
 def quad_value(g: WeightedGraph, x) -> float:
@@ -395,10 +351,8 @@ def quad_value(g: WeightedGraph, x) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.min(initial=0.0) < -_FEAS_TOL or x.max(initial=0.0) > 1.0 + _FEAS_TOL:
         raise InputError("coordinates must lie in [0, 1]")
-    total = 0.0
-    for u, v, w in g.edges:
-        total += w * (x[u] + x[v] - 2.0 * x[u] * x[v])
-    return float(total)
+    eu, ev, ew = g._edge_arrays
+    return float(ew @ (x[eu] + x[ev] - 2.0 * x[eu] * x[ev]))
 
 
 def check_sandwich(x: float, y: float):
@@ -413,98 +367,72 @@ def check_sandwich(x: float, y: float):
 
 
 # ---------------------------------------------------------------------------
-# pipage rounding
+# swap rounding
 
 
-def _max_step(x, u, v, mat, bounds):
-    """Largest t >= 0 with x + t(e_u - e_v) inside the polytope."""
-    t = min(1.0 - x[u], x[v])
-    if mat.size:
-        sel = mat[:, u] > mat[:, v]  # holds u but not v
-        if sel.any():
-            slack = bounds[sel] - mat[sel] @ x
-            t = min(t, float(slack.min()))
-    return max(t, 0.0)
+def pipage_round(g: WeightedGraph, m: MatroidOracle, bases, weights) -> frozenset:
+    """Round the point sum_b weights[b] * 1_{bases[b]} to a base without
+    losing quad value, by deterministic swap rounding.
 
-
-def pipage_round(
-    g: WeightedGraph, m: MatroidOracle, x, config: Config | None = None
-) -> frozenset:
-    """Round a base-polytope point to a base without losing quad value.
-
-    Repeatedly picks the lowest-index fractional coordinate u, finds the
-    minimal tight constraint set containing u (its partner pool), then moves
-    along +-(e_u - e_v) to whichever reachable endpoint has the larger quad
-    value.  Each move makes a coordinate integral or tightens a new
-    constraint, so the walk ends in a bounded number of steps.  When the
-    preferred endpoint is x itself, the next step takes u = v, whose minimal
-    tight set is strictly smaller, until a move has positive length.
+    The bases merge left to right into `cur`, which carries the weight of
+    every base merged so far.  While `cur` differs from the next base
+    `other`, take i = min(cur - other) and the first j in other - cur with
+    both cur - i + j and other - j + i independent.  Either `other` takes i
+    for j, moving x by w_other (e_i - e_j), or `cur` takes j for i, moving x
+    by w_cur (e_j - e_i).  x lies between the two endpoints and the proxy is
+    convex on that line, so the endpoint with the larger quad value is no
+    worse than x.  On a tie the lighter side gives way, the shorter move
+    that randomized swap rounding makes the more often.
     """
-    config = config or Config()
-    x = np.asarray(x, dtype=np.float64).copy()
-    if x.shape != (g.n,):
-        raise InputError("fractional point has wrong dimension")
-    if not in_base_polytope(m, x, tol=_FEAS_TOL, config=config):
-        raise InputError("point is outside the base polytope")
+    if g.n != m.n:
+        raise InputError("graph and matroid ground sets differ")
+    bases = [as_vertex_set(b, m.n) for b in bases]
+    weights = np.asarray(weights, dtype=np.float64)
+    rank = m.rank()
+    if weights.shape != (len(bases),) or not bases:
+        raise InputError("need one weight per base and at least one base")
+    if weights.min() < 0.0 or abs(weights.sum() - 1.0) > _FEAS_TOL:
+        raise InputError("weights must be nonnegative and sum to 1")
+    if any(len(b) != rank or not m.is_independent(b) for b in bases):
+        raise InputError("a listed set is not a matroid base")
 
-    mat, bounds = _constraint_matrix(m, config)
+    x = weights @ _base_polytope_rows(m.n, bases)
+    tie = _TIE_TOL * max(g.total_weight, 1.0)
+    cur, w_cur = set(bases[0]), weights[0]
+    for other, w_other in zip(bases[1:], weights[1:]):
+        other = set(other)
+        while cur != other:
+            i = min(cur - other)
+            j = next(
+                (j for j in sorted(other - cur)
+                 if m.is_independent(frozenset(cur - {i} | {j}))
+                 and m.is_independent(frozenset(other - {j} | {i}))),
+                None,
+            )
+            if j is None:
+                raise StallError("no symmetric exchange: the listed family is not a matroid")
+            d = np.zeros(m.n)
+            d[i], d[j] = 1.0, -1.0
+            q_other = quad_value(g, np.clip(x + w_other * d, 0.0, 1.0))
+            q_cur = quad_value(g, np.clip(x - w_cur * d, 0.0, 1.0))
+            if q_other > q_cur + tie or (q_other >= q_cur - tie and w_other <= w_cur):
+                other = other - {j} | {i}
+                x = x + w_other * d
+            else:
+                cur = cur - {i} | {j}
+                x = x - w_cur * d
+        w_cur = w_cur + w_other
 
-    def snap(vec):
-        vec[np.abs(vec) < _STEP_TOL] = 0.0
-        vec[np.abs(vec - 1.0) < _STEP_TOL] = 1.0
-
-    snap(x)
-    max_steps = 10 * g.n * g.n + 50
-    blocked = None
-    for _ in range(max_steps):
-        frac = np.nonzero((x > 0.0) & (x < 1.0))[0]
-        if frac.size == 0:
-            break
-        u = int(frac[0]) if blocked is None else blocked
-        # minimal tight set containing u (x(V) = rank is always tight)
-        tight = np.ones(g.n, dtype=bool)
-        if mat.size:
-            is_tight = (mat @ x >= bounds - _STEP_TOL) & (mat[:, u] > 0)
-            if is_tight.any():
-                tight = mat[is_tight].all(axis=0)
-        partners = [int(v) for v in frac if v != u and tight[v]]
-        if not partners:
-            raise StallError("no fractional partner inside the tight set")
-        v = partners[0]
-        t_up = _max_step(x, u, v, mat, bounds)
-        t_dn = _max_step(x, v, u, mat, bounds)
-        d = np.zeros_like(x)
-        d[u], d[v] = 1.0, -1.0
-        cand_up = np.clip(x + t_up * d, 0.0, 1.0)
-        cand_dn = np.clip(x - t_dn * d, 0.0, 1.0)
-        q_up = quad_value(g, cand_up)
-        q_dn = quad_value(g, cand_dn)
-        base_q = quad_value(g, x)
-        prev = x
-        x = cand_up if q_up >= q_dn else cand_dn
-        if max(q_up, q_dn) < base_q - 1e-9:
-            raise StallError("quadratic value decreased during pipage")
-        snap(x)
-        # A chosen move of length zero is blocked by a tight set holding v
-        # but not u; v's minimal tight set is then strictly smaller than
-        # u's, so the next step pairs inside it.
-        blocked = v if np.array_equal(x, prev) else None
-    else:
-        raise StallError(f"pipage made no progress within {max_steps} steps")
-
-    chosen = frozenset(int(v) for v in np.nonzero(x > 0.5)[0])
-    if len(chosen) != m.rank() or not m.is_independent(chosen):
-        raise StallError("pipage endpoint is not a matroid base")
+    chosen = frozenset(cur)
+    if len(chosen) != rank or not m.is_independent(chosen):
+        raise StallError("swap rounding ended on a set that is not a matroid base")
     return chosen
 
 
-def solve_matroid(
-    g: WeightedGraph, m: MatroidOracle, config: Config | None = None
-) -> CutSolution:
-    """LP + pipage; the result cuts at least half of the LP optimum."""
-    config = config or Config()
-    frac = solve_lp(g, m, config)
-    chosen = pipage_round(g, m, frac.x, config)
+def solve_matroid(g: WeightedGraph, m: MatroidOracle) -> CutSolution:
+    """LP + swap rounding; the result cuts at least half of the LP optimum."""
+    frac = solve_lp(g, m)
+    chosen = pipage_round(g, m, frac.bases, frac.weights)
     return CutSolution(
         set=chosen,
         value=cut_value(g, chosen),

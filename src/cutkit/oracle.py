@@ -298,8 +298,6 @@ def oracle_maxcut_k(
     k = int(k)
     if k < 0 or k > g.n:
         raise InputError(f"k={k} out of range for n={g.n}")
-    if g.n > config.oracle_n_max:
-        raise CapacityError(f"n={g.n} exceeds oracle cap {config.oracle_n_max}")
     _check_mask_width(g.n)
     forbidden = as_vertex_set(forbidden, g.n)
     everyone = frozenset(range(g.n))

@@ -220,3 +220,26 @@ def test_bench_row_invariants(tmp_path_factory, corpus, seeds):
         assert value == repr(row["value"]) and oracle_value == repr(row["oracle_value"])
         assert ratio == ("" if row["ratio"] is None else repr(row["ratio"]))
         assert feasible == ("true" if row["feasible"] else "false")
+
+
+def test_perfbench_tracer_finds_every_name_it_wraps_and_restores_them(monkeypatch):
+    # the tracer wraps cutkit functions by module attribute and raises
+    # TraceError for a name that no longer exists; this catches a renamed or
+    # deleted name here instead of in the traced benchmark runs
+    monkeypatch.syspath_prepend(str(CORPUS.parent / "perfbench"))
+    import tracing
+
+    from cutkit import cli, matroid, moments, oracle
+
+    modules = (bench, cli, matroid, moments, oracle, rounding)
+    before = [dict(vars(m)) for m in modules]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        wrapped = list(tracer._undo)
+        assert wrapped
+        assert all(getattr(m, attr) is not orig for m, attr, orig in wrapped)
+    finally:
+        tracer.remove()
+    for module, names in zip(modules, before):
+        assert all(getattr(module, name) is value for name, value in names.items())

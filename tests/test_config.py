@@ -12,7 +12,7 @@ def test_defaults():
     cfg = Config()
     assert cfg.n_max_sdp == 14
     assert cfg.level == 0
-    assert cfg.oracle_n_max == 22
+    assert cfg.oracle_combo_cap == 10_000_000
 
 
 def test_parse_overrides():
@@ -24,7 +24,10 @@ def test_parse_overrides():
 
 @pytest.mark.parametrize(
     "key",
-    ["mystery", "depth_cap", "auto_level4_dim", "auto_level3_dim", "independence_budget"],
+    [
+        "mystery", "depth_cap", "auto_level4_dim", "auto_level3_dim", "independence_budget",
+        "oracle_n_max", "matroid_enum_cap",
+    ],
 )
 def test_parse_rejects_unknown_key(key):
     # all but the first were keys once; an old config file that sets one fails loudly

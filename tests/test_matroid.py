@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from cutkit.cli import main
-from cutkit.config import Config
-from cutkit.errors import CapacityError, InfeasibleError, InputError
+from cutkit.config import load_config
+from cutkit.errors import InfeasibleError, InputError, ParseError, StallError
 from cutkit.forge import gen_random
 from cutkit.graph import WeightedGraph, cut_value
+from cutkit.io import format_instance_text
 from cutkit.matroid import (
     ExplicitMatroid,
     GraphicMatroid,
     PartitionMatroid,
     UniformMatroid,
     check_sandwich,
-    in_base_polytope,
     pipage_round,
     quad_value,
     solve_lp,
@@ -26,6 +27,7 @@ from cutkit.matroid import (
     spot_check_axioms,
 )
 from cutkit.oracle import oracle_matroid
+from cutkit.verify import _matroid_corpus
 
 
 def k3():
@@ -83,6 +85,68 @@ def test_spot_check_flags_non_matroid():
 # LP
 
 
+def _rank_rows(m):
+    """Every rank row x(A) <= r(A) over the nonempty subsets A of [n]: the
+    indicator of A in the first n columns, r(A) in the last."""
+    masks = np.arange(1, 1 << m.n, dtype=np.int64)
+    rows = np.empty((len(masks), m.n + 1))
+    rows[:, : m.n] = (masks[:, None] >> np.arange(m.n)) & 1
+    rows[:, m.n] = m._rank_table(masks)
+    return rows
+
+
+def in_base_polytope(m, x, tol=1e-7):
+    x = np.asarray(x, dtype=np.float64)
+    rows = _rank_rows(m)
+    return (
+        x.min(initial=0.0) >= -tol
+        and x.max(initial=0.0) <= 1.0 + tol
+        and abs(x.sum() - m.rank()) <= tol * max(1, m.n)
+        and bool((rows[:, : m.n] @ x <= rows[:, m.n] + tol * m.n).all())
+    )
+
+
+def reference_lp(g, m):
+    """The edge-capped LP over every enumerated rank row, in the HiGHS
+    formulation the solver used before column generation; its value."""
+    n, ne = g.n, len(g.edges)
+    nv = n + ne
+    cost = np.zeros(nv)
+    cost[n:] = [-w for _, _, w in g.edges]
+    rows = _rank_rows(m)
+    rows = rows[rows[:, :n].sum(axis=1) < n]  # x(V) = rank covers x(V) <= rank
+    a_ub = np.zeros((2 * ne + len(rows), nv))
+    caps = a_ub[: 2 * ne].reshape(ne, 2, nv)
+    e = np.arange(ne)
+    ends = np.asarray([(u, v) for u, v, _ in g.edges], dtype=np.intp).reshape(ne, 2)
+    caps[e, :, n + e] = 1.0
+    caps[e, :, ends[:, 0]] = caps[e, :, ends[:, 1]] = [-1.0, 1.0]
+    a_ub[2 * ne :, :n] = rows[:, :n]
+    b_ub = np.concatenate([np.tile([0.0, 2.0], ne), rows[:, n]])
+    a_eq = np.zeros((1, nv))
+    a_eq[0, :n] = 1.0
+    res = linprog(
+        cost,
+        A_ub=a_ub if len(a_ub) else None,
+        b_ub=b_ub if len(b_ub) else None,
+        A_eq=a_eq,
+        b_eq=np.asarray([float(m.rank())]),
+        bounds=[(0.0, 1.0)] * nv,
+        method="highs",
+    )
+    assert res.success
+    return float(-res.fun)
+
+
+def assert_bases_combine_to_x(m, fp):
+    assert all(m.is_independent(b) and len(b) == m.rank() for b in fp.bases)
+    assert len(fp.weights) == len(fp.bases)
+    assert fp.weights.min() >= 0.0
+    assert abs(fp.weights.sum() - 1.0) <= 1e-9
+    combo = sum(w * np.isin(np.arange(m.n), sorted(b)) for w, b in zip(fp.weights, fp.bases))
+    assert np.allclose(fp.x, combo, rtol=0, atol=1e-12)
+
+
 def test_lp_single_edge():
     fp = solve_lp(single_edge(), UniformMatroid(2, 1))
     assert fp.value == pytest.approx(1.0, abs=1e-7)
@@ -109,6 +173,7 @@ def test_lp_edge_caps_respected():
         m = PartitionMatroid(7, inst.parts, inst.budgets)
         fp = solve_lp(g, m)
         assert in_base_polytope(m, fp.x)
+        assert_bases_combine_to_x(m, fp)
         for e, (u, v, _) in enumerate(g.edges):
             cap = min(fp.x[u] + fp.x[v], 2 - fp.x[u] - fp.x[v])
             assert fp.y[e] <= cap + 1e-9
@@ -183,21 +248,30 @@ def test_sandwich_random_pairs():
 
 def test_pipage_integral_noop():
     m = UniformMatroid(2, 1)
-    out = pipage_round(single_edge(), m, [1.0, 0.0])
+    out = pipage_round(single_edge(), m, [{0}], [1.0])
     assert out == {0}
 
 
 def test_pipage_half_half_edge():
     m = UniformMatroid(2, 1)
-    out = pipage_round(single_edge(), m, [0.5, 0.5])
+    out = pipage_round(single_edge(), m, [{0}, {1}], [0.5, 0.5])
     assert out in ({0}, {1})
     assert cut_value(single_edge(), out) == 1.0
 
 
 def test_pipage_outside_polytope_rejected():
+    # a listed set that is no base, or weights that are no convex combination
     m = UniformMatroid(2, 1)
-    with pytest.raises(InputError):
-        pipage_round(single_edge(), m, [0.9, 0.9])
+    for bases, weights in [
+        ([{0, 1}], [1.0]),
+        ([set()], [1.0]),
+        ([{0}, {1}], [0.9, 0.9]),
+        ([{0}, {1}], [1.5, -0.5]),
+        ([{0}, {1}], [1.0]),
+        ([], []),
+    ]:
+        with pytest.raises(InputError):
+            pipage_round(single_edge(), m, bases, weights)
 
 
 def test_pipage_partition_random_points():
@@ -208,19 +282,17 @@ def test_pipage_partition_random_points():
         if not g.edges:
             continue
         m = PartitionMatroid(8, inst.parts, inst.budgets)
-        # random base-polytope point: mix of random base indicators
+        # random base-polytope point: mix of random bases
         bases = []
         for _ in range(4):
             chosen = []
             for part, k in zip(inst.parts, inst.budgets):
-                chosen.extend(rng.choice(sorted(part), size=k, replace=False))
-            x = np.zeros(8)
-            x[chosen] = 1.0
-            bases.append(x)
+                chosen.extend(int(v) for v in rng.choice(sorted(part), size=k, replace=False))
+            bases.append(set(chosen))
         weights = rng.dirichlet(np.ones(len(bases)))
-        x = np.einsum("i,ij->j", weights, np.array(bases))
+        x = sum(w * g.indicator(b) for w, b in zip(weights, bases))
         before = quad_value(g, x)
-        out = pipage_round(g, m, x)
+        out = pipage_round(g, m, bases, weights)
         assert m.is_independent(out) and len(out) == m.rank()
         assert cut_value(g, out) >= before - 1e-7
 
@@ -228,10 +300,10 @@ def test_pipage_partition_random_points():
 def test_pipage_graphic():
     g = k3()
     m = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
-    x = np.array([2 / 3, 2 / 3, 2 / 3])
-    out = pipage_round(g, m, x)
+    bases = [{0, 1}, {1, 2}, {0, 2}]  # x = (2/3, 2/3, 2/3)
+    out = pipage_round(g, m, bases, [1 / 3] * 3)
     assert m.is_independent(out) and len(out) == 2
-    assert cut_value(g, out) >= quad_value(g, x) - 1e-7
+    assert cut_value(g, out) >= quad_value(g, [2 / 3] * 3) - 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +344,9 @@ def test_solve_matroid_infeasible():
 
 
 def test_pipage_stalls_on_non_matroid():
-    # exchange fails for this listed family, so the tight-set walk has no
-    # valid partner at the LP optimum and stops with a stall error instead
-    # of silently emitting a non-base
-    from cutkit.errors import StallError
-
+    # exchange fails for this listed family: the LP mixes {0, 1} and {2, 3},
+    # and no j in {2, 3} swaps symmetrically with 0, so swap rounding stops
+    # with a stall error instead of silently emitting a non-base
     bad = ExplicitMatroid(4, [[0, 1], [1, 2], [2, 3]])
     g = WeightedGraph(4, [(0, 1, 0.25), (1, 2, 0.25), (2, 3, 0.25), (0, 3, 0.25)])
     with pytest.raises(StallError):
@@ -284,16 +354,17 @@ def test_pipage_stalls_on_non_matroid():
 
 
 def test_pipage_blocked_partner_graphic():
-    # a 4-cycle with every edge doubled: at the LP point the preferred move of
-    # the first pair has length zero, blocked by a tight set that holds the
-    # partner but not u; pipage has to pair inside the partner's tight set
+    # a 4-cycle with every edge doubled; each of the four spanning trees
+    # takes one edge from three of the four doubled pairs
     g = gen_random(8, 0.6, "unit", 1, "one", seed=3).graph
     m = GraphicMatroid(4, [(1, 0), (2, 1), (3, 0), (0, 3), (3, 2), (2, 1), (1, 0), (3, 2)])
     sol = solve_matroid(g, m)
     assert sol.feasible
     assert sol.value >= 0.5 * oracle_matroid(g, m).opt_value - 1e-9
     x = np.array([0.25, 0.25, 0.25, 0.25, 0.75, 0.25, 0.75, 0.25])
-    out = pipage_round(g, m, x)
+    bases = [{0, 1, 4}, {6, 5, 4}, {6, 2, 4}, {6, 3, 7}]
+    assert np.array_equal(sum(0.25 * g.indicator(b) for b in bases), x)
+    out = pipage_round(g, m, bases, [0.25] * 4)
     assert m.is_independent(out) and len(out) == m.rank()
     assert cut_value(g, out) >= quad_value(g, x) - 1e-9
 
@@ -317,8 +388,72 @@ def test_pipage_random_multigraph_graphic():
         assert sol.value >= 0.5 * oracle_matroid(g, m).opt_value - 1e-9
 
 
+def test_solve_matroid_matches_the_suite_rounding():
+    # `verify --suite matroid` rounds the LP point it already holds instead
+    # of solving the LP a second time through solve_matroid
+    for _, _, g, m in itertools.islice(_matroid_corpus(200, 3000), 9):
+        fp = solve_lp(g, m)
+        assert solve_matroid(g, m).set == pipage_round(g, m, fp.bases, fp.weights)
+
+
+@st.composite
+def multigraphs(draw):
+    aux_n = draw(st.integers(1, 6))
+    vertex = st.integers(0, aux_n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    return aux_n, edges
+
+
+@st.composite
+def matroid_instances(draw):
+    """A matroid of each kind on at most 10 elements, with a graph on its
+    ground set.  Graphic matroids come from auxiliary multigraphs (parallel
+    edges, loops and cycles sharing a vertex); explicit matroids list the
+    bases of one."""
+    kind = draw(st.sampled_from(["uniform", "partition", "graphic", "explicit"]))
+    if kind in ("graphic", "explicit"):
+        aux_n, aux = draw(multigraphs().filter(lambda c: c[1]))
+        m = GraphicMatroid(aux_n, aux)
+        if kind == "explicit":
+            r = m.rank()
+            m = ExplicitMatroid(
+                m.n, [b for b in itertools.combinations(range(m.n), r) if m.is_independent(b)]
+            )
+    else:
+        n = draw(st.integers(1, 10))
+        if kind == "uniform":
+            m = UniformMatroid(n, draw(st.integers(0, n)))
+        else:
+            label = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+            parts = [{v for v in range(n) if label[v] == p} for p in sorted(set(label))]
+            m = PartitionMatroid(n, parts, [draw(st.integers(0, len(p))) for p in parts])
+    vertex = st.integers(0, m.n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 4)), max_size=15))
+    return m, WeightedGraph(m.n, [(u, v, w / 4) for u, v, w in edges if u != v])
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(case=matroid_instances())
+@example(  # two cycles through vertex 0, and two parallel pairs
+    case=(
+        GraphicMatroid(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (1, 2), (0, 3)]),
+        gen_random(8, 0.6, "uniform", 1, "one", seed=8).graph,
+    )
+)
+def test_generated_bases_match_the_enumerated_lp_and_round_to_a_base(case):
+    m, g = case
+    fp = solve_lp(g, m)
+    assert abs(fp.value - reference_lp(g, m)) <= 1e-7
+    assert_bases_combine_to_x(m, fp)
+    out = pipage_round(g, m, fp.bases, fp.weights)
+    assert m.is_independent(out) and len(out) == m.rank()
+    q = quad_value(g, fp.x)
+    assert cut_value(g, out) >= q - 1e-9
+    assert q >= fp.value / 2 - 1e-6
+
+
 # ---------------------------------------------------------------------------
-# enumerated rank rows
+# rank tables
 
 
 def _forest_rank(aux_n, aux_edges, subset):
@@ -339,20 +474,12 @@ def _forest_rank(aux_n, aux_edges, subset):
 
 
 def _check_rows(m, rank_of):
-    rows = m.polytope_constraints()
+    rows = _rank_rows(m)
     assert rows.shape == ((1 << m.n) - 1, m.n + 1)
     for r, row in enumerate(rows):
         subset = [v for v in range(m.n) if (r + 1) >> v & 1]
         assert row[: m.n].tolist() == [float(v in subset) for v in range(m.n)]
         assert row[m.n] == rank_of(subset)
-
-
-@st.composite
-def multigraphs(draw):
-    aux_n = draw(st.integers(1, 6))
-    vertex = st.integers(0, aux_n - 1)
-    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
-    return aux_n, edges
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -391,61 +518,65 @@ def test_explicit_maximal_sets_match_the_pairwise_rule(case):
     assert ExplicitMatroid(n, sets).maximal == expected
 
 
-def test_solve_matroid_builds_its_rank_rows_once(monkeypatch):
-    # the LP, the membership test and pipage share one table
-    calls = []
-    build = GraphicMatroid.polytope_constraints
-
-    def counted(self, config=None):
-        calls.append(self)
-        return build(self, config)
-
-    monkeypatch.setattr(GraphicMatroid, "polytope_constraints", counted)
-    m = _disjoint_cycles(5)
-    solve_matroid(gen_random(14, 0.35, "uniform", 1, "one", seed=5).graph, m)
-    assert calls == [m]
-
-
 def test_explicit_rank_rows_stay_in_bounded_memory():
     # unchunked, the (subsets x listed sets) temporary would be 16383 x 3432
     # int64 entries, about 450 MB
     m = ExplicitMatroid(14, itertools.combinations(range(14), 7))
+    masks = np.arange(1, 1 << 14, dtype=np.int64)
     tracemalloc.start()
     try:
-        rows = m.polytope_constraints()
+        rank = m._rank_table(masks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(rows[:, 14], np.minimum(rows[:, :14].sum(axis=1), 7))
+    assert np.array_equal(rank, np.minimum(np.bitwise_count(masks), 7))
     assert peak < 32 << 20
 
 
-def test_enum_cap_stops_the_lp():
-    m = GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    g = WeightedGraph(5, [(0, 1, 0.5), (2, 3, 0.5)])
-    assert solve_lp(g, m, Config(matroid_enum_cap=5)).value > 0
-    with pytest.raises(CapacityError):
-        solve_lp(g, m, Config(matroid_enum_cap=4))
+def _two_cycles_through_one_vertex(n=20):
+    """A connected auxiliary graph on 17 vertices with n = 20 edges, listed
+    in a shuffled order: the cycles 0-1-2-0 and 0-3-4-0 share vertex 0, and
+    a path through the other vertices closes two more cycles."""
+    edges = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
+    edges += [(v, v + 1) for v in range(4, 16)] + [(16, 10), (12, 7)]
+    order = np.random.default_rng(20).permutation(n)
+    return GraphicMatroid(17, [edges[i] for i in order])
 
 
-def test_enum_cap_marks_the_bench_pipage_rows(tmp_path):
+def test_graphic_matroid_over_sixteen_elements_solves():
+    m = _two_cycles_through_one_vertex()
+    inst = gen_random(20, 0.3, "uniform", 1, "one", seed=20)
+    opt = oracle_matroid(inst.graph, m).opt_value
+    sol = solve_matroid(inst.graph, m)
+    assert m.n == 20 and m.rank() == 16
+    assert sol.feasible and len(sol.set) == 16
+    assert sol.value >= 0.5 * opt - 1e-9
+
+
+def test_bench_solves_a_graphic_matroid_over_sixteen_elements(tmp_path):
+    m = _two_cycles_through_one_vertex()
+    inst = gen_random(20, 0.3, "uniform", 1, "one", seed=20)
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    (corpus / "graphic.txt").write_text(
-        "5 2 1\n0 1 0.5\n2 3 0.5\n5 2 0 1 2 3 4\n"
-        "matroid graphic 4 5\n0 1\n1 2\n2 3\n3 0\n0 2\n"
-    )
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("matroid_enum_cap = 4\n")
+    (corpus / "graphic20.txt").write_text(format_instance_text(inst, m))
     out = tmp_path / "report"
-    argv = ["--config", str(cfg), "bench", str(corpus), "--methods", "pipage,greedy",
-            "--seeds", "1,2", "--out", str(out)]
+    argv = ["bench", str(corpus), "--methods", "pipage,oracle", "--seeds", "1", "--out", str(out)]
     assert main(argv) == 0
-    rows = json.loads(out.with_suffix(".json").read_text())["rows"]
-    skipped = {(r["method"], r["seed"]): r["skipped"] for r in rows}
-    for seed in (1, 2):
-        assert skipped["pipage", seed].startswith("CapacityError: ")
-        assert skipped["greedy", seed] is None
+    rows = {r["method"]: r for r in json.loads(out.with_suffix(".json").read_text())["rows"]}
+    pipage = rows["pipage"]
+    assert pipage["skipped"] is None and pipage["feasible"]
+    assert pipage["ratio_base"] == "matroid"
+    assert pipage["oracle_value"] == rows["oracle"]["value"]
+    assert pipage["ratio"] >= 0.5
+    assert pipage["value"] >= 0.5 * oracle_matroid(inst.graph, m).opt_value - 1e-9
+
+
+def test_config_file_setting_the_removed_enumeration_cap_is_refused(tmp_path):
+    # the rank rows it capped are gone, so an old config file fails loudly
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("matroid_enum_cap = 16\n")
+    with pytest.raises(ParseError, match="matroid_enum_cap"):
+        load_config(str(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -468,26 +599,36 @@ def _partition_bases(seed, n=12, r=4):
     return ExplicitMatroid(n, itertools.product(*(order[i::r] for i in range(r))))
 
 
+# `enumerated` is the LP value over every rank row (the solver before column
+# generation, and `reference_lp` here); `value` is the column-generation LP,
+# bit for bit.
 PINNED = [
     (
-        _disjoint_cycles, 5, 14, "0x1.12c7e0e1306f2p-1",
-        [0.6666666666666667, 1, 0.6666666666666667, 0.3333333333333333, 0.6666666666666667,
-         1, 0.33333333333333326, 1, 1, 1, 0.6666666666666667, 1, 0.6666666666666667, 1],
+        _disjoint_cycles, 5, 14, "0x1.12c7e0e1306f2p-1", "0x1.12c7e0e1306f4p-1",
+        [0.6666666666666665, 1.0, 0.6666666666666667, 0.33333333333333326, 0.6666666666666667,
+         1.0, 0.33333333333333326, 1.0, 1.0, 1.0, 0.6666666666666666, 1.0, 0.6666666666666667,
+         1.0],
         {1, 2, 4, 5, 7, 8, 9, 10, 11, 12, 13},
     ),
     (
-        _partition_bases, 6, 12, "0x1.a7eced018e502p-1",
-        [0.5, 0.5, 0.5, 0.5, 0, 0.5, 0.5, 0.5, 0, 0, 0, 0.5],
+        _partition_bases, 6, 12, "0x1.a7eced018e502p-1", "0x1.a7eced018e500p-1",
+        [0.5, 0.4999999999999999, 0.5000000000000001, 0.5000000000000001, 0.0,
+         0.4999999999999998, 0.5000000000000002, 0.4999999999999999, 0.0, 0.0, 0.0,
+         0.49999999999999994],
         {1, 3, 5, 11},
     ),
 ]
 
 
-@pytest.mark.parametrize("make,seed,n,value,x,chosen", PINNED, ids=["graphic", "explicit"])
-def test_pinned_lp_and_pipage_answers(make, seed, n, value, x, chosen):
+@pytest.mark.parametrize(
+    "make,seed,n,enumerated,value,x,chosen", PINNED, ids=["graphic", "explicit"]
+)
+def test_pinned_lp_and_pipage_answers(make, seed, n, enumerated, value, x, chosen):
     m = make(seed)
     g = gen_random(n, 0.35, "uniform", 1, "one", seed=seed).graph
     fp = solve_lp(g, m)
+    assert reference_lp(g, m) == float.fromhex(enumerated)
+    assert abs(fp.value - float.fromhex(enumerated)) <= 1e-9
     assert fp.value == float.fromhex(value)
     assert fp.x.tolist() == x
-    assert pipage_round(g, m, fp.x) == chosen
+    assert pipage_round(g, m, fp.bases, fp.weights) == chosen

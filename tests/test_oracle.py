@@ -105,9 +105,11 @@ def test_relabel_invariance():
 
 
 def test_capacity_errors():
-    g = WeightedGraph(23, [])
-    with pytest.raises(CapacityError):
-        oracle_maxcut_k(g, 2)
+    # no vertex cap below the 64-bit mask: n 23 answers, and n 30 stops at
+    # the candidate-set cap, C(30, 15) > 10^7
+    assert oracle_maxcut_k(WeightedGraph(23, []), 2).opt_value == 0.0
+    with pytest.raises(CapacityError, match="enumeration cap"):
+        oracle_maxcut_k(WeightedGraph(30, []), 15)
     small_cap = Config(oracle_combo_cap=10)
     with pytest.raises(CapacityError):
         oracle_maxcut_k(WeightedGraph(12, []), 6, config=small_cap)
@@ -529,13 +531,12 @@ def wide_path(n=70):
 
 def test_oracles_refuse_graphs_wider_than_the_mask():
     inst = wide_path()
-    wide = Config(oracle_n_max=100)
     matroid = PartitionMatroid(inst.graph.n, inst.parts, inst.budgets)
     calls = [
         lambda: oracle_constrained(inst),
         lambda: oracle_all_cut_decision(inst),
         lambda: oracle_matroid(inst.graph, matroid),
-        lambda: oracle_maxcut_k(inst.graph, 1, config=wide),
+        lambda: oracle_maxcut_k(inst.graph, 1),
     ]
     for call in calls:
         with pytest.raises(CapacityError, match="64-bit"):
