@@ -1,4 +1,10 @@
-"""Run-time configuration: caps, tolerances, and default seeds.
+"""Run-time configuration: the settings a caller chooses per run.
+
+Config holds only what callers set: the hierarchy level, the rounding
+trials, the exact oracles' combination cap and the master seed.  Fixed
+policy (the relaxation's size caps, the interior-point tolerance and
+step cap, the conditioning restarts, the most parts the pipeline takes)
+lives as module constants in `moments` and `rounding`.
 
 Values come from (in increasing priority) built-in defaults, a key=value
 config file (path overridable through the CUTKIT_CONFIG environment
@@ -24,34 +30,10 @@ CONFIG_ENV_VAR = "CUTKIT_CONFIG"
 
 @dataclasses.dataclass
 class Config:
-    # Moment-hierarchy caps.
-    n_max_sdp: int = 14
-    level: int = 0  # 0 selects the level automatically from the graph size
-
-    # Interior-point SDP solver.  It stops once the relative duality gap
-    # and the relative primal and dual residuals are all at most sdp_tol,
-    # so sdp_tol bounds the relative objective error; sdp_max_iter caps
-    # its Newton steps.
-    sdp_tol: float = 2e-8
-    sdp_max_iter: int = 100
-
-    # Conditioning search.
-    restarts: int = 64
-
-    # Rounding pipeline.
-    trials: int = 8
-    c_cap: int = 4
-
-    # Exact oracle.
-    oracle_combo_cap: int = 10_000_000
-
-    # Master seed for all derived randomness.
-    seed: int = 7
-
-
-_INT_FIELDS = {
-    f.name for f in dataclasses.fields(Config) if f.type in ("int", int)
-}
+    level: int = 0  # hierarchy level; 0 selects it from the graph size
+    trials: int = 8  # rounding trials per pipeline run
+    oracle_combo_cap: int = 10_000_000  # most feasible sets an exact oracle scores
+    seed: int = 7  # master seed for all derived randomness
 
 
 def parse_config_text(text: str, base: Config | None = None) -> Config:
@@ -70,7 +52,7 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
         if key not in known:
             raise ParseError(f"unknown config key {key!r}", line=lineno)
         try:
-            parsed = int(value) if key in _INT_FIELDS else float(value)
+            parsed = type(getattr(cfg, key))(value)
         except ValueError as exc:
             raise ParseError(f"bad value for {key}: {value!r}", line=lineno) from exc
         setattr(cfg, key, parsed)

@@ -41,7 +41,7 @@ class InfeasibleError(CutkitError):
 
 
 class CapacityError(CutkitError):
-    """Instance exceeds a configured enumeration / size cap."""
+    """Instance exceeds an enumeration or size cap."""
 
     exit_code = 3
 

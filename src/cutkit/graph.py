@@ -241,11 +241,3 @@ class CutSolution:
 
     def check_value(self, g: WeightedGraph, tol: float = TOL) -> bool:
         return abs(cut_value(g, self.set) - self.value) <= tol
-
-    def to_json_dict(self):
-        return {
-            "set": sorted(self.set),
-            "value": self.value,
-            "feasible": self.feasible,
-            "trace": list(self.stage_trace),
-        }

@@ -23,7 +23,7 @@ import scipy.linalg.lapack
 import scipy.sparse
 
 from ._blas import ONE_BLAS_THREAD
-from .config import Config, PSD_TOL
+from .config import PSD_TOL
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -36,9 +36,20 @@ from .kernel import KernelResult
 
 _LUT_N_MAX = 20  # mask lookup tables get size 2^n
 
-# auto_level picks level 4, else 3, while the moment-matrix side N stays within these
+# The relaxation's size policy.  auto_level picks level 4, else 3, while the
+# moment-matrix side N stays within these
 _LEVEL4_MAX_DIM, _LEVEL3_MAX_DIM = 200, 300
 _MAX_DIM = 3 * _LEVEL3_MAX_DIM  # the largest N at any level
+N_MAX_SDP = 14  # the largest reduced graph the relaxation accepts
+
+# The interior-point solver stops once the relative duality gap and the
+# relative primal and dual residuals are all at most SDP_TOL, so it bounds
+# the relative objective error; more than SDP_MAX_ITER Newton steps raise
+# ConvergenceError.
+SDP_TOL = 2e-8
+SDP_MAX_ITER = 100
+
+RESTARTS = 64  # sampled paths the conditioning search tries
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +372,7 @@ def iid_pair_information_sum(m: MomentVector, parts) -> float:
 # conditioning
 
 
-def condition(m: MomentVector, i: int, value: int, tol: float = 1e-9):
+def condition(m: MomentVector, i: int, value: int):
     """Split on X_i = value; returns the conditioned vector and its weight.
 
     Drops one level.  Expectations are preserved as the convex combination
@@ -375,7 +386,7 @@ def condition(m: MomentVector, i: int, value: int, tol: float = 1e-9):
     if not 0 <= i < m.n:
         raise InputError(f"vertex {i} out of range")
     lam = (1.0 + value * m.bias(i)) / 2.0
-    if lam < tol:
+    if lam < 1e-9:
         raise DegenerateEventError(
             f"P(X_{i} = {value:+d}) = {lam:.3e} below tolerance"
         )
@@ -400,17 +411,17 @@ def make_block_independent(
     alpha: float,
     budget_L: int,
     rng_seed: int,
-    restarts: int = 64,
     edges=None,
 ):
     """Search sampled conditioning paths for an alpha-block-independent vector.
 
-    Each restart walks up to budget_L conditioning steps: sample a part, a
-    vertex within it, and a value from the vertex's marginal, then condition.
-    A candidate qualifies when every per-part average MI is at most alpha
-    and, if `edges` is supplied, its objective is within alpha of the
-    starting objective.  The best-objective qualifier wins; exhausting all
-    restarts raises SearchFailureError carrying the closest candidate.
+    Each of RESTARTS restarts walks up to budget_L conditioning steps:
+    sample a part, a vertex within it, and a value from the vertex's
+    marginal, then condition.  A candidate qualifies when every per-part
+    average MI is at most alpha and, if `edges` is supplied, its objective
+    is within alpha of the starting objective.  The best-objective
+    qualifier wins; exhausting all restarts raises SearchFailureError
+    carrying the closest candidate.
     """
     parts = [p for p in _checked_parts(m, parts) if p]
     if not parts:
@@ -439,12 +450,10 @@ def make_block_independent(
 
     best_candidate = None  # (max_part_score, restart, MomentVector)
     winners = []  # (negative objective or score, restart, MomentVector)
-    for r in range(restarts):
+    for r in range(RESTARTS):
         rng = np.random.default_rng(np.random.SeedSequence((rng_seed, r)))
         cur = m
         for _ in range(budget_L):
-            if cur.level < 3:
-                break
             for _ in range(16):  # resample degenerate events
                 block = parts[rng.integers(len(parts))]
                 vertex = int(block[rng.integers(len(block))])
@@ -469,7 +478,7 @@ def make_block_independent(
         return winners[0][2]
     raise SearchFailureError(
         f"no alpha={alpha} block-independent conditioning found in "
-        f"{restarts} restarts of {budget_L} steps",
+        f"{RESTARTS} restarts of {budget_L} steps",
         best=best_candidate[2] if best_candidate else m,
     )
 
@@ -499,18 +508,15 @@ def auto_level(n: int) -> int:
     return 2
 
 
-def build_program(
-    kernel: KernelResult, level: int, config: Config | None = None
-) -> SdpProgram:
+def build_program(kernel: KernelResult, level: int) -> SdpProgram:
     """Assemble the conditioned relaxation for a kernelized instance."""
-    config = config or Config()
     g = kernel.reduced
     if level == 0:
         level = auto_level(g.n)
     if level < 2:
         raise InputError(f"level must be >= 2, got {level}")
-    if g.n > config.n_max_sdp:
-        raise CapacityError(f"n={g.n} exceeds configured cap {config.n_max_sdp}")
+    if g.n > N_MAX_SDP:
+        raise CapacityError(f"n={g.n} exceeds cap {N_MAX_SDP}")
     dim = basis_dim(g.n, level)
     if dim > _MAX_DIM:
         raise CapacityError(
@@ -698,7 +704,7 @@ def _face_operator(K, V, class_idx, scale):
     return L
 
 
-def solve(program: SdpProgram, config: Config | None = None) -> MomentVector:
+def solve(program: SdpProgram) -> MomentVector:
     """Solve the relaxation to a feasible near-optimal moment vector.
 
     The unknowns span the selectable vertices only, at the program's level:
@@ -709,15 +715,13 @@ def solve(program: SdpProgram, config: Config | None = None) -> MomentVector:
     face V S V' (see `face_basis`) for every such y.  So the relaxation is
     the small LMI: maximise kc'u subject to Lq + mat(Lu u) >= 0, with
     Lq + mat(Lu u) = V' M(q + K u) V, which `_interior_point` solves to
-    relative gap and residuals within `config.sdp_tol`.  Raises
-    ConvergenceError after `config.sdp_max_iter` Newton steps, or when the
-    lifted moment matrix is not PSD within PSD_TOL.
+    relative gap and residuals within SDP_TOL.  Raises ConvergenceError
+    after SDP_MAX_ITER Newton steps, or when the lifted moment matrix is
+    not PSD within PSD_TOL.
 
     The solve runs with OpenBLAS held to one thread (see `cutkit._blas`),
     and the caller's thread count is restored when it returns or raises.
     """
-    config = config or Config()
-
     with ONE_BLAS_THREAD:
         free, label, ms, mult = _free_rows(program)
         basis = ms.basis
@@ -740,9 +744,7 @@ def solve(program: SdpProgram, config: Config | None = None) -> MomentVector:
         Lu = _face_operator(K, V, ms.class_idx, scale)
 
         kc = K.T @ cvec
-        u, steps, (_, prim, dual) = _interior_point(
-            Lq, Lu, kc, config.sdp_tol, config.sdp_max_iter
-        )
+        u, steps, (_, prim, dual) = _interior_point(Lq, Lu, kc, SDP_TOL, SDP_MAX_ITER)
 
         y = q + K @ u
         mv = MomentVector(

@@ -34,6 +34,7 @@ from .graph import ConstrainedInstance, WeightedGraph, as_vertex_set, cut_value
 _CHUNK = 1 << 16  # values per scored block; keeps a block's arrays in cache
 _MASK_BITS = 64  # candidate sets are uint64 masks
 _NO_SET = np.zeros(1, dtype=np.uint64)  # the one set on an empty side
+_TIE_ATOL = 1e-12  # cut values this close to the best tie with it
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,8 @@ def _mask_to_set(mask: int, n: int) -> frozenset:
 class _BestTracker:
     """Running (max value, lex-min set, tie count) over scored blocks."""
 
-    def __init__(self, g: WeightedGraph, atol: float = 1e-12):
+    def __init__(self, g: WeightedGraph):
         self.g = g
-        self.atol = atol
         self.best_val = -np.inf
         self.best_rev = -1
         self.best_mask = None
@@ -109,13 +109,13 @@ class _BestTracker:
     def feed(self, vals: np.ndarray, rows: np.ndarray, cols: np.ndarray):
         """Takes vals[r, c], the cut value of the set rows[r] | cols[c]."""
         chunk_max = float(vals.max())
-        if chunk_max < self.best_val - self.atol:
+        if chunk_max < self.best_val - _TIE_ATOL:
             return
-        r, c = np.nonzero(vals >= chunk_max - self.atol)
+        r, c = np.nonzero(vals >= chunk_max - _TIE_ATOL)
         ties = rows[r] | cols[c]
         revs = _rev_codes(ties, self.g.n)
         pick = int(revs.argmax())
-        if chunk_max > self.best_val + self.atol:
+        if chunk_max > self.best_val + _TIE_ATOL:
             self.best_val = chunk_max
             self.best_rev = int(revs[pick])
             self.best_mask = int(ties[pick])

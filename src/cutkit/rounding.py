@@ -38,6 +38,9 @@ _PAIR_TOL = 1e-6
 # is at least 4 * 2^12 = 16 384 for every eps <= 1/2, so only this cap binds.
 INDEPENDENCE_BUDGET = 12
 
+# The most parts the pipeline accepts (the paper's c = O(1)).
+C_CAP = 4
+
 
 @dataclass
 class RoundingParams:
@@ -211,6 +214,7 @@ def sampled_union_bound_check(
         raise InputError(f"probability {p} outside [0, 1]")
     if law not in ("uniform", "all_or_nothing"):
         raise InputError(f"unknown law {law!r}")
+    _check_trials(trials)
     s = frozenset(int(v) for v in s)
     base = cut_value(g, s)
     if base <= 0.0:
@@ -281,8 +285,8 @@ class Relaxation:
 
 
 def _relax(kernel: KernelResult, g: WeightedGraph, config: Config) -> Relaxation:
-    program = build_program(kernel, config.level, config)
-    return Relaxation(kernel, program, solve(program, config=config), g)
+    program = build_program(kernel, config.level)
+    return Relaxation(kernel, program, solve(program), g)
 
 
 def relax_single(
@@ -296,14 +300,13 @@ def relax_multi(
     inst: ConstrainedInstance, eps: float, config: Config | None = None
 ) -> Relaxation:
     """Kernelize a partitioned instance and solve its relaxation at config.level."""
-    config = config or Config()
-    if inst.c > config.c_cap:
-        raise InputError(f"{inst.c} parts exceed the configured cap {config.c_cap}")
-    return _relax(kernelize_multi(inst, eps), inst.graph, config)
+    if inst.c > C_CAP:
+        raise InputError(f"{inst.c} parts exceed the cap {C_CAP}")
+    return _relax(kernelize_multi(inst, eps), inst.graph, config or Config())
 
 
-def _check_trials(config: Config):
-    if config.trials < 1:
+def _check_trials(trials: int):
+    if trials < 1:
         raise InputError("need at least one rounding trial")
 
 
@@ -313,7 +316,7 @@ def round_relaxation(relaxation: Relaxation, config: Config | None = None) -> Cu
     All randomness of the pipeline is here, drawn from config.seed.
     """
     config = config or Config()
-    _check_trials(config)
+    _check_trials(config.trials)
     kernel, program, mv = relaxation.kernel, relaxation.program, relaxation.moments
     trace = ["kernel", "sdp"]
 
@@ -323,13 +326,7 @@ def round_relaxation(relaxation: Relaxation, config: Config | None = None) -> Cu
     budget = min(INDEPENDENCE_BUDGET, mv.level - 2)
     try:
         mv = make_block_independent(
-            mv,
-            kept_parts,
-            alpha,
-            budget,
-            config.seed,
-            restarts=config.restarts,
-            edges=program.edges,
+            mv, kept_parts, alpha, budget, config.seed, edges=program.edges
         )
         trace.append("independence")
     except SearchFailureError as exc:
@@ -398,7 +395,7 @@ def _settings(eps: float, params: RoundingParams | None, config: Config | None) 
         if params.eps != eps:
             raise InputError("eps argument disagrees with params.eps")
         config = replace(config, seed=params.rng_seed)
-    _check_trials(config)
+    _check_trials(config.trials)
     return config
 
 

@@ -15,7 +15,7 @@ from .config import Config
 from .forge import gadget_from_3dm, gen_3dm, gen_random, tdm_has_perfect_matching
 from .graph import ConstrainedInstance, WeightedGraph, cut_value
 from .kernel import kernelize_multi, kernelize_single, migrate_to_kernel
-from .moments import condition, information_matrix, marginals, vertex_entropies
+from .moments import condition, iid_pair_information_sum, marginals, vertex_entropies
 from .matroid import (
     GraphicMatroid,
     PartitionMatroid,
@@ -82,10 +82,11 @@ def _kernel_corpus_single(count, seed0):
     return out
 
 
-def suite_kernel_single(config: Config | None = None, count=200, seed0=1000):
+def suite_kernel_single(config: Config | None = None):
     """Restricted optimum stays within (1 - 4 eps) of the true optimum, and
     every witness exchange step obeys its per-step inequality."""
     config = config or Config()
+    count, seed0 = 200, 1000
     failures = []
     steps_total = 0
     min_margin = np.inf
@@ -129,9 +130,10 @@ def suite_kernel_single(config: Config | None = None, count=200, seed0=1000):
     return SuiteResult("kernel-single", not failures, report, failures)
 
 
-def suite_kernel_multi(config: Config | None = None, count=100, seed0=2000):
+def suite_kernel_multi(config: Config | None = None):
     """Multi-part kernel: factor (1 - 4 c eps), clipped at zero."""
     config = config or Config()
+    count, seed0 = 100, 2000
     failures = []
     steps_total = 0
     built = 0
@@ -208,12 +210,13 @@ def _matroid_corpus(count, seed0):
         yield s, kind, g, m
 
 
-def suite_matroid(config: Config | None = None, count=200, seed0=3000):
+def suite_matroid(config: Config | None = None):
     """The rounded LP point is a base cutting at least half the LP optimum.
 
     Each LP is solved once and its point rounded here, which is what
     `solve_matroid` does."""
     config = config or Config()
+    count, seed0 = 200, 3000
     from .oracle import oracle_matroid
 
     failures = []
@@ -252,8 +255,9 @@ def suite_matroid(config: Config | None = None, count=200, seed0=3000):
 # sandwich inequality (criterion 5)
 
 
-def suite_sandwich(config: Config | None = None, grid=201, randoms=100_000, seed0=4000):
+def suite_sandwich(config: Config | None = None):
     """q <= min(x+y, 2-x-y) <= 2q on a grid plus random pairs, at 1e-12."""
+    grid, randoms, seed0 = 201, 100_000, 4000
     ticks = np.linspace(0.0, 1.0, grid)
     gx, gy = np.meshgrid(ticks, ticks)
     rng = np.random.default_rng(seed0)
@@ -301,9 +305,10 @@ def _sdp_corpus(count, seed0, max_n=8):
         yield s, inst
 
 
-def suite_relaxation_consistency(config: Config | None = None, count=50, seed0=5000):
+def suite_relaxation_consistency(config: Config | None = None):
     """Marginal consistency, conditioning splits, and relaxation dominance."""
     config = config or Config()
+    count, seed0 = 50, 5000
     auto_level = replace(config, level=0)
     failures = []
     rng = np.random.default_rng(seed0)
@@ -374,24 +379,19 @@ def _phi(leaves, parts):
 
 
 def _cross(leaves, parts):
-    """The telescoped sum of `moments.iid_pair_information_sum` over the
-    value mixture, from one information matrix per leaf."""
-    nonempty = [p for p in parts if p]
+    """The telescoped information sum: `iid_pair_information_sum` averaged
+    over the value mixture."""
     cross = 0.0
     for w, m in leaves:
-        info = information_matrix(m)
-        cross += w * sum(
-            (float(info[np.ix_(a, b)].mean()) for a in nonempty for b in nonempty), 0.0
-        )
+        cross += w * iid_pair_information_sum(m, parts)
     return cross
 
 
-def suite_conditioning_telescope(
-    config: Config | None = None, count=20, seed0=6000, paths=64
-):
+def suite_conditioning_telescope(config: Config | None = None):
     """Per-path potentials never increase; the telescoped information sum
     averaged over sampled paths stays below c^2 plus noise."""
     config = config or Config()
+    count, seed0, paths = 20, 6000, 64
     failures = []
     summaries = []
     for s, inst in _sdp_corpus(count, seed0, max_n=7):
@@ -452,11 +452,10 @@ def suite_conditioning_telescope(
 # bias preservation (criterion 8)
 
 
-def suite_bias_preservation(
-    config: Config | None = None, count=20, seed0=7000, trials=10_000
-):
+def suite_bias_preservation(config: Config | None = None):
     """Empirical inclusion frequencies match (1 + b_i)/2 within 4 sigma."""
     config = config or Config()
+    count, seed0, trials = 20, 7000, 10_000
     auto_level = replace(config, level=0)
     failures = []
     worst = 0.0
@@ -493,10 +492,10 @@ def suite_bias_preservation(
 # correction bound (criterion 9)
 
 
-def suite_correction_bound(config: Config | None = None, seed0=8000, trials=4000):
+def suite_correction_bound(config: Config | None = None):
     """Random correction loses at most an eps fraction in expectation, and
     the correlated fill-in law reproduces the tight (1 - p) ratio on K3."""
-    config = config or Config()
+    seed0, trials = 8000, 4000
     failures = []
     rng = np.random.default_rng(seed0)
     regimes = 0
@@ -586,9 +585,10 @@ def _pipeline_corpus(seed0):
     return out
 
 
-def suite_pipeline_ratio(config: Config | None = None, seed0=9000):
+def suite_pipeline_ratio(config: Config | None = None):
     """Best-of-trials pipeline value against the exact optimum."""
     config = config or Config()
+    seed0 = 9000
     failures = []
     ratios = []
     eps = 0.5
@@ -630,9 +630,10 @@ def suite_pipeline_ratio(config: Config | None = None, seed0=9000):
 # hardness gadget (criterion 11)
 
 
-def suite_gadget_equivalence(config: Config | None = None, seeds=50, seed0=10_000):
+def suite_gadget_equivalence(config: Config | None = None):
     """Gadget all-cut decision coincides with exhaustive 3DM feasibility."""
     config = config or Config()
+    seeds, seed0 = 50, 10_000
     failures = []
     checked = 0
     for s in range(seeds):
@@ -678,12 +679,11 @@ SUITES = {
 DEFAULT_VERIFY = ("kernel", "sandwich", "gadget", "conditioning")
 
 
-def run_suites(names, config: Config | None = None, **overrides):
+def run_suites(names, config: Config | None = None):
     config = config or Config()
     results = []
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
-        kwargs = overrides.get(name, {})
-        results.append(SUITES[name](config, **kwargs))
+        results.append(SUITES[name](config))
     return results

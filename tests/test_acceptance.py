@@ -25,10 +25,10 @@ from cutkit.verify import (
 _CACHE = {}
 
 
-def run_cached(name, fn, **kwargs):
+def run_cached(name, fn):
     if name not in _CACHE:
         t0 = time.perf_counter()
-        result = fn(Config(), **kwargs)
+        result = fn(Config())
         _CACHE[name] = (result, time.perf_counter() - t0)
     return _CACHE[name]
 

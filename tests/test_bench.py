@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutkit import bench, rounding
+from cutkit import bench, moments, rounding
 from cutkit.bench import METHODS, run_bench
 from cutkit.cli import main
 from cutkit.config import TOL, Config
@@ -46,8 +46,8 @@ def test_every_method_answers_its_own_problem(n, c, seed, rank):
 
 @pytest.fixture
 def pipeline_calls(monkeypatch):
-    """Record the level, restarts and trial count each pipeline stage sees."""
-    seen = {"levels": [], "restarts": [], "trials": 0}
+    """Record the level and trial count each pipeline stage sees."""
+    seen = {"levels": [], "trials": 0}
 
     def spy(name, record):
         orig = getattr(rounding, name)
@@ -59,7 +59,6 @@ def pipeline_calls(monkeypatch):
         monkeypatch.setattr(rounding, name, wrapper)
 
     spy("build_program", lambda a, kw: seen["levels"].append(a[1]))
-    spy("make_block_independent", lambda a, kw: seen["restarts"].append(kw["restarts"]))
     spy("round_biased", lambda a, kw: seen.__setitem__("trials", seen["trials"] + 1))
     return seen
 
@@ -69,19 +68,17 @@ def test_bench_config_reaches_the_pipeline(tmp_path, capsys, pipeline_calls):
     corpus.mkdir()
     shutil.copy(CORPUS / "c1_n6.txt", corpus)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("level = 2\nrestarts = 5\ntrials = 3\n")
+    cfg.write_text("level = 2\ntrials = 3\n")
     argv = ["--config", str(cfg), "bench", str(corpus), "--methods", "sdp",
             "--seeds", "1", "--out", str(tmp_path / "report")]
     assert main(argv) == 0
-    assert pipeline_calls == {"levels": [2], "restarts": [5], "trials": 3}
+    assert pipeline_calls == {"levels": [2], "trials": 3}
 
 
 def test_solve_multi_config_reaches_the_pipeline(pipeline_calls):
     inst, _ = read_instance(str(CORPUS / "c1_n6.txt"))
-    rounding.solve_multi(inst, 0.5, config=Config(trials=3, restarts=5))
-    assert pipeline_calls["levels"] == [0]
-    assert pipeline_calls["restarts"] == [5]
-    assert pipeline_calls["trials"] == 3
+    rounding.solve_multi(inst, 0.5, config=Config(trials=3))
+    assert pipeline_calls == {"levels": [0], "trials": 3}
 
 
 @pytest.fixture
@@ -125,8 +122,9 @@ def test_bench_relaxes_and_solves_the_matroid_once_per_instance(two_instances, m
     assert report.to_csv().splitlines()[1:] == sorted(single, key=row_key)
 
 
-def test_failed_relaxation_skips_every_seed_row_of_sdp_only(two_instances):
-    report = run_bench(two_instances, list(METHODS), [1, 2, 3], config=Config(n_max_sdp=2))
+def test_failed_relaxation_skips_every_seed_row_of_sdp_only(two_instances, monkeypatch):
+    monkeypatch.setattr(moments, "N_MAX_SDP", 2)
+    report = run_bench(two_instances, list(METHODS), [1, 2, 3])
     sdp = [r for r in report.rows if r.method == "sdp"]
     assert len(sdp) == 6
     assert all(r.skipped.startswith("CapacityError: ") for r in sdp)

@@ -216,6 +216,15 @@ def test_verify_reads_the_config_file(tmp_path, capsys):
 CORPUS_DIR = str(Path(__file__).resolve().parent.parent / "corpus")
 
 
+def test_solve_refuses_a_removed_config_key(tmp_path, capsys):
+    # sdp_max_iter = -1 once crashed the solve with a raw TypeError
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("sdp_max_iter = -1\n")
+    corpus_file = str(Path(CORPUS_DIR) / "c1_n6.txt")
+    assert main(["--config", str(cfg), "solve", corpus_file]) == 1
+    assert "unknown config key 'sdp_max_iter'" in capsys.readouterr().err
+
+
 GOLDEN_BENCH = Path(__file__).resolve().parent / "data" / "corpus_bench.csv"
 GOLDEN_VALUES = ("value", "oracle_value", "ratio")
 

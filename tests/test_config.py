@@ -10,23 +10,23 @@ from cutkit.errors import ParseError
 
 def test_defaults():
     cfg = Config()
-    assert cfg.n_max_sdp == 14
-    assert cfg.level == 0
-    assert cfg.oracle_combo_cap == 10_000_000
+    assert [f.name for f in dataclasses.fields(Config)] == [
+        "level", "trials", "oracle_combo_cap", "seed",
+    ]
+    assert (cfg.level, cfg.trials, cfg.oracle_combo_cap, cfg.seed) == (0, 8, 10_000_000, 7)
 
 
 def test_parse_overrides():
-    cfg = parse_config_text("n_max_sdp = 10\nsdp_tol = 1e-7\n# comment\n\nseed=3\n")
-    assert cfg.n_max_sdp == 10
-    assert cfg.sdp_tol == pytest.approx(1e-7)
-    assert cfg.seed == 3
+    cfg = parse_config_text("level = 3\ntrials = 5\n# comment\n\nseed=3\n")
+    assert (cfg.level, cfg.trials, cfg.seed) == (3, 5, 3)
 
 
 @pytest.mark.parametrize(
     "key",
     [
         "mystery", "depth_cap", "auto_level4_dim", "auto_level3_dim", "independence_budget",
-        "oracle_n_max", "matroid_enum_cap",
+        "oracle_n_max", "matroid_enum_cap", "n_max_sdp", "sdp_tol", "sdp_max_iter",
+        "restarts", "c_cap",
     ],
 )
 def test_parse_rejects_unknown_key(key):
@@ -60,3 +60,13 @@ def test_readme_config_table_names_every_key():
     table = re.findall(r"^\| `(\w+)` \|", readme, flags=re.M)
     assert len(table) == len(set(table))
     assert set(table) == {f.name for f in dataclasses.fields(Config)}
+
+
+def test_every_config_key_is_read_outside_config():
+    # a key that no module reads is inert: setting it changes nothing
+    src = Path(__file__).resolve().parent.parent / "src" / "cutkit"
+    code = "".join(p.read_text() for p in src.glob("*.py") if p.name != "config.py")
+    unread = [
+        f.name for f in dataclasses.fields(Config) if not re.search(rf"\.{f.name}\b", code)
+    ]
+    assert not unread

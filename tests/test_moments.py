@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cutkit.config import PSD_TOL, Config
+from cutkit.config import PSD_TOL
 from cutkit.errors import (
     CapacityError,
     ConvergenceError,
@@ -140,8 +140,8 @@ def test_level_validation():
 def test_capacity_validation():
     g = WeightedGraph(16, [(0, 1, 1.0)])
     ker = kernelize_single(g, 8, 0.5)  # identity kernel keeps all 16 vertices
-    with pytest.raises(CapacityError):
-        build_program(ker, 2, Config(n_max_sdp=14))
+    with pytest.raises(CapacityError, match="n=16 exceeds cap 14"):
+        build_program(ker, 2)
 
 
 def test_infeasible_budget_detected():
@@ -458,15 +458,14 @@ def test_make_block_independent_failure_carries_candidate():
 
 
 def test_relaxation_dominance_small_corpus():
-    cfg = Config()
     checked = 0
     for s in range(12):
         inst = gen_random(6, 0.6, "unit", 1, "uniform", seed=300 + s)
         if not inst.graph.edges or not inst.has_half_budgets():
             continue
         ker = kernelize_multi(inst, 0.5)
-        prog = build_program(ker, 0, cfg)
-        mv = solve(prog, config=cfg)
+        prog = build_program(ker, 0)
+        mv = solve(prog)
         reduced_inst = ConstrainedInstance(ker.reduced, ker.parts, ker.budgets)
         opt = oracle_constrained(reduced_inst, forbidden=ker.forbidden)
         assert mv.objective_value(prog.edges) >= opt.opt_value - 1e-6
@@ -766,10 +765,11 @@ def test_corpus_objective_matches_the_admm_answer(name):
     assert mv.min_eigenvalue() >= -PSD_TOL
 
 
-def test_newton_step_cap_reports_the_gap():
+def test_newton_step_cap_reports_the_gap(monkeypatch):
+    monkeypatch.setattr(moments, "SDP_MAX_ITER", 1)
     prog = build_program(pinned_kernel(8, 2, False, ["any", "any"], 5), 0)
     with pytest.raises(ConvergenceError, match="after 1 Newton steps \\(gap ") as info:
-        solve(prog, Config(sdp_max_iter=1))
+        solve(prog)
     assert info.value.iterations == 1
     assert info.value.primal is not None and info.value.dual is not None
 
@@ -841,10 +841,11 @@ def test_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch, two_b
 
 
 @needs_proc_maps
-def test_failed_solve_restores_the_blas_count(two_blas_threads):
+def test_failed_solve_restores_the_blas_count(monkeypatch, two_blas_threads):
+    monkeypatch.setattr(moments, "SDP_MAX_ITER", 1)
     prog = build_program(pinned_kernel(8, 2, False, ["any", "any"], 5), 0)
     with pytest.raises(ConvergenceError):
-        solve(prog, Config(sdp_max_iter=1))
+        solve(prog)
     assert blas_counts() == two_blas_threads
 
 

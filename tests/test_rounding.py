@@ -182,6 +182,13 @@ def test_union_bound_validation():
         sampled_union_bound_check(k3(), {0}, 0.5, 10, law="bogus")
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_union_bound_needs_a_trial(trials):
+    # no draws give no (ratio, stderr) pair: refused, not nan or a numpy error
+    with pytest.raises(InputError, match="at least one"):
+        sampled_union_bound_check(k3(), {0}, 0.5, trials)
+
+
 # ---------------------------------------------------------------------------
 # greedy fallback
 
@@ -262,8 +269,8 @@ def test_pipeline_rejects_zero_trials():
 
 def test_pipeline_part_cap():
     inst = gen_random(10, 0.5, "unit", 5, "one", seed=23)
-    with pytest.raises(InputError):
-        solve_multi(inst, 0.5, config=Config(c_cap=4))
+    with pytest.raises(InputError, match="5 parts exceed the cap 4"):
+        solve_multi(inst, 0.5)
 
 
 @pytest.mark.parametrize("eps", [1e-26, 1e-30])
