@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import os
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 
 # Global comparison tolerance for weights and cut values.
 TOL = 1e-9
@@ -34,6 +34,12 @@ class Config:
     trials: int = 8  # rounding trials per pipeline run
     oracle_combo_cap: int = 10_000_000  # most feasible sets an exact oracle scores
     seed: int = 7  # master seed for all derived randomness
+
+
+def check_seed(seed: int):
+    """Refuse a seed numpy's SeedSequence would reject with a bare ValueError."""
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
 
 
 def parse_config_text(text: str, base: Config | None = None) -> Config:

@@ -11,6 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .config import check_seed
 from .errors import InputError
 from .graph import ConstrainedInstance, WeightedGraph
 
@@ -26,6 +27,13 @@ class ThreeDMInstance:
         for x, y, z in self.triples:
             if not (0 <= x < self.size and 0 <= y < self.size and 0 <= z < self.size):
                 raise InputError(f"triple ({x},{y},{z}) references a missing element")
+
+
+def _rng(seed: int, *salt: int) -> np.random.Generator:
+    """The generator for `seed`, salted with the instance's size parameters."""
+    seed = int(seed)
+    check_seed(seed)
+    return np.random.default_rng(np.random.SeedSequence((seed, *salt)))
 
 
 def tdm_has_perfect_matching(tdm: ThreeDMInstance) -> bool:
@@ -51,7 +59,9 @@ def gen_3dm(size: int, extra_triples: int, seed: int, drop_planted: bool = False
     size = int(size)
     if not 1 <= size <= 6:
         raise InputError("size must lie in [1, 6] to stay oracle-checkable")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), size, extra_triples)))
+    if extra_triples < 0:
+        raise InputError(f"extra_triples must be non-negative, got {extra_triples}")
+    rng = _rng(seed, size, extra_triples)
     perm_y = rng.permutation(size)
     perm_z = rng.permutation(size)
     triples = {(i, int(perm_y[i]), int(perm_z[i])) for i in range(size)}
@@ -129,7 +139,7 @@ def gen_random(
         raise InputError(f"unknown weight law {weight_law!r}")
     if budget_law not in ("uniform", "half", "one"):
         raise InputError(f"unknown budget law {budget_law!r}")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), n, c)))
+    rng = _rng(seed, n, c)
 
     edges = []
     for u in range(n):

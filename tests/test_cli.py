@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -225,6 +228,23 @@ def test_solve_refuses_a_removed_config_key(tmp_path, capsys):
     assert "unknown config key 'sdp_max_iter'" in capsys.readouterr().err
 
 
+def test_solve_refuses_a_negative_seed(tmp_path, capsys):
+    # numpy's SeedSequence once ended these runs with a raw ValueError
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -1\n")
+    corpus_file = str(Path(CORPUS_DIR) / "c1_n6.txt")
+    for argv in (["solve", corpus_file, "--seed", "-1"], ["--config", str(cfg), "solve", corpus_file]):
+        assert main(argv) == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_gen_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "gen.txt"
+    assert main(["gen", "--n", "6", "--seed", "-1", "--out", str(out)]) == 1
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 GOLDEN_BENCH = Path(__file__).resolve().parent / "data" / "corpus_bench.csv"
 GOLDEN_VALUES = ("value", "oracle_value", "ratio")
 
@@ -330,6 +350,22 @@ def test_bench_unparsable_file_skips_its_rows(tmp_path, capsys):
         assert f"bad_edge.txt,{method},skipped,skipped,,false,1" in csv_rows
 
 
+def test_bench_negative_seed_fails_only_the_sdp_rows(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(Path(CORPUS_DIR) / "c1_n6.txt", corpus)
+    out = tmp_path / "report"
+    argv = ["bench", str(corpus), "--methods", "sdp,greedy", "--seeds", "-1", "--out", str(out)]
+    code, _ = run(capsys, argv)
+    assert code == 0
+    csv_rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+    assert "c1_n6.txt,sdp,skipped,skipped,,false,-1" in csv_rows
+    rows = json.loads(out.with_suffix(".json").read_text())["rows"]
+    by_method = {r["method"]: r for r in rows}
+    assert by_method["sdp"]["skipped"] == "InputError: seed must be a non-negative integer, got -1"
+    assert by_method["greedy"]["skipped"] is None and by_method["greedy"]["feasible"] is True
+
+
 def test_bench_survives_a_graph_wider_than_the_oracle_mask(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -421,6 +457,20 @@ def test_bench_skips_the_sdp_row_that_loses_definiteness(tmp_path, capsys):
     rows = json.loads(out.with_suffix(".json").read_text())["rows"]
     (skipped,) = [r["skipped"] for r in rows if r["skipped"]]
     assert skipped.startswith("ConvergenceError: Newton step")
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # rounding needs only scipy.special.ndtri; scipy.stats loads 170 more modules
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, cutkit.cli; "
+        "print([m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    res = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert res.stdout.strip() == "[]"
 
 
 def test_oracle_rejects_flags_that_reach_no_oracle(tmp_path, capsys):

@@ -45,6 +45,8 @@ def test_gen_validation():
         gen_random(3, 0.5, "unit", 2, "uniform", seed=0)  # n < 2c
     with pytest.raises(InputError):
         gen_random(6, 0.5, "exotic", 1, "uniform", seed=0)
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        gen_random(6, 0.5, "unit", 1, "uniform", seed=-1)
 
 
 def test_gen_3dm_smallest():
@@ -139,3 +141,7 @@ def test_tdm_validation():
         ThreeDMInstance(1, ((0, 1, 0),))
     with pytest.raises(InputError):
         gen_3dm(8, 0, seed=0)
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        gen_3dm(3, 0, seed=-1)
+    with pytest.raises(InputError, match="extra_triples must be non-negative"):
+        gen_3dm(3, -1, seed=0)

@@ -32,8 +32,17 @@ def k4():
 # round_biased
 
 
+def assert_thresholds_are_norm_ppf(bias):
+    from scipy.stats import norm
+
+    want = norm.ppf((1.0 + bias.b) / 2.0)
+    np.testing.assert_array_equal(bias.thresholds.view(np.uint64), want.view(np.uint64))
+
+
 def test_deterministic_biases():
     bias = BiasProfile([1.0, -1.0], np.eye(2) + np.array([[0, -1], [-1, 0]]) * 1.0)
+    assert_thresholds_are_norm_ppf(bias)
+    assert bias.thresholds.tolist() == [np.inf, -np.inf]
     for seed in range(20):
         picked = round_biased(bias, seed)
         assert 0 in picked and 1 not in picked
@@ -64,6 +73,13 @@ def test_marginal_preservation():
     p = (1 + b) / 2
     sigma = np.sqrt(p * (1 - p) / trials)
     assert (np.abs(counts / trials - p) <= 4 * sigma).all()
+    assert_thresholds_are_norm_ppf(bias)
+    # a seeded independent profile with deterministic and unbiased vertices
+    b = np.random.default_rng(11).uniform(-1.0, 1.0, 200)
+    b[:3] = -1.0, 0.0, 1.0
+    rho = np.outer(b, b)
+    np.fill_diagonal(rho, 1.0)
+    assert_thresholds_are_norm_ppf(BiasProfile(b, rho))
 
 
 def test_inconsistent_profile_rejected():
@@ -265,6 +281,14 @@ def test_pipeline_rejects_eps_mismatch():
 def test_pipeline_rejects_zero_trials():
     with pytest.raises(InputError, match="at least one rounding trial"):
         solve_single(k3(), 1, 0.5, config=Config(trials=0))
+
+
+def test_pipeline_rejects_a_negative_seed():
+    # numpy's SeedSequence raised a bare ValueError here
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        solve_single(k3(), 1, 0.5, config=Config(seed=-1))
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        solve_single(k3(), 1, 0.5, RoundingParams(eps=0.5, rng_seed=-1))
 
 
 def test_pipeline_part_cap():
