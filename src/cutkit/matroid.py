@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from .errors import InfeasibleError, InputError, StallError
 from .graph import CutSolution, WeightedGraph, as_vertex_set, cut_value
@@ -292,6 +292,69 @@ def _base_polytope_rows(n: int, bases) -> np.ndarray:
     return rows
 
 
+def _highs_options():
+    """The options `linprog(method="highs")` passes to HiGHS, output off."""
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.output_flag = False
+    opts.log_to_console = False
+    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return opts
+
+
+_HIGHS_OPTIONS = _highs_options()
+
+
+def _solve_master(ew, cover):
+    """Solve one master LP on HiGHS; `cover[b, e]` is |B & e| for base b.
+
+    The columns are y (one per edge) then lambda (one per base), and the
+    rows are y_e - sum_B lambda_B |B & e| <= 0, then y_e + sum_B lambda_B
+    |B & e| <= 2, then sum_B lambda_B = 1: the column-wise matrix, bounds
+    and options `linprog(method="highs")` would build for the same master,
+    so the answer is the same bits.  Returns the columns' values, the
+    minimized objective -sum_e w_e y_e, the 2|E| edge-row duals and the
+    sum-row dual.
+    """
+    nb, ne = cover.shape
+    ncol, nrow = ne + nb, 2 * ne + 1
+    a = np.zeros((ncol, nrow))  # transposed, so nonzero() walks it column-wise
+    a[:ne, :ne] = a[:ne, ne : 2 * ne] = np.eye(ne)
+    a[ne:, :ne], a[ne:, ne : 2 * ne] = -cover, cover
+    a[ne:, 2 * ne] = 1.0
+    col, row = np.nonzero(a)
+
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = ncol
+    lp.num_row_ = lp.a_matrix_.num_row_ = nrow
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=ncol))])
+    lp.a_matrix_.index_ = row
+    lp.a_matrix_.value_ = a[col, row]
+    lp.col_cost_ = np.concatenate([-ew, np.zeros(nb)])
+    lp.col_lower_ = np.zeros(ncol)
+    lp.col_upper_ = np.concatenate([np.ones(ne), np.full(nb, _highs.kHighsInf)])
+    lp.row_lower_ = np.concatenate([np.full(2 * ne, -_highs.kHighsInf), [1.0]])
+    lp.row_upper_ = np.concatenate([np.repeat([0.0, 2.0], ne), [1.0]])
+
+    solver = _highs._Highs()
+    solver.passOptions(_HIGHS_OPTIONS)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise InfeasibleError(f"LP failed: HiGHS model status {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    dual = np.array(solution.row_dual)
+    return (
+        np.array(solution.col_value),
+        solver.getInfo().objective_function_value,
+        dual[: 2 * ne],
+        float(dual[2 * ne]),
+    )
+
+
 def solve_lp(g: WeightedGraph, m: MatroidOracle) -> FractionalPoint:
     """Optimal fractional point of the edge-capped cut relaxation.
 
@@ -301,6 +364,9 @@ def solve_lp(g: WeightedGraph, m: MatroidOracle) -> FractionalPoint:
     pi1, pi2 and the dual mu of the sum row, a base B improves the master
     when sum_{v in B} omega_v + mu > 0, where omega_v sums pi2_e - pi1_e over
     the edges at v; the greedy base of largest omega is the best such B.
+    HiGHS solves each master through scipy's bindings (`_solve_master`).
+    Each is built afresh: a model warm-started by adding columns ends
+    degenerate masters on other optimal vertices, and so other bases.
     """
     if g.n != m.n:
         raise InputError("graph and matroid ground sets differ")
@@ -316,34 +382,20 @@ def solve_lp(g: WeightedGraph, m: MatroidOracle) -> FractionalPoint:
     bases = [base]
     while True:
         rows = _base_polytope_rows(n, bases)
-        cover = rows @ incidence  # |B & e|
-        nb = len(bases)
-        a_ub = np.block([[np.eye(ne), -cover.T], [np.eye(ne), cover.T]])
-        res = linprog(
-            np.concatenate([-ew, np.zeros(nb)]),  # linprog minimizes
-            A_ub=a_ub if ne else None,
-            b_ub=np.repeat([0.0, 2.0], ne) if ne else None,
-            A_eq=np.concatenate([np.zeros(ne), np.ones(nb)])[None, :],
-            b_eq=np.ones(1),
-            bounds=[(0.0, 1.0)] * ne + [(0.0, None)] * nb,
-            method="highs",
-        )
-        if not res.success:
-            raise InfeasibleError(f"LP failed: {res.message}")
-        pi = res.ineqlin.marginals
+        z, fun, pi, mu = _solve_master(ew, rows @ incidence)
         omega = incidence @ (pi[ne:] - pi[:ne])
         entering = m.max_weight_base(omega)
-        gain = omega[list(entering)].sum() + res.eqlin.marginals[0]
+        gain = omega[list(entering)].sum() + mu
         if gain <= _PRICE_TOL or entering in bases:
             break
         bases.append(entering)
 
-    lam = np.maximum(res.x[ne:], 0.0)
+    lam = np.maximum(z[ne:], 0.0)
     keep = lam > 0.0
     bases = tuple(b for b, k in zip(bases, keep) if k)
     weights = lam[keep] / lam[keep].sum()
     x = weights @ rows[keep]
-    return FractionalPoint(x=x, y=res.x[:ne], value=float(-res.fun), bases=bases, weights=weights)
+    return FractionalPoint(x=x, y=z[:ne], value=float(-fun), bases=bases, weights=weights)
 
 
 def quad_value(g: WeightedGraph, x) -> float:

@@ -49,7 +49,7 @@ N_MAX_SDP = 14  # the largest reduced graph the relaxation accepts
 SDP_TOL = 2e-8
 SDP_MAX_ITER = 100
 
-RESTARTS = 64  # sampled paths the conditioning search tries
+RESTARTS = 64  # sampled paths the conditioning search tries; a repeated path is conditioned once
 
 
 # ---------------------------------------------------------------------------
@@ -434,43 +434,56 @@ def make_block_independent(
         )
     start_obj = m.objective_value(edges) if edges is not None else None
 
-    def qualifies(mv: MomentVector, worst: float) -> bool:
-        if worst > alpha:
-            return False
-        if start_obj is not None:
-            if mv.objective_value(edges) < start_obj - alpha - 1e-9:
-                return False
-        return True
-
     def worst_part(mv: MomentVector) -> float:
         return max(_part_scores(information_matrix(mv), parts))
 
-    if qualifies(m, worst_part(m)):
+    def winner_key(mv: MomentVector, worst: float):
+        """Sort key of a qualifying vector, the lower the better; None when
+        it does not qualify."""
+        if worst > alpha:
+            return None
+        if start_obj is None:
+            return worst
+        obj = mv.objective_value(edges)
+        return None if obj < start_obj - alpha - 1e-9 else -obj
+
+    if winner_key(m, worst_part(m)) is not None:
         return m
 
+    def scored(mv: MomentVector, vertex: int, value: int):
+        """(conditioned vector, worst part score, winner key), or None for a
+        degenerate event."""
+        try:
+            nxt, _ = condition(mv, vertex, value)
+        except DegenerateEventError:
+            return None
+        worst = worst_part(nxt)
+        return nxt, worst, winner_key(nxt, worst)
+
+    # Every restart starts from m, so restarts repeat paths; each path of
+    # (vertex, value) steps is conditioned and scored once.
+    seen = {}
     best_candidate = None  # (max_part_score, restart, MomentVector)
     winners = []  # (negative objective or score, restart, MomentVector)
     for r in range(RESTARTS):
         rng = np.random.default_rng(np.random.SeedSequence((rng_seed, r)))
-        cur = m
+        cur, path = m, ()
         for _ in range(budget_L):
             for _ in range(16):  # resample degenerate events
                 block = parts[rng.integers(len(parts))]
                 vertex = int(block[rng.integers(len(block))])
-                value = sample_value(cur, vertex, rng)
-                try:
-                    nxt, _ = condition(cur, vertex, value)
-                except DegenerateEventError:
-                    continue
-                break
+                step = path + ((vertex, sample_value(cur, vertex, rng)),)
+                if step not in seen:
+                    seen[step] = scored(cur, *step[-1])
+                if seen[step] is not None:
+                    break
             else:
                 break
-            cur = nxt
-            worst = worst_part(cur)
+            path = step
+            cur, worst, key = seen[path]
             if best_candidate is None or worst < best_candidate[0]:
                 best_candidate = (worst, r, cur)
-            if qualifies(cur, worst):
-                key = -cur.objective_value(edges) if edges is not None else worst
+            if key is not None:
                 winners.append((key, r, cur))
                 break
     if winners:

@@ -14,6 +14,7 @@ from cutkit.errors import InfeasibleError, InputError, ParseError, StallError
 from cutkit.forge import gen_random
 from cutkit.graph import WeightedGraph, cut_value
 from cutkit.io import format_instance_text
+from cutkit import matroid
 from cutkit.matroid import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -632,3 +633,47 @@ def test_pinned_lp_and_pipage_answers(make, seed, n, enumerated, value, x, chose
     assert fp.value == float.fromhex(value)
     assert fp.x.tolist() == x
     assert pipage_round(g, m, fp.bases, fp.weights) == chosen
+
+
+def _linprog_master(ew, cover):
+    """One master LP posed to `linprog(method="highs")`, as `solve_lp` posed
+    it before calling HiGHS itself: x, objective, edge-row and sum-row duals."""
+    nb, ne = cover.shape
+    a_ub = np.block([[np.eye(ne), -cover.T], [np.eye(ne), cover.T]])
+    res = linprog(
+        np.concatenate([-ew, np.zeros(nb)]),
+        A_ub=a_ub if ne else None,
+        b_ub=np.repeat([0.0, 2.0], ne) if ne else None,
+        A_eq=np.concatenate([np.zeros(ne), np.ones(nb)])[None, :],
+        b_eq=np.ones(1),
+        bounds=[(0.0, 1.0)] * ne + [(0.0, None)] * nb,
+        method="highs",
+    )
+    assert res.success
+    return res.x, res.fun, res.ineqlin.marginals, res.eqlin.marginals[0]
+
+
+def test_master_lp_on_highs_matches_linprog_bit_for_bit(monkeypatch):
+    cases = [(g, m) for _, _, g, m in _matroid_corpus(9, 3000)]  # partition, uniform, graphic
+    for seed in (3, 4, 5):
+        g = gen_random(12, 0.35, "uniform", 1, "one", seed=seed).graph
+        cases.append((g, _partition_bases(seed)))  # explicit
+    cases.append((WeightedGraph(3, []), UniformMatroid(3, 2)))
+    assert {m.kind for _, m in cases} == {"partition", "uniform", "graphic", "explicit"}
+
+    masters = []
+    solve_master = matroid._solve_master
+
+    def recording(ew, cover):
+        masters.append((ew.copy(), cover.copy()))
+        return solve_master(ew, cover)
+
+    monkeypatch.setattr(matroid, "_solve_master", recording)
+    for g, m in cases:
+        solve_lp(g, m)
+    assert len(masters) > len(cases)  # column generation added bases
+    for ew, cover in masters:
+        got = solve_master(ew, cover)
+        want = _linprog_master(ew, cover)
+        for a, b in zip(got, want):
+            assert np.float64(a).tobytes() == np.float64(b).tobytes()

@@ -457,6 +457,24 @@ def test_make_block_independent_failure_carries_candidate():
     assert exc_info.value.best is not None
 
 
+def test_each_sampled_conditioning_path_is_conditioned_once(monkeypatch):
+    # every restart starts from the same vector, so on c1_n6.txt most of the
+    # RESTARTS sampled paths repeat an earlier one
+    from cutkit.rounding import solve_multi
+
+    steps = []
+
+    def recording(mv, i, value):
+        steps.append((mv.y.tobytes(), int(i), int(value)))
+        return condition(mv, i, value)
+
+    monkeypatch.setattr(moments, "condition", recording)
+    inst, _ = read_instance(str(CORPUS / "c1_n6.txt"))
+    solve_multi(inst, 0.5)
+    assert 0 < len(steps) < moments.RESTARTS
+    assert len(set(steps)) == len(steps)
+
+
 def test_relaxation_dominance_small_corpus():
     checked = 0
     for s in range(12):
