@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from .bench import METHODS, run_bench
 from .config import Config, load_config
@@ -32,7 +33,10 @@ def _add_instance_arg(p):
     p.add_argument("instance", help="instance file (text or JSON mirror)")
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process; each `parse_args`
+    returns a fresh namespace, so calls share no state."""
     ap = argparse.ArgumentParser(
         prog="cutkit",
         description="Max-Cut under cardinality, partition, and matroid constraints",

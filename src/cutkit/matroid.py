@@ -17,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
 
+from ._highs import load_core
 from .errors import InfeasibleError, InputError, StallError
 from .graph import CutSolution, WeightedGraph, as_vertex_set, cut_value
+
+_highs = load_core()
 
 _FEAS_TOL = 1e-7
 _PRICE_TOL = 1e-9  # least reduced-cost gain for a base to enter the master LP

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cutkit.cli import main
+from cutkit.cli import build_parser, main
 from cutkit.config import Config
 from cutkit.errors import ConvergenceError
 from cutkit.io import format_instance_text, parse_instance, read_instance
@@ -471,6 +471,27 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert res.stdout.strip() == "[]"
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_main_calls_in_one_process_share_no_arguments(tmp_path, capsys):
+    path = k3_file(tmp_path)
+
+    def solve(*flags):
+        code, out = run(capsys, ["solve", path, *flags])
+        assert code == 0
+        obj = json.loads(out)
+        del obj["timings"]
+        return obj
+
+    first = solve()
+    other = solve("--seed", "3", "--method", "greedy", "--eps", "0.2", "--trials", "2")
+    assert other["seed"] == 3 and other["method"] == "greedy"
+    assert solve() == first
+    assert first["seed"] == Config().seed and first["method"] == "sdp"
 
 
 def test_oracle_rejects_flags_that_reach_no_oracle(tmp_path, capsys):

@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -14,7 +19,7 @@ from cutkit.errors import InfeasibleError, InputError, ParseError, StallError
 from cutkit.forge import gen_random
 from cutkit.graph import WeightedGraph, cut_value
 from cutkit.io import format_instance_text
-from cutkit import matroid
+from cutkit import _highs, matroid
 from cutkit.matroid import (
     ExplicitMatroid,
     GraphicMatroid,
@@ -677,3 +682,49 @@ def test_master_lp_on_highs_matches_linprog_bit_for_bit(monkeypatch):
         want = _linprog_master(ew, cover)
         for a, b in zip(got, want):
             assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the HiGHS extension, loaded without scipy.optimize
+
+
+def _fresh_python(probe):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    res = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(res.stdout)
+
+
+def test_cutkit_loads_highs_without_scipy_optimize():
+    probe = (
+        "import json, sys, cutkit.cli, cutkit.matroid as m; "
+        "print(json.dumps(['scipy.optimize' in sys.modules, 'scipy.fft' in sys.modules, "
+        f"m._highs is sys.modules[{_highs.NAME!r}]]))"
+    )
+    assert _fresh_python(probe) == [False, False, True]
+
+
+@pytest.mark.parametrize(
+    "imports", ["import cutkit.matroid, scipy.optimize", "import scipy.optimize, cutkit.matroid"]
+)
+def test_highs_is_one_module_in_either_import_order(imports):
+    probe = (
+        f"{imports}; import json, sys, cutkit; "
+        "from scipy.optimize import linprog; "
+        "from scipy.optimize._highspy import _core; "
+        "res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], bounds=[(0, 1)] * 2, "
+        "method='highs'); "
+        f"print(json.dumps([_core is cutkit.matroid._highs is sys.modules[{_highs.NAME!r}], "
+        "res.status, res.x.tolist()]))"
+    )
+    assert _fresh_python(probe) == [True, 0, [1.0, 0.0]]
+
+
+def test_missing_highs_extension_names_the_folder_and_scipy(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, _highs.NAME)
+    with pytest.raises(ImportError) as info:
+        _highs.load_core(str(tmp_path))
+    assert str(tmp_path) in str(info.value) and scipy.__version__ in str(info.value)
+    assert _highs.NAME not in sys.modules
