@@ -1,12 +1,15 @@
-"""scipy's HiGHS bindings, loaded without scipy.optimize.
+"""scipy extension modules, loaded without their parent packages.
 
-The matroid master LP calls only `scipy.optimize._highspy._core`, the
-extension scipy builds from highspy.  Importing it the usual way first
-runs `scipy.optimize/__init__`, which loads linprog, shgo, `scipy.fft`,
-`scipy.spatial.transform` and about 175 other modules cutkit never
-calls.  `load_core` loads the extension file alone under its own name
-and registers it in `sys.modules`, so a later `import scipy.optimize`
-finds it there and the process holds one copy.
+cutkit calls two of scipy's compiled extensions: HiGHS's bindings
+(`scipy.optimize._highspy._core`) for the matroid master LP, and the
+LAPACK wrappers (`scipy.linalg._flapack`) for the relaxation's affine
+chart and face basis.  Importing either the usual way first runs its
+parent package's `__init__`: `scipy.optimize` loads linprog, shgo,
+`scipy.fft` and about 175 other modules, and `scipy.linalg` loads scipy's
+array-API layer, which clones numpy's namespace and with it imports
+`numpy.testing` and `numpy.f2py`.  `load` runs the extension file alone
+under its own name and registers it in `sys.modules`, so a later import
+of the parent package finds it there and the process holds one copy.
 """
 
 from __future__ import annotations
@@ -18,34 +21,35 @@ from importlib.machinery import PathFinder
 
 import scipy
 
-NAME = "scipy.optimize._highspy._core"
+HIGHS = "scipy.optimize._highspy._core"
+FLAPACK = "scipy.linalg._flapack"
 
 
-def load_core(folder: str | None = None):
-    """The module `scipy.optimize._highspy._core`.
+def load(name: str, folder: str | None = None):
+    """The scipy extension module `name`, e.g. `HIGHS` or `FLAPACK`.
 
-    Reuses the registered module when the caller imported scipy.optimize
-    first.  Otherwise loads the extension from `folder` (by default
-    scipy's `optimize/_highspy`) and raises `ImportError` naming the
-    folder and the scipy version when it is not there.
+    Reuses the registered module when the caller imported its package
+    first.  Otherwise loads the extension file from `folder` (by default
+    the package's folder inside scipy) and raises `ImportError` naming
+    the folder and the scipy version when it is not there.
     """
-    module = sys.modules.get(NAME)
+    module = sys.modules.get(name)
     if module is not None:
         return module
     if folder is None:
-        folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
-    spec = PathFinder.find_spec(NAME, [folder])
+        folder = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:-1])
+    spec = PathFinder.find_spec(name, [folder])
     if spec is None:
         raise ImportError(
-            f"no HiGHS extension {NAME} in {folder} (scipy {scipy.__version__}); "
+            f"no extension {name} in {folder} (scipy {scipy.__version__}); "
             "cutkit needs scipy >= 1.15",
-            name=NAME,
+            name=name,
         )
     module = importlib.util.module_from_spec(spec)
-    sys.modules[NAME] = module
+    sys.modules[name] = module
     try:
         spec.loader.exec_module(module)
     except BaseException:
-        del sys.modules[NAME]
+        del sys.modules[name]
         raise
     return module

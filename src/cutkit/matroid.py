@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._highs import load_core
+from ._highs import HIGHS, load
 from .errors import InfeasibleError, InputError, StallError
 from .graph import CutSolution, WeightedGraph, as_vertex_set, cut_value
 
-_highs = load_core()
+_highs = load(HIGHS)
 
 _FEAS_TOL = 1e-7
 _PRICE_TOL = 1e-9  # least reduced-cost gain for a base to enter the master LP
@@ -225,7 +225,7 @@ def _not_dominated(masks) -> np.ndarray:
     """
     sizes = np.bitwise_count(masks)
     keep = np.ones(len(masks), dtype=bool)
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
         larger = masks[sizes > size]
         here = np.nonzero(sizes == size)[0]
         step = max(1, (1 << 20) // max(1, larger.size))

@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
-import scipy.sparse
 
 from ._blas import ONE_BLAS_THREAD
+from ._highs import FLAPACK, load
 from .config import PSD_TOL
 from .errors import (
     CapacityError,
@@ -33,6 +32,8 @@ from .errors import (
     SearchFailureError,
 )
 from .kernel import KernelResult
+
+_flapack = load(FLAPACK)
 
 _LUT_N_MAX = 20  # mask lookup tables get size 2^n
 
@@ -551,8 +552,24 @@ def build_program(kernel: KernelResult, level: int) -> SdpProgram:
     )
 
 
+class _Rows(NamedTuple):
+    """A sparse matrix as triplets in row order: entry (rows[e], cols[e]) is
+    vals[e], and no entry repeats."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+
 def _affine_rows(program: SdpProgram, basis: SubsetBasis, label):
-    """Sparse equality system B y = d over the selectable vertices.
+    """Sparse equality system B y = d over the selectable vertices, B as
+    row-ordered triplets.
 
     `basis` spans the selectable vertices under the labels in `label`; the
     super vertices are substituted out, so only normalization and the
@@ -567,21 +584,15 @@ def _affine_rows(program: SdpProgram, basis: SubsetBasis, label):
     rows, cols, vals = [np.zeros(1, dtype=np.int64)], [pos[:1]], [np.ones(1)]
     for p, (part, k) in enumerate(zip(program.parts, program.budgets)):
         kept = [label[v] for v in part - program.forbidden]
-        at = 1 + p * S.size + np.arange(S.size)
-        for i in kept:
-            rows.append(at)
-            cols.append(pos[S ^ (1 << i)])
-            vals.append(np.ones(S.size))
+        # one row per depth, the row's entries side by side
+        at = np.repeat(1 + p * S.size + np.arange(S.size), len(kept) + 1)
         rows.append(at)
-        cols.append(pos[S])
-        vals.append(np.full(S.size, len(kept) - 2.0 * k))
+        cols.append(np.column_stack([pos[S ^ (1 << i)] for i in kept] + [pos[S]]).ravel())
+        vals.append(np.tile([1.0] * len(kept) + [len(kept) - 2.0 * k], S.size))
     shape = (1 + len(program.parts) * S.size, basis.masks.size)
-    B = scipy.sparse.csr_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape
-    )
     d = np.zeros(shape[0])
     d[0] = 1.0
-    return B, d
+    return _Rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), shape), d
 
 
 def _objective_vector(program: SdpProgram, basis: SubsetBasis, label):
@@ -626,7 +637,39 @@ def _lift(y_free, n: int, level: int, free) -> np.ndarray:
 # solver
 
 
-def _affine_chart(B, d, weights):
+def _lapack(routine: str, *args, **kwargs):
+    """Call `routine` of scipy's LAPACK wrappers and drop its `info`.
+
+    A failing `info` raises ConvergenceError naming the routine.  dpstrf's
+    info > 0 only reports a rank below n, which the chart expects.
+    """
+    *out, info = getattr(_flapack, routine)(*args, **kwargs)
+    if info < 0 or (info > 0 and routine != "dpstrf"):
+        raise ConvergenceError(f"LAPACK {routine} failed with info {info}")
+    return out
+
+
+def _gram(A: _Rows) -> np.ndarray:
+    """A'A as a dense Fortran-ordered array.
+
+    Entry (i, j) sums A_ki A_kj over the rows k in ascending order, the
+    order of scipy.sparse's product, so the result is the same bits.
+    """
+    n = A.shape[1]
+    per_row = np.bincount(A.rows, minlength=A.shape[0])
+    reps = per_row[A.rows]  # every entry pairs with each entry of its row
+    left = np.repeat(np.arange(A.rows.size), reps)
+    first = (np.cumsum(per_row) - per_row)[A.rows] - (np.cumsum(reps) - reps)
+    right = first[left] + np.arange(left.size)
+    G = np.bincount(
+        A.cols[left] + n * A.cols[right],
+        weights=A.vals[left] * A.vals[right],
+        minlength=n * n,
+    )
+    return G.reshape(n, n, order="F")
+
+
+def _affine_chart(B: _Rows, d, weights):
     """q, K with {y : B y = d} = {q + K u : u in R^k}.
 
     K is a basis of null(B) orthonormal in the weighted inner product
@@ -639,21 +682,29 @@ def _affine_chart(B, d, weights):
     budget equations) need no special case.  The Gram matrix squares the
     condition of A; on the benchmark programs the nonzero singular values
     of A lie in [0.048, 1.44] and the rest are rounding (1e-15), so the
-    rank is clear.
+    rank is clear.  The LAPACK calls take the flags and work sizes that
+    scipy.linalg's solve_triangular and cho_solve pass, and give their bits.
     """
     root = np.sqrt(weights)
-    A = scipy.sparse.csr_array(B / root[None, :])
-    G = np.asfortranarray((A.T @ A).toarray())
-    U, piv, rank, _ = scipy.linalg.lapack.dpstrf(G, overwrite_a=True)
+    A = B._replace(vals=B.vals * np.divide(1, root)[B.cols])  # B / root as scipy.sparse divides
+    U, piv, rank = _lapack("dpstrf", _gram(A), overwrite_a=True)
     piv -= 1
     U1, U2 = U[:rank, :rank], U[:rank, rank:]  # the solvers read the upper triangle
     K = np.zeros((A.shape[1], A.shape[1] - rank))
-    K[piv[:rank]] = -scipy.linalg.solve_triangular(U1, U2)
+    if U2.size:
+        if U1.flags.f_contiguous:
+            (X,) = _lapack("dtrtrs", U1, U2, lower=False, trans=0)
+        else:  # trtrs reads Fortran order, so solve the transposed system
+            (X,) = _lapack("dtrtrs", U1.T, U2, lower=True, trans=1)
+        K[piv[:rank]] = -X
     K[piv[rank:], np.arange(K.shape[1])] = 1.0
     for _ in range(2):  # orthonormalise (K'K >= I, so the Cholesky exists); twice for rounding
         K = np.linalg.solve(np.linalg.cholesky(K.T @ K), K.T).T
     q = np.zeros(A.shape[1])
-    q[piv[:rank]] = scipy.linalg.cho_solve((U1, False), (A.T @ d)[piv[:rank]])
+    if rank:
+        Ad = np.bincount(A.cols, weights=A.vals * d[A.rows], minlength=A.shape[1])
+        (x,) = _lapack("dpotrs", U1, Ad[piv[:rank]], lower=False)
+        q[piv[:rank]] = x
     q -= K @ (K.T @ q)
     return q / root, K / root[:, None]
 
@@ -702,7 +753,16 @@ def face_basis(program: SdpProgram) -> np.ndarray:
         v[pos[T], cols] -= 2.0 * k - len(kept)
         null.append(v)
     W = np.hstack(null) / np.sqrt(mult)[:, None]
-    return scipy.linalg.null_space(W.T)
+    return _null_space(W.T)
+
+
+def _null_space(A) -> np.ndarray:
+    """Orthonormal basis of null(A): scipy.linalg.null_space's gesdd call,
+    work size and eps * max(M, N) cutoff, and so its bits."""
+    (lwork,) = _lapack("dgesdd_lwork", *A.shape, compute_uv=1, full_matrices=1)
+    u, s, vh = _lapack("dgesdd", A, compute_uv=1, lwork=int(lwork), full_matrices=1)
+    rcond = np.finfo(s.dtype).eps * max(u.shape[0], vh.shape[1])
+    return vh[np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int) :, :].T
 
 
 def _face_operator(K, V, class_idx, scale):

@@ -459,18 +459,61 @@ def test_bench_skips_the_sdp_row_that_loses_definiteness(tmp_path, capsys):
     assert skipped.startswith("ConvergenceError: Newton step")
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # rounding needs only scipy.special.ndtri; scipy.stats loads 170 more modules
+# cutkit loads scipy's LAPACK and HiGHS extension files alone (cutkit._highs)
+# and carries its own inverse normal CDF, so none of these is ever imported
+NOT_IMPORTED = (
+    "scipy.stats",
+    "scipy.linalg",
+    "scipy.sparse",
+    "scipy.special",
+    "scipy.optimize",
+    "scipy._lib._array_api",
+    "numpy.f2py",
+    "numpy.testing",
+    "numpy.ma",
+)
+
+
+def test_cli_import_and_bench_leave_scipy_packages_unloaded(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     probe = (
-        "import sys, cutkit.cli; "
-        "print([m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.')])"
+        "import json, sys, cutkit.cli; "
+        f"names = {NOT_IMPORTED!r}; "
+        "after_import = [m for m in names if m in sys.modules]; "
+        f"code = cutkit.cli.main(['bench', {CORPUS_DIR!r}, '--out', {str(tmp_path / 'r')!r}]); "
+        # the corpus holds no explicit matroid; building one reads its maximal sets
+        "cutkit.matroid.ExplicitMatroid(4, [[0, 2], [0, 3], [1, 2], [1, 3], [2]]); "
+        "print(json.dumps([after_import, code, [m for m in names if m in sys.modules]]))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     res = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert res.stdout.strip() == "[]"
+    assert json.loads(res.stdout.splitlines()[-1]) == [[], 0, []]
+
+
+def test_bench_skips_the_sdp_row_whose_lapack_call_fails(tmp_path, monkeypatch, capsys):
+    from cutkit import moments
+
+    real = moments._flapack.dgesdd
+    monkeypatch.setattr(
+        moments._flapack, "dgesdd", lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], 2)
+    )
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(Path(CORPUS_DIR) / "c1_n6.txt", corpus)
+    out = tmp_path / "report"
+    argv = ["bench", str(corpus), "--methods", "sdp,greedy", "--seeds", "1", "--out", str(out)]
+    code, _ = run(capsys, argv)
+    assert code == 0
+    csv_rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+    assert "c1_n6.txt,sdp,skipped,skipped,,false,1" in csv_rows
+    golden = GOLDEN_BENCH.read_text().splitlines()
+    want = [r for r in golden if r.startswith("c1_n6.txt,greedy,") and r.endswith(",1")]
+    assert [r for r in csv_rows if r.startswith("c1_n6.txt,greedy,")] == want
+    rows = json.loads(out.with_suffix(".json").read_text())["rows"]
+    (skipped,) = [r["skipped"] for r in rows if r["skipped"]]
+    assert skipped == "ConvergenceError: LAPACK dgesdd failed with info 2"
 
 
 def test_parser_is_built_once():

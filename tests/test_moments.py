@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from functools import lru_cache
@@ -23,7 +26,7 @@ from cutkit.forge import gen_random
 from cutkit.graph import ConstrainedInstance, WeightedGraph
 from cutkit.io import read_instance
 from cutkit.kernel import KernelResult, kernelize_multi, kernelize_single
-from cutkit import _blas, moments
+from cutkit import _blas, _highs, moments
 from cutkit.moments import (
     MomentVector,
     _affine_chart,
@@ -724,11 +727,11 @@ def test_affine_chart_with_dependent_rows():
     # both sum to the product of the two budget equations
     prog = build_program(pinned_kernel(7, 2, False, ["any", "any"], 4), 0)
     _, label, ms, _ = _free_rows(prog)
-    B, d = _affine_rows(prog, ms.basis, label)
-    B = B.toarray()
+    rows, d = _affine_rows(prog, ms.basis, label)
+    B = rows.toarray()
     assert np.linalg.matrix_rank(B) < B.shape[0]
     W = np.bincount(ms.class_idx.ravel(), minlength=ms.dim_y).astype(float)  # no supers
-    q, K = _affine_chart(B, d, W)
+    q, K = _affine_chart(rows, d, W)
     assert 0 < K.shape[1] == ms.dim_y - np.linalg.matrix_rank(B)
     assert np.abs(K.T @ (W[:, None] * K) - np.eye(K.shape[1])).max() <= 1e-10
     assert np.abs(K.T @ (W * q)).max() <= 1e-10
@@ -811,6 +814,138 @@ def test_singular_face_block_at_the_chart_origin_solves(monkeypatch):
     assert np.linalg.eigvalsh(Lq)[0] <= 1e-12
     assert mv.min_eigenvalue() >= -PSD_TOL
     assert mv.objective_value(prog.edges) >= reduced_optimum(ker) - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the chart and the face basis without scipy.linalg or scipy.sparse, against
+# the scipy path they replace, bit for bit
+
+
+def scipy_rows(rows):
+    import scipy.sparse
+
+    return scipy.sparse.csr_array((rows.vals, (rows.rows, rows.cols)), shape=rows.shape)
+
+
+def scipy_chart(rows, d, weights):
+    """_affine_chart as it read on scipy.sparse and scipy.linalg."""
+    import scipy.linalg
+    import scipy.sparse
+
+    B = scipy_rows(rows)
+    root = np.sqrt(weights)
+    A = scipy.sparse.csr_array(B / root[None, :])
+    G = np.asfortranarray((A.T @ A).toarray())
+    U, piv, rank, _ = scipy.linalg.lapack.dpstrf(G, overwrite_a=True)
+    piv -= 1
+    U1, U2 = U[:rank, :rank], U[:rank, rank:]
+    K = np.zeros((A.shape[1], A.shape[1] - rank))
+    K[piv[:rank]] = -scipy.linalg.solve_triangular(U1, U2)
+    K[piv[rank:], np.arange(K.shape[1])] = 1.0
+    for _ in range(2):
+        K = np.linalg.solve(np.linalg.cholesky(K.T @ K), K.T).T
+    q = np.zeros(A.shape[1])
+    q[piv[:rank]] = scipy.linalg.cho_solve((U1, False), (A.T @ d)[piv[:rank]])
+    q -= K @ (K.T @ q)
+    return (A.T @ A).toarray(), q / root, K / root[:, None]
+
+
+@lru_cache(maxsize=1)
+def chart_programs():
+    """The corpus programs, and pinned ones with and without super vertices."""
+    progs = {}
+    for name in sorted(ADMM_OBJECTIVES):
+        inst, _ = read_instance(str(CORPUS / name))
+        progs[name] = build_program(kernelize_multi(inst, 0.5), 0)
+    for with_supers in (False, True):
+        ker = pinned_kernel(8, 2, with_supers, ["any", "any"], 5)
+        progs[f"pinned-supers-{with_supers}"] = build_program(ker, 0)
+    progs["single-point"] = build_program(pinned_kernel(7, 2, True, ["zero", "full"], 6), 0)
+    return progs
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()  # tobytes reads C order
+
+
+@pytest.mark.parametrize("name", sorted(chart_programs()))
+def test_chart_and_face_basis_match_scipy_bit_for_bit(name, monkeypatch):
+    import scipy.linalg
+
+    prog = chart_programs()[name]
+    _, label, ms, mult = _free_rows(prog)
+    rows, d = _affine_rows(prog, ms.basis, label)
+    weights = np.bincount(
+        ms.class_idx.ravel(), weights=np.outer(mult, mult).ravel(), minlength=ms.dim_y
+    )
+    assert same_bits(rows.toarray(), scipy_rows(rows).toarray())
+    G, q, K = scipy_chart(rows, d, weights)
+    scaled = rows._replace(vals=rows.vals * np.divide(1, np.sqrt(weights))[rows.cols])
+    assert same_bits(moments._gram(scaled), G)
+    got_q, got_K = _affine_chart(rows, d, weights)
+    assert same_bits(got_q, q) and same_bits(got_K, K)
+    seen = []
+    real = moments._null_space
+    monkeypatch.setattr(moments, "_null_space", lambda A: seen.append(A) or real(A))
+    V = face_basis(prog)
+    want = scipy.linalg.null_space(seen[0])
+    assert same_bits(V, want) and V.strides == want.strides
+
+
+@pytest.mark.parametrize(
+    "imports", ["import cutkit.moments, scipy.linalg", "import scipy.linalg, cutkit.moments"]
+)
+def test_flapack_is_one_module_in_either_import_order(imports):
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        f"{imports}; import json, sys; "
+        "from scipy.linalg import _flapack, lapack; "
+        "x = scipy.linalg.solve([[2.0, 0.0], [0.0, 4.0]], [2.0, 2.0]); "
+        f"registered = sys.modules[{_highs.FLAPACK!r}]; "
+        "print(json.dumps([_flapack is cutkit.moments._flapack is registered, "
+        "lapack.dpstrf is _flapack.dpstrf, x.tolist()]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    res = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(res.stdout) == [True, True, [1.0, 0.5]]
+
+
+def test_missing_flapack_names_the_folder_and_scipy(tmp_path, monkeypatch):
+    import scipy
+
+    monkeypatch.delitem(sys.modules, _highs.FLAPACK)
+    with pytest.raises(ImportError) as info:
+        _highs.load(_highs.FLAPACK, str(tmp_path))
+    assert str(tmp_path) in str(info.value) and scipy.__version__ in str(info.value)
+    assert _highs.FLAPACK in str(info.value) and _highs.FLAPACK not in sys.modules
+
+
+@pytest.mark.parametrize(
+    "routine, info",
+    [("dpstrf", -1), ("dtrtrs", 3), ("dpotrs", -2), ("dgesdd_lwork", -1), ("dgesdd", 5)],
+)
+def test_lapack_failure_is_a_convergence_error(routine, info, monkeypatch):
+    real = getattr(moments._flapack, routine)
+    monkeypatch.setattr(
+        moments._flapack, routine, lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], info)
+    )
+    prog = chart_programs()["c2_n7.txt"]
+    with pytest.raises(ConvergenceError, match=f"LAPACK {routine} failed with info {info}$"):
+        solve(prog)
+
+
+def test_pivoted_cholesky_rank_report_is_not_a_failure():
+    # dpstrf returns info 1 whenever the Gram matrix is singular, as on
+    # every program with a free direction
+    prog = chart_programs()["c2_n7.txt"]
+    _, label, ms, _ = _free_rows(prog)
+    rows, d = _affine_rows(prog, ms.basis, label)
+    *_, rank, info = moments._flapack.dpstrf(moments._gram(rows))
+    assert info == 1 and rank < ms.dim_y
+    q, K = _affine_chart(rows, d, np.ones(ms.dim_y))
+    assert K.shape[1] == ms.dim_y - rank
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutkit import rounding
 from cutkit.config import Config
@@ -80,6 +84,69 @@ def test_marginal_preservation():
     rho = np.outer(b, b)
     np.fill_diagonal(rho, 1.0)
     assert_thresholds_are_norm_ppf(BiasProfile(b, rho))
+
+
+# ---------------------------------------------------------------------------
+# ndtri, the inverse normal CDF, against scipy.special.ndtri bit for bit
+
+
+def assert_ndtri_matches_scipy(p):
+    from scipy.special import ndtri as scipy_ndtri
+
+    p = np.asarray(p, dtype=np.float64)
+    got, want = rounding.ndtri(p), scipy_ndtri(p)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def ulps_around(x, count=1):
+    """x and the `count` doubles on each side of it."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(count):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def test_ndtri_at_the_ends():
+    assert rounding.ndtri([0.0, 1.0]).tolist() == [-np.inf, np.inf]
+    assert_ndtri_matches_scipy([0.0, 1.0, 0.5])
+
+
+def test_ndtri_where_the_central_branch_meets_the_tails():
+    e2 = math.exp(-2.0)
+    assert_ndtri_matches_scipy(ulps_around(e2) + ulps_around(1.0 - e2))
+    assert_ndtri_matches_scipy(ulps_around(0.13533528323661269189, 4))
+
+
+def test_ndtri_where_the_tail_variable_crosses_eight():
+    # x = sqrt(-2 log y) = 8 at y = exp(-32), on both tails
+    y = math.exp(-32.0)
+    assert_ndtri_matches_scipy(ulps_around(y, 3) + ulps_around(1.0 - y, 3))
+
+
+def test_ndtri_at_the_extreme_doubles():
+    assert_ndtri_matches_scipy([5e-324, 2.0**-1074 * 3, 2.0**-1022, 1.0 - 2.0**-53, 2.0**-53])
+
+
+def test_ndtri_on_a_dense_grid():
+    grid = np.linspace(0.0, 1.0, 200_001)
+    assert_ndtri_matches_scipy(grid)
+    assert_ndtri_matches_scipy(np.exp(-np.linspace(0.0, 744.0, 20_001)))
+    assert_ndtri_matches_scipy(1.0 - np.exp(-np.linspace(0.0, 36.0, 20_001)))
+    assert_ndtri_matches_scipy(grid.reshape(1, -1, 1)[:, ::1000])
+
+
+def test_ndtri_outside_the_unit_interval_is_nan():
+    assert np.isnan(rounding.ndtri([-0.5, -1e-300, 1.0 + 2.0**-52, 2.0, np.nan])).all()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_ndtri_matches_scipy(ps):
+    assert_ndtri_matches_scipy(ps)
 
 
 def test_inconsistent_profile_rejected():
