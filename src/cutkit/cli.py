@@ -96,12 +96,9 @@ def build_parser():
 
 def _config_from_args(args) -> Config:
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "level", None) is not None:
-        cfg.level = args.level
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = args.trials
+    for key in ("seed", "level", "trials"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
     return cfg
 
 
@@ -139,29 +136,26 @@ def cmd_kernelize(args) -> int:
     return 0
 
 
+def _write_instance(args, inst) -> int:
+    """Write `inst` to --out, or to stdout; --json picks the JSON mirror."""
+    text = format_instance_json(inst) if args.json else format_instance_text(inst)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def cmd_gen(args) -> int:
     inst = gen_random(
         args.n, args.edge_prob, args.weight_law, args.c, args.budget_law, args.seed
     )
-    text = format_instance_json(inst) if args.json else format_instance_text(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_instance(args, inst)
 
 
 def cmd_gadget(args) -> int:
-    tdm = read_3dm(args.tdm_file)
-    inst = gadget_from_3dm(tdm)
-    text = format_instance_json(inst) if args.json else format_instance_text(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_instance(args, gadget_from_3dm(read_3dm(args.tdm_file)))
 
 
 def cmd_inspect_sdp(args) -> int:
@@ -190,7 +184,12 @@ def cmd_inspect_sdp(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = []
+    for entry in filter(str.strip, args.seeds.split(",")):
+        try:
+            seeds.append(int(entry))
+        except ValueError:
+            raise InputError(f"bad seed {entry.strip()!r} in --seeds") from None
     report = run_bench(args.corpus_dir, methods, seeds, eps=args.eps, config=cfg)
     with open(args.out + ".csv", "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
@@ -213,12 +212,8 @@ def cmd_verify(args) -> int:
         for name in sorted(SUITES):
             sys.stdout.write(name + "\n")
         return 0
-    names = args.suite or list(DEFAULT_VERIFY)
-    for name in names:
-        if name not in SUITES:
-            raise InputError(f"unknown suite {name!r}; try --list")
     ok = True
-    for res in run_suites(names, load_config(args.config)):
+    for res in run_suites(args.suite or DEFAULT_VERIFY, load_config(args.config)):
         sys.stdout.write(f"{'PASS' if res.passed else 'FAIL'} {res.report}\n")
         for f in res.failures:
             sys.stdout.write(f"  counterexample: {f}\n")

@@ -42,9 +42,9 @@ def check_seed(seed: int):
         raise InputError(f"seed must be a non-negative integer, got {seed}")
 
 
-def parse_config_text(text: str, base: Config | None = None) -> Config:
+def parse_config_text(text: str) -> Config:
     """Parse `key = value` lines; '#' starts a comment; blank lines ignored."""
-    cfg = dataclasses.replace(base) if base is not None else Config()
+    cfg = Config()
     known = {f.name for f in dataclasses.fields(Config)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

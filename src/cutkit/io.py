@@ -16,8 +16,10 @@ Matroid section variants:
 
 The JSON mirror carries the same fields under {"schema": "cutkit/1", "n",
 "edges", "parts": [{"k", "vertices"}], "matroid"} and is accepted whenever a
-file starts with '{'.  3DM description files hold one "x y z" triple per
-line.
+file starts with '{'.  Both formats go through those fields: the text parser
+reads tokens into them, `_build` makes the instance and matroid from them,
+and `_fields` takes both apart for the two writers.  3DM description files
+hold one "x y z" triple per line.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ import json
 from .errors import ParseError
 from .forge import ThreeDMInstance
 from .graph import ConstrainedInstance, WeightedGraph
-from .matroid import (
-    ExplicitMatroid,
-    GraphicMatroid,
-    MatroidOracle,
-    PartitionMatroid,
-    UniformMatroid,
-)
+from .matroid import ExplicitMatroid, GraphicMatroid, PartitionMatroid, UniformMatroid
 
 SCHEMA = "cutkit/1"
 
@@ -46,153 +42,92 @@ def _tokens(text):
 
 
 def parse_instance_text(text: str):
-    """Parse the text format; returns (ConstrainedInstance, matroid or None)."""
+    """Parse the text format; returns (ConstrainedInstance, matroid or None).
+
+    The tokens become the JSON mirror's fields, and an error in a token
+    names its line; `_build` makes the objects.
+    """
     rows = list(_tokens(text))
     if not rows:
         raise ParseError("empty instance file", line=1)
     pos = 0
 
-    def take(expect_len=None, what=""):
+    def take(what, fields=None, least=0):
         nonlocal pos
         if pos >= len(rows):
             raise ParseError(f"unexpected end of file while reading {what}")
         lineno, toks = rows[pos]
         pos += 1
-        if expect_len is not None and len(toks) != expect_len:
+        if len(toks) < least or fields not in (None, len(toks)):
+            want = f"at least {least}" if fields is None else fields
             raise ParseError(
-                f"expected {expect_len} fields for {what}, got {len(toks)}",
-                line=lineno,
+                f"expected {want} fields for {what}, got {len(toks)}", line=lineno
             )
         return lineno, toks
 
-    lineno, header = take(3, "header 'n m c'")
-    try:
-        n, m, c = (int(t) for t in header)
-    except ValueError as exc:
-        raise ParseError("header fields must be integers", line=lineno) from exc
-
-    edges = []
-    for _ in range(m):
-        lineno, toks = take(3, "edge 'u v w'")
+    def numbers(lineno, toks, what):
         try:
-            edges.append((int(toks[0]), int(toks[1]), float(toks[2])))
+            return [int(t) for t in toks]
         except ValueError as exc:
-            raise ParseError("bad edge line", line=lineno) from exc
+            raise ParseError(f"bad {what}: {exc}", line=lineno) from exc
 
-    parts, budgets = [], []
-    for _ in range(c):
-        lineno, toks = take(None, "part line")
-        try:
-            size, k = int(toks[0]), int(toks[1])
-            ids = [int(t) for t in toks[2:]]
-        except ValueError as exc:
-            raise ParseError("bad part line", line=lineno) from exc
-        if len(ids) != size:
+    def listed(what, lead):
+        """A line 's [k] v1 ... vs': its `lead` leading numbers and the ids."""
+        lineno, toks = take(what, least=lead)
+        values = numbers(lineno, toks, what)
+        if len(values) - lead != values[0]:
             raise ParseError(
-                f"part declares {size} vertices but lists {len(ids)}", line=lineno
-            )
-        parts.append(ids)
-        budgets.append(k)
-
-    try:
-        graph = WeightedGraph(n, edges)
-        inst = ConstrainedInstance(graph, parts, budgets)
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
-
-    matroid = None
-    if pos < len(rows):
-        lineno, toks = take(None, "matroid section")
-        if toks[0] != "matroid":
-            raise ParseError(f"unexpected trailing line {toks!r}", line=lineno)
-        try:
-            matroid = _parse_matroid_tokens(toks[1:], lineno, take, inst)
-        except ValueError as exc:
-            raise ParseError(f"bad matroid section: {exc}", line=lineno) from exc
-        if pos < len(rows):
-            raise ParseError("unexpected trailing data", line=rows[pos][0])
-    return inst, matroid
-
-
-def _parse_matroid_tokens(toks, lineno, take, inst):
-    if not toks:
-        raise ParseError("matroid section needs a kind", line=lineno)
-    kind = toks[0]
-    n = inst.graph.n
-    if kind == "uniform":
-        if len(toks) != 2:
-            raise ParseError("expected 'matroid uniform K'", line=lineno)
-        return UniformMatroid(n, int(toks[1]))
-    if kind == "partition":
-        return PartitionMatroid(n, inst.parts, inst.budgets)
-    if kind == "graphic":
-        if len(toks) != 3:
-            raise ParseError("expected 'matroid graphic NV ME'", line=lineno)
-        nv, me = int(toks[1]), int(toks[2])
-        if me != n:
-            raise ParseError(
-                f"graphic matroid needs one auxiliary edge per vertex ({n})",
+                f"{what} declares {values[0]} ids but lists {len(values) - lead}",
                 line=lineno,
             )
-        aux = []
-        for _ in range(me):
-            ln, t = take(2, "auxiliary edge 'a b'")
-            aux.append((int(t[0]), int(t[1])))
-        return GraphicMatroid(nv, aux)
-    if kind == "explicit":
-        if len(toks) != 2:
-            raise ParseError("expected 'matroid explicit COUNT'", line=lineno)
-        sets = []
-        for _ in range(int(toks[1])):
-            ln, t = take(None, "independent-set line")
-            size = int(t[0])
-            ids = [int(v) for v in t[1:]]
-            if len(ids) != size:
-                raise ParseError("independent-set size mismatch", line=ln)
-            sets.append(ids)
-        return ExplicitMatroid(n, sets)
-    raise ParseError(f"unknown matroid kind {kind!r}", line=lineno)
+        return values[:lead], values[lead:]
 
+    lineno, header = take("header 'n m c'", 3)
+    n, m, c = numbers(lineno, header, "header")
+    edges = []
+    for _ in range(m):
+        lineno, (u, v, w) = take("edge 'u v w'", 3)
+        try:
+            edges.append([int(u), int(v), float(w)])
+        except ValueError as exc:
+            raise ParseError(f"bad edge line: {exc}", line=lineno) from exc
+    parts = []
+    for _ in range(c):
+        (_, k), ids = listed("part line", 2)
+        parts.append({"k": k, "vertices": ids})
 
-def _matroid_to_json(m: MatroidOracle):
-    if isinstance(m, UniformMatroid):
-        return {"kind": "uniform", "k": m.k}
-    if isinstance(m, PartitionMatroid):
-        return {"kind": "partition"}
-    if isinstance(m, GraphicMatroid):
-        return {
-            "kind": "graphic",
-            "aux_vertices": m.aux_vertices,
-            "aux_edges": [list(e) for e in m.aux_edges],
-        }
-    if isinstance(m, ExplicitMatroid):
-        return {"kind": "explicit", "sets": [sorted(s) for s in m.maximal]}
-    raise ParseError(f"unsupported matroid kind {m.kind!r}")
+    matroid = section = None
+    if pos < len(rows):
+        section, toks = take("matroid section")
+        if toks[0] != "matroid":
+            raise ParseError(f"unexpected trailing line {toks!r}", line=section)
+        if len(toks) == 1:
+            raise ParseError("matroid section needs a kind", line=section)
+        kind, args = toks[1], toks[2:]
 
+        def header_numbers(usage):
+            if len(args) != len(usage.split()):
+                raise ParseError(f"expected 'matroid {kind} {usage}'", line=section)
+            return numbers(section, args, "matroid section")
 
-def _matroid_from_json(obj, inst):
-    if not isinstance(obj, dict):
-        raise ParseError("matroid section must be a JSON object")
-    n = inst.graph.n
-    kind = obj.get("kind")
-    try:
+        matroid = {"kind": kind}
         if kind == "uniform":
-            return UniformMatroid(n, int(obj["k"]))
-        if kind == "partition":
-            return PartitionMatroid(n, inst.parts, inst.budgets)
-        if kind == "graphic":
-            if len(obj["aux_edges"]) != n:
-                raise ParseError(
-                    f"graphic matroid needs one auxiliary edge per vertex ({n})"
-                )
-            return GraphicMatroid(int(obj["aux_vertices"]), obj["aux_edges"])
-        if kind == "explicit":
-            return ExplicitMatroid(n, obj["sets"])
-    except KeyError as exc:
-        raise ParseError(f"{kind} matroid section lacks {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad {kind} matroid section: {exc}") from exc
-    raise ParseError(f"unknown matroid kind {kind!r}")
+            (matroid["k"],) = header_numbers("K")
+        elif kind == "graphic":
+            matroid["aux_vertices"], count = header_numbers("NV ME")
+            _check_aux_count(count, n, section)
+            matroid["aux_edges"] = [
+                numbers(*take("auxiliary edge 'a b'", 2), "auxiliary edge")
+                for _ in range(count)
+            ]
+        elif kind == "explicit":
+            (count,) = header_numbers("COUNT")
+            matroid["sets"] = [listed("independent-set line", 1)[1] for _ in range(count)]
+        elif kind != "partition":
+            raise ParseError(f"unknown matroid kind {kind!r}", line=section)
+        if pos < len(rows):
+            raise ParseError("unexpected trailing data", line=rows[pos][0])
+    return _build({"n": n, "edges": edges, "parts": parts, "matroid": matroid})
 
 
 def parse_instance_json(text: str):
@@ -204,21 +139,79 @@ def parse_instance_json(text: str):
         raise ParseError("instance must be a JSON object")
     if obj.get("schema") != SCHEMA:
         raise ParseError(f"unsupported schema {obj.get('schema')!r}")
-    try:
-        graph = WeightedGraph(obj["n"], [tuple(e) for e in obj["edges"]])
-        inst = ConstrainedInstance(
-            graph,
-            [p["vertices"] for p in obj["parts"]],
-            [p["k"] for p in obj["parts"]],
+    return _build(obj)
+
+
+def _check_aux_count(count, n, line=None):
+    if count != n:
+        raise ParseError(
+            f"graphic matroid needs one auxiliary edge per vertex ({n})", line=line
         )
-    except ParseError:
-        raise
+
+
+def _build(fields):
+    """The instance and matroid the mirror's fields describe.
+
+    Errors of the graph and the partition become ParseErrors; the cutkit
+    errors of the matroid constructors keep their class.
+    """
+    try:
+        graph = WeightedGraph(fields["n"], fields["edges"])
+        parts = fields["parts"]
+        inst = ConstrainedInstance(
+            graph, [p["vertices"] for p in parts], [p["k"] for p in parts]
+        )
     except Exception as exc:
         raise ParseError(str(exc)) from exc
-    matroid = None
-    if obj.get("matroid") is not None:
-        matroid = _matroid_from_json(obj["matroid"], inst)
-    return inst, matroid
+    m = fields.get("matroid")
+    if m is None:
+        return inst, None
+    if not isinstance(m, dict):
+        raise ParseError("matroid section must be a JSON object")
+    n, kind = graph.n, m.get("kind")
+    try:
+        if kind == "uniform":
+            return inst, UniformMatroid(n, int(m["k"]))
+        if kind == "partition":
+            return inst, PartitionMatroid(n, inst.parts, inst.budgets)
+        if kind == "graphic":
+            _check_aux_count(len(m["aux_edges"]), n)
+            return inst, GraphicMatroid(int(m["aux_vertices"]), m["aux_edges"])
+        if kind == "explicit":
+            return inst, ExplicitMatroid(n, m["sets"])
+    except KeyError as exc:
+        raise ParseError(f"{kind} matroid section lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad {kind} matroid section: {exc}") from exc
+    raise ParseError(f"unknown matroid kind {kind!r}")
+
+
+def _fields(inst: ConstrainedInstance, matroid):
+    """The JSON mirror's fields, less the schema, of an instance and matroid."""
+    if matroid is None:
+        mirror = None
+    elif isinstance(matroid, UniformMatroid):
+        mirror = {"kind": "uniform", "k": matroid.k}
+    elif isinstance(matroid, PartitionMatroid):
+        mirror = {"kind": "partition"}
+    elif isinstance(matroid, GraphicMatroid):
+        mirror = {
+            "kind": "graphic",
+            "aux_vertices": matroid.aux_vertices,
+            "aux_edges": [list(e) for e in matroid.aux_edges],
+        }
+    elif isinstance(matroid, ExplicitMatroid):
+        mirror = {"kind": "explicit", "sets": [sorted(s) for s in matroid.maximal]}
+    else:
+        raise ParseError(f"unsupported matroid kind {matroid.kind!r}")
+    return {
+        "n": inst.graph.n,
+        "edges": [list(e) for e in inst.graph.edges],
+        "parts": [
+            {"k": k, "vertices": sorted(p)} for p, k in zip(inst.parts, inst.budgets)
+        ],
+        "matroid": mirror,
+    }
 
 
 def parse_instance(text: str):
@@ -234,44 +227,27 @@ def read_instance(path: str):
 
 
 def format_instance_text(inst: ConstrainedInstance, matroid=None) -> str:
-    g = inst.graph
-    lines = [f"{g.n} {len(g.edges)} {inst.c}"]
-    for u, v, w in g.edges:
-        lines.append(f"{u} {v} {w!r}")
-    for part, k in zip(inst.parts, inst.budgets):
-        ids = " ".join(str(v) for v in sorted(part))
-        lines.append(f"{len(part)} {k} {ids}".rstrip())
-    if matroid is not None:
-        if isinstance(matroid, UniformMatroid):
-            lines.append(f"matroid uniform {matroid.k}")
-        elif isinstance(matroid, PartitionMatroid):
-            lines.append("matroid partition")
-        elif isinstance(matroid, GraphicMatroid):
-            lines.append(
-                f"matroid graphic {matroid.aux_vertices} {len(matroid.aux_edges)}"
-            )
-            for a, b in matroid.aux_edges:
-                lines.append(f"{a} {b}")
-        elif isinstance(matroid, ExplicitMatroid):
-            lines.append(f"matroid explicit {len(matroid.maximal)}")
-            for s in matroid.maximal:
-                ids = " ".join(str(v) for v in sorted(s))
-                lines.append(f"{len(s)} {ids}".rstrip())
+    f = _fields(inst, matroid)
+    rows = [[f["n"], len(f["edges"]), len(f["parts"])], *f["edges"]]
+    rows += [[len(p["vertices"]), p["k"], *p["vertices"]] for p in f["parts"]]
+    m = f["matroid"]
+    if m is not None:
+        kind = m["kind"]
+        if kind == "uniform":
+            rows.append(["matroid", kind, m["k"]])
+        elif kind == "partition":
+            rows.append(["matroid", kind])
+        elif kind == "graphic":
+            rows.append(["matroid", kind, m["aux_vertices"], len(m["aux_edges"])])
+            rows += m["aux_edges"]
         else:
-            raise ParseError(f"unsupported matroid kind {matroid.kind!r}")
-    return "\n".join(lines) + "\n"
+            rows.append(["matroid", kind, len(m["sets"])])
+            rows += [[len(s), *s] for s in m["sets"]]
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
 
 def format_instance_json(inst: ConstrainedInstance, matroid=None) -> str:
-    obj = {
-        "schema": SCHEMA,
-        "n": inst.graph.n,
-        "edges": [[u, v, w] for u, v, w in inst.graph.edges],
-        "parts": [
-            {"k": k, "vertices": sorted(p)} for p, k in zip(inst.parts, inst.budgets)
-        ],
-        "matroid": _matroid_to_json(matroid) if matroid is not None else None,
-    }
+    obj = {"schema": SCHEMA, **_fields(inst, matroid)}
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 

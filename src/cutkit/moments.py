@@ -691,11 +691,8 @@ def _affine_chart(B: _Rows, d, weights):
     piv -= 1
     U1, U2 = U[:rank, :rank], U[:rank, rank:]  # the solvers read the upper triangle
     K = np.zeros((A.shape[1], A.shape[1] - rank))
-    if U2.size:
-        if U1.flags.f_contiguous:
-            (X,) = _lapack("dtrtrs", U1, U2, lower=False, trans=0)
-        else:  # trtrs reads Fortran order, so solve the transposed system
-            (X,) = _lapack("dtrtrs", U1.T, U2, lower=True, trans=1)
+    if U2.size:  # transposed, as scipy solves a block that is not Fortran-contiguous
+        (X,) = _lapack("dtrtrs", U1.T, U2, lower=True, trans=1)
         K[piv[:rank]] = -X
     K[piv[rank:], np.arange(K.shape[1])] = 1.0
     for _ in range(2):  # orthonormalise (K'K >= I, so the Cholesky exists); twice for rounding

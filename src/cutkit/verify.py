@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import Config
+from .errors import InputError
 from .forge import gadget_from_3dm, gen_3dm, gen_random, tdm_has_perfect_matching
 from .graph import ConstrainedInstance, WeightedGraph, cut_value
 from .kernel import kernelize_multi, kernelize_single, migrate_to_kernel
@@ -680,10 +681,9 @@ DEFAULT_VERIFY = ("kernel", "sandwich", "gadget", "conditioning")
 
 
 def run_suites(names, config: Config | None = None):
+    names = list(names)
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise InputError(f"unknown suite {', '.join(map(repr, unknown))}; try --list")
     config = config or Config()
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}")
-        results.append(SUITES[name](config))
-    return results
+    return [SUITES[name](config) for name in names]

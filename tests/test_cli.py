@@ -13,7 +13,7 @@ import pytest
 
 from cutkit.cli import build_parser, main
 from cutkit.config import Config
-from cutkit.errors import ConvergenceError
+from cutkit.errors import ConvergenceError, InputError
 from cutkit.io import format_instance_text, parse_instance, read_instance
 from cutkit.forge import gen_random
 from cutkit.graph import ConstrainedInstance, WeightedGraph
@@ -69,8 +69,10 @@ def test_missing_file_exit_code(capsys):
 
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("2 1 1\n0 1 oops\n2 1 0 1\n")
-    assert main(["solve", str(bad)]) == 1
+    for text, line in (("2 1 1\n0 1 oops\n2 1 0 1\n", 2), ("3 2 1\n0 1 1\n1 2 1\n3\n", 4)):
+        bad.write_text(text)
+        assert main(["solve", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
 def test_infeasible_exit_code(tmp_path, capsys):
@@ -209,6 +211,23 @@ def test_verify_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == 1
 
 
+def test_run_suites_checks_every_name_before_running_any(monkeypatch):
+    from cutkit import verify
+
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "kernel", lambda config: ran.append("kernel"))
+    with pytest.raises(InputError, match="unknown suite 'nope'; try --list"):
+        verify.run_suites(["kernel", "nope"])
+    assert ran == []
+
+
+def test_bench_refuses_a_bad_seed_entry(tmp_path, capsys):
+    out = tmp_path / "report"
+    assert main(["bench", CORPUS_DIR, "--seeds", "7,x", "--out", str(out)]) == 1
+    assert "bad seed 'x' in --seeds" in capsys.readouterr().err
+    assert not out.with_suffix(".csv").exists()
+
+
 def test_verify_reads_the_config_file(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("oracle_combo_cap = 1\n")
@@ -340,14 +359,16 @@ def test_bench_unparsable_file_skips_its_rows(tmp_path, capsys):
     corpus.mkdir()
     shutil.copy(Path(CORPUS_DIR) / "c1_n6.txt", corpus)
     (corpus / "bad_edge.txt").write_text("2 1 1\n0 1 x\n2 1 0 1\n")
+    (corpus / "short_part.txt").write_text("3 2 1\n0 1 1\n1 2 1\n3\n")
     rows, csv_rows = bench_rows(tmp_path, capsys, corpus, "pipage,greedy,oracle")
-    assert len(rows) == 6
+    assert len(rows) == 9
     for method in ("pipage", "greedy", "oracle"):
         assert rows[("c1_n6.txt", method)]["skipped"] is None
-        bad = rows[("bad_edge.txt", method)]
-        assert bad["skipped"].startswith("ParseError: line 2")
-        assert bad["value"] is None and bad["oracle_value"] is None
-        assert f"bad_edge.txt,{method},skipped,skipped,,false,1" in csv_rows
+        for name, line in (("bad_edge.txt", 2), ("short_part.txt", 4)):
+            bad = rows[(name, method)]
+            assert bad["skipped"].startswith(f"ParseError: line {line}:")
+            assert bad["value"] is None and bad["oracle_value"] is None
+            assert f"{name},{method},skipped,skipped,,false,1" in csv_rows
 
 
 def test_bench_negative_seed_fails_only_the_sdp_rows(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from cutkit.errors import ParseError
 from cutkit.forge import gen_random
+from cutkit.graph import ConstrainedInstance, WeightedGraph
 from cutkit.io import (
     format_instance_json,
     format_instance_text,
@@ -104,9 +106,19 @@ def test_bad_top_level_json_is_a_parse_error():
 
 
 def test_text_bad_matroid_number_is_a_parse_error():
-    with pytest.raises(ParseError) as exc_info:
-        parse_instance("3 2 1\n0 1 1\n1 2 1\n3 1 0 1 2\nmatroid uniform two\n")
-    assert exc_info.value.line == 5
+    # a bad number names its own line, in the section's following lines too;
+    # a graphic edge count other than n names the header before any edge line
+    base = "3 2 1\n0 1 1\n1 2 1\n3 1 0 1 2\n"
+    for section, line in (
+        ("matroid uniform two\n", 5),
+        ("matroid graphic 3 3\n0 1\n1 x\n2 0\n", 7),
+        ("matroid explicit 2\n2 0 1\n1 x\n", 7),
+        ("matroid graphic 3 2\n0 1\n1 2\n", 5),
+        ("matroid graphic 3 4\n0 1\n1 2\n2 0\n", 5),
+    ):
+        with pytest.raises(ParseError) as exc_info:
+            parse_instance(base + section)
+        assert exc_info.value.line == line
 
 
 @st.composite
@@ -186,3 +198,209 @@ def test_parse_3dm():
         parse_3dm("0 0\n")
     with pytest.raises(ParseError):
         parse_3dm("")
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*") if p.suffix in (".txt", ".json")))
+def test_corpus_file_reformats_to_its_own_bytes(name):
+    stored = (CORPUS / name).read_text(encoding="utf-8")
+    fmt = format_instance_json if name.endswith(".json") else format_instance_text
+    assert fmt(*parse_instance(stored)) == stored
+
+
+# One small instance per matroid kind, with an empty part, a repeated
+# auxiliary edge and an explicit matroid whose only set is empty; the
+# strings pin both formats byte for byte.
+def _pinned(kind):
+    if kind == "uniform":
+        inst = ConstrainedInstance(WeightedGraph(3, [(1, 0, 0.1), (1, 2, 1 / 3)]), [[2, 0, 1], []], [1, 0])
+        return inst, UniformMatroid(3, 2)
+    if kind == "partition":
+        inst = ConstrainedInstance(WeightedGraph(3, [(0, 2, 1.0)]), [[1], [2, 0]], [0, 1])
+        return inst, PartitionMatroid(3, inst.parts, inst.budgets)
+    if kind == "graphic":
+        inst = ConstrainedInstance(WeightedGraph(2, [(0, 1, 2.5)]), [[0, 1]], [1])
+        return inst, GraphicMatroid(2, [(0, 1), (0, 1)])
+    inst = ConstrainedInstance(WeightedGraph(2, []), [[0, 1]], [1])
+    return inst, ExplicitMatroid(2, [[]])
+
+
+PINNED = {
+    "uniform": (
+        """\
+3 2 2
+0 1 0.1
+1 2 0.3333333333333333
+3 1 0 1 2
+0 0
+matroid uniform 2
+""",
+        """\
+{
+  "edges": [
+    [
+      0,
+      1,
+      0.1
+    ],
+    [
+      1,
+      2,
+      0.3333333333333333
+    ]
+  ],
+  "matroid": {
+    "k": 2,
+    "kind": "uniform"
+  },
+  "n": 3,
+  "parts": [
+    {
+      "k": 1,
+      "vertices": [
+        0,
+        1,
+        2
+      ]
+    },
+    {
+      "k": 0,
+      "vertices": []
+    }
+  ],
+  "schema": "cutkit/1"
+}
+""",
+    ),
+    "partition": (
+        """\
+3 1 2
+0 2 1.0
+1 0 1
+2 1 0 2
+matroid partition
+""",
+        """\
+{
+  "edges": [
+    [
+      0,
+      2,
+      1.0
+    ]
+  ],
+  "matroid": {
+    "kind": "partition"
+  },
+  "n": 3,
+  "parts": [
+    {
+      "k": 0,
+      "vertices": [
+        1
+      ]
+    },
+    {
+      "k": 1,
+      "vertices": [
+        0,
+        2
+      ]
+    }
+  ],
+  "schema": "cutkit/1"
+}
+""",
+    ),
+    "graphic": (
+        """\
+2 1 1
+0 1 2.5
+2 1 0 1
+matroid graphic 2 2
+0 1
+0 1
+""",
+        """\
+{
+  "edges": [
+    [
+      0,
+      1,
+      2.5
+    ]
+  ],
+  "matroid": {
+    "aux_edges": [
+      [
+        0,
+        1
+      ],
+      [
+        0,
+        1
+      ]
+    ],
+    "aux_vertices": 2,
+    "kind": "graphic"
+  },
+  "n": 2,
+  "parts": [
+    {
+      "k": 1,
+      "vertices": [
+        0,
+        1
+      ]
+    }
+  ],
+  "schema": "cutkit/1"
+}
+""",
+    ),
+    "explicit": (
+        """\
+2 0 1
+2 1 0 1
+matroid explicit 1
+0
+""",
+        """\
+{
+  "edges": [],
+  "matroid": {
+    "kind": "explicit",
+    "sets": [
+      []
+    ]
+  },
+  "n": 2,
+  "parts": [
+    {
+      "k": 1,
+      "vertices": [
+        0,
+        1
+      ]
+    }
+  ],
+  "schema": "cutkit/1"
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_pinned_bytes_of_each_matroid_kind(kind):
+    inst, matroid = _pinned(kind)
+    text, mirror = PINNED[kind]
+    assert format_instance_text(inst, matroid) == text
+    assert format_instance_json(inst, matroid) == mirror
+    for stored, fmt in ((text, format_instance_text), (mirror, format_instance_json)):
+        parsed, m = parse_instance(stored)
+        assert parsed == inst
+        assert matroid_fields(m) == matroid_fields(matroid)
+        assert fmt(parsed, m) == stored
