@@ -3,13 +3,14 @@
 cutkit calls two of scipy's compiled extensions: HiGHS's bindings
 (`scipy.optimize._highspy._core`) for the matroid master LP, and the
 LAPACK wrappers (`scipy.linalg._flapack`) for the relaxation's affine
-chart and face basis.  Importing either the usual way first runs its
-parent package's `__init__`: `scipy.optimize` loads linprog, shgo,
-`scipy.fft` and about 175 other modules, and `scipy.linalg` loads scipy's
-array-API layer, which clones numpy's namespace and with it imports
-`numpy.testing` and `numpy.f2py`.  `load` runs the extension file alone
-under its own name and registers it in `sys.modules`, so a later import
-of the parent package finds it there and the process holds one copy.
+chart, face basis and Newton steps.  Importing either the usual way first
+runs its parent package's `__init__`: `scipy.optimize` loads linprog,
+shgo, `scipy.fft` and about 175 other modules, and `scipy.linalg` loads
+scipy's array-API layer, which clones numpy's namespace and with it
+imports `numpy.testing` and `numpy.f2py`.  `load` runs the extension
+file alone under its own name and registers it in `sys.modules`, so a
+later import of the parent package finds it there and the process holds
+one copy.
 """
 
 from __future__ import annotations

@@ -105,9 +105,10 @@ def parse_instance_text(text: str):
             raise ParseError("matroid section needs a kind", line=section)
         kind, args = toks[1], toks[2:]
 
-        def header_numbers(usage):
+        def header_numbers(usage=""):
             if len(args) != len(usage.split()):
-                raise ParseError(f"expected 'matroid {kind} {usage}'", line=section)
+                form = f"matroid {kind} {usage}".rstrip()
+                raise ParseError(f"expected '{form}'", line=section)
             return numbers(section, args, "matroid section")
 
         matroid = {"kind": kind}
@@ -123,7 +124,9 @@ def parse_instance_text(text: str):
         elif kind == "explicit":
             (count,) = header_numbers("COUNT")
             matroid["sets"] = [listed("independent-set line", 1)[1] for _ in range(count)]
-        elif kind != "partition":
+        elif kind == "partition":
+            header_numbers()
+        else:
             raise ParseError(f"unknown matroid kind {kind!r}", line=section)
         if pos < len(rows):
             raise ParseError("unexpected trailing data", line=rows[pos][0])
@@ -149,18 +152,35 @@ def _check_aux_count(count, n, line=None):
         )
 
 
+def _integer(value, field):
+    """value when it is a JSON integer; a ParseError naming `field` for any
+    other value, 3.0 and true included."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
 def _build(fields):
     """The instance and matroid the mirror's fields describe.
 
-    Errors of the graph and the partition become ParseErrors; the cutkit
-    errors of the matroid constructors keep their class.
+    Every number but an edge weight must be an integer.  Errors of the
+    graph and the partition become ParseErrors; the cutkit errors of the
+    matroid constructors keep their class.
     """
     try:
-        graph = WeightedGraph(fields["n"], fields["edges"])
+        n = _integer(fields["n"], "n")
+        edges = [
+            (_integer(u, "edges"), _integer(v, "edges"), w) for u, v, w in fields["edges"]
+        ]
+        graph = WeightedGraph(n, edges)
         parts = fields["parts"]
         inst = ConstrainedInstance(
-            graph, [p["vertices"] for p in parts], [p["k"] for p in parts]
+            graph,
+            [[_integer(v, "parts vertices") for v in p["vertices"]] for p in parts],
+            [_integer(p["k"], "parts k") for p in parts],
         )
+    except ParseError:
+        raise
     except Exception as exc:
         raise ParseError(str(exc)) from exc
     m = fields.get("matroid")
@@ -171,14 +191,16 @@ def _build(fields):
     n, kind = graph.n, m.get("kind")
     try:
         if kind == "uniform":
-            return inst, UniformMatroid(n, int(m["k"]))
+            return inst, UniformMatroid(n, _integer(m["k"], "matroid k"))
         if kind == "partition":
             return inst, PartitionMatroid(n, inst.parts, inst.budgets)
         if kind == "graphic":
-            _check_aux_count(len(m["aux_edges"]), n)
-            return inst, GraphicMatroid(int(m["aux_vertices"]), m["aux_edges"])
+            aux = [[_integer(a, "matroid aux_edges") for a in e] for e in m["aux_edges"]]
+            _check_aux_count(len(aux), n)
+            return inst, GraphicMatroid(_integer(m["aux_vertices"], "matroid aux_vertices"), aux)
         if kind == "explicit":
-            return inst, ExplicitMatroid(n, m["sets"])
+            sets = [[_integer(v, "matroid sets") for v in s] for s in m["sets"]]
+            return inst, ExplicitMatroid(n, sets)
     except KeyError as exc:
         raise ParseError(f"{kind} matroid section lacks {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -161,14 +161,11 @@ class MomentVector:
         return self.y[ms.class_idx]
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.moment_matrix())[0])
+        return float(_min_eigenvalue(self.moment_matrix()))
 
     def objective_value(self, edges) -> float:
         """Expected cut weight sum_e w_e * P(endpoints disagree)."""
-        total = 0.0
-        for u, v, w in edges:
-            total += w * (1.0 - self.corr(u, v)) / 2.0
-        return total
+        return float(_expected_cut(pair_moments(self)[1], edges))
 
     def to_json_dict(self):
         out = {}
@@ -253,11 +250,29 @@ def pair_moments(m: MomentVector):
     rho_ij = E[x_i x_j], read through the basis in one index."""
     if m.level < 1:
         raise InputError("pair moments need level >= 1")
-    bits = np.left_shift(1, np.arange(m.n, dtype=np.int64))
-    rho = m.y[m.basis.pos[bits[:, None] | bits[None, :]]]
-    b = np.diagonal(rho).copy()  # {i} | {i} is the singleton {i}
-    np.fill_diagonal(rho, 1.0)
+    return _pair_moments(m.basis, m.y)
+
+
+def _pair_moments(basis: SubsetBasis, y):
+    """`pair_moments` of every moment vector along the last axis of y, which
+    may carry leading batch axes."""
+    bits = np.left_shift(1, np.arange(basis.n, dtype=np.int64))
+    rho = y[..., basis.pos[bits[:, None] | bits[None, :]]]
+    diag = np.arange(basis.n)
+    b = rho[..., diag, diag]  # {i} | {i} is the singleton {i}
+    rho[..., diag, diag] = 1.0
     return b, rho
+
+
+def _expected_cut(rho, edges) -> np.ndarray:
+    """sum_e w_e (1 - rho_e) / 2 for pair moments rho (..., n, n), added in
+    edge order to a running total from 0.0 (np.cumsum is sequential), so
+    each entry has the bits of the plain Python loop."""
+    ends = np.array([(u, v) for u, v, _ in edges], dtype=np.intp).reshape(-1, 2)
+    w = np.array([w for *_, w in edges], dtype=np.float64)
+    terms = w * (1.0 - rho[..., ends[:, 0], ends[:, 1]]) / 2.0
+    zero = np.zeros(terms.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate([zero, terms], axis=-1), axis=-1)[..., -1]
 
 
 def _normalised(p) -> np.ndarray:
@@ -283,9 +298,16 @@ def information_matrix(m: MomentVector) -> np.ndarray:
     entries (i, j) and (j, i) agree up to rounding."""
     if m.level < 2:
         raise InputError("mutual information needs level >= 2")
-    b, rho = pair_moments(m)
+    return _information(*pair_moments(m))
+
+
+def _information(b, rho) -> np.ndarray:
+    """`information_matrix` from biases b (..., n) and pair moments rho
+    (..., n, n), over any leading batch axes."""
     s_i, s_j = _PAIR_SIGNS
-    joint = 1 + s_i * b[:, None, None] + s_j * b[None, :, None] + s_i * s_j * rho[..., None]
+    joint = (
+        1 + s_i * b[..., :, None, None] + s_j * b[..., None, :, None] + s_i * s_j * rho[..., None]
+    )
     joint = _normalised(np.minimum(joint / 4.0, 1.0))
     # the marginals of x_i, (+., -.), and of x_j, (.+, .-)
     h_i, h_j = _entropy_bits(
@@ -331,14 +353,20 @@ def entropy_of_vertex(m: MomentVector, i: int) -> float:
     return float(information_matrix(m)[i, i])
 
 
-def _part_scores(info: np.ndarray, parts) -> list:
+def _part_scores(info: np.ndarray, parts) -> np.ndarray:
     """Average pairwise MI inside each sorted part, over its upper triangle
-    (the pairs a < b, without the entropy diagonal); 0 below two vertices."""
+    (the pairs a < b, without the entropy diagonal); 0 below two vertices.
+    info may carry leading batch axes; the scores are the last axis."""
     upper = np.triu(info, 1)
-    return [
-        float(upper[np.ix_(p, p)].sum() / (len(p) * (len(p) - 1) / 2)) if len(p) > 1 else 0.0
-        for p in parts
-    ]
+    return np.stack(
+        [
+            upper[..., np.array(p)[:, None], p].sum(axis=(-2, -1)) / (len(p) * (len(p) - 1) / 2)
+            if len(p) > 1
+            else np.zeros(info.shape[:-2])
+            for p in parts
+        ],
+        axis=-1,
+    )
 
 
 def block_independence_score(m: MomentVector, parts):
@@ -354,7 +382,7 @@ def block_independence_score(m: MomentVector, parts):
         (float(info[np.ix_(a, b)].mean()) for a, b in combinations(parts, 2) if a and b),
         0.0,
     )
-    return _part_scores(info, parts), cross
+    return _part_scores(info, parts).tolist(), cross
 
 
 def iid_pair_information_sum(m: MomentVector, parts) -> float:
@@ -421,8 +449,14 @@ def make_block_independent(
     marginal, then condition.  A candidate qualifies when every per-part
     average MI is at most alpha and, if `edges` is supplied, its objective
     is within alpha of the starting objective.  The best-objective
-    qualifier wins; exhausting all restarts raises SearchFailureError
-    carrying the closest candidate.
+    qualifier wins, ties going to the earlier restart; exhausting all
+    restarts raises SearchFailureError carrying the closest candidate, the
+    first met in restart order among those of the lowest part score.
+
+    The restarts walk side by side, one depth at a time, each drawing from
+    its own generator, so every draw is the one a restart-by-restart walk
+    would make.  The paths new at a depth are scored together in one
+    numpy pass.
     """
     parts = [p for p in _checked_parts(m, parts) if p]
     if not parts:
@@ -433,63 +467,72 @@ def make_block_independent(
         raise InputError(
             f"level {m.level} cannot support {budget_L} conditioning steps"
         )
+    # m's objective is the starting objective, so its score alone decides
+    # whether m qualifies
+    if not _part_scores(information_matrix(m), parts).max() > alpha:
+        return m
     start_obj = m.objective_value(edges) if edges is not None else None
 
-    def worst_part(mv: MomentVector) -> float:
-        return max(_part_scores(information_matrix(mv), parts))
-
-    def winner_key(mv: MomentVector, worst: float):
-        """Sort key of a qualifying vector, the lower the better; None when
-        it does not qualify."""
-        if worst > alpha:
-            return None
+    def scored(vectors):
+        """(worst part score, winner key) of each vector, all of one level.
+        The key sorts qualifiers, the lower the better; None when the
+        vector does not qualify."""
+        b, rho = _pair_moments(vectors[0].basis, np.stack([mv.y for mv in vectors]))
+        worst = _part_scores(_information(b, rho), parts).max(axis=-1).tolist()
         if start_obj is None:
-            return worst
-        obj = mv.objective_value(edges)
-        return None if obj < start_obj - alpha - 1e-9 else -obj
+            return [(w, None if w > alpha else w) for w in worst]
+        objs = _expected_cut(rho, edges).tolist()
+        return [
+            (w, None if w > alpha or obj < start_obj - alpha - 1e-9 else -obj)
+            for w, obj in zip(worst, objs)
+        ]
 
-    if winner_key(m, worst_part(m)) is not None:
-        return m
-
-    def scored(mv: MomentVector, vertex: int, value: int):
-        """(conditioned vector, worst part score, winner key), or None for a
-        degenerate event."""
+    def conditioned(mv: MomentVector, vertex: int, value: int):
         try:
-            nxt, _ = condition(mv, vertex, value)
+            return condition(mv, vertex, value)[0]
         except DegenerateEventError:
             return None
-        worst = worst_part(nxt)
-        return nxt, worst, winner_key(nxt, worst)
 
     # Every restart starts from m, so restarts repeat paths; each path of
     # (vertex, value) steps is conditioned and scored once.
-    seen = {}
-    best_candidate = None  # (max_part_score, restart, MomentVector)
-    winners = []  # (negative objective or score, restart, MomentVector)
-    for r in range(RESTARTS):
-        rng = np.random.default_rng(np.random.SeedSequence((rng_seed, r)))
-        cur, path = m, ()
-        for _ in range(budget_L):
+    seen = {}  # path -> conditioned vector, or None for a degenerate event
+    rngs = [np.random.default_rng(np.random.SeedSequence((rng_seed, r))) for r in range(RESTARTS)]
+    walking = {r: (m, ()) for r in range(RESTARTS)}  # restart -> (vector, path)
+    visits = [[] for _ in range(RESTARTS)]  # per restart, (score, key, vector) per step
+    for _ in range(budget_L):
+        moved = {}  # restart -> its path one step longer
+        for r, (cur, path) in walking.items():
+            rng = rngs[r]
             for _ in range(16):  # resample degenerate events
                 block = parts[rng.integers(len(parts))]
                 vertex = int(block[rng.integers(len(block))])
                 step = path + ((vertex, sample_value(cur, vertex, rng)),)
                 if step not in seen:
-                    seen[step] = scored(cur, *step[-1])
+                    seen[step] = conditioned(cur, *step[-1])
                 if seen[step] is not None:
+                    moved[r] = step
                     break
-            else:
-                break
-            path = step
-            cur, worst, key = seen[path]
+        if not moved:
+            break
+        fresh = list(dict.fromkeys(moved.values()))  # restarts may meet on a path
+        scores = dict(zip(fresh, scored([seen[p] for p in fresh])))
+        walking = {}
+        for r, path in moved.items():
+            worst, key = scores[path]
+            visits[r].append((worst, key, seen[path]))
+            if key is None:
+                walking[r] = (seen[path], path)
+
+    best_candidate = None  # (max_part_score, restart, MomentVector)
+    winners = []  # (negative objective or score, restart, MomentVector)
+    for r, steps in enumerate(visits):
+        for worst, key, cur in steps:
             if best_candidate is None or worst < best_candidate[0]:
                 best_candidate = (worst, r, cur)
             if key is not None:
                 winners.append((key, r, cur))
-                break
     if winners:
-        winners.sort(key=lambda t: (t[0], t[1]))
-        return winners[0][2]
+        return min(winners, key=lambda t: (t[0], t[1]))[2]
     raise SearchFailureError(
         f"no alpha={alpha} block-independent conditioning found in "
         f"{RESTARTS} restarts of {budget_L} steps",
@@ -641,12 +684,48 @@ def _lapack(routine: str, *args, **kwargs):
     """Call `routine` of scipy's LAPACK wrappers and drop its `info`.
 
     A failing `info` raises ConvergenceError naming the routine.  dpstrf's
-    info > 0 only reports a rank below n, which the chart expects.
+    info > 0 only reports a rank below n, which `_pivoted_cholesky` returns.
     """
     *out, info = getattr(_flapack, routine)(*args, **kwargs)
     if info < 0 or (info > 0 and routine != "dpstrf"):
         raise ConvergenceError(f"LAPACK {routine} failed with info {info}")
     return out
+
+
+def _pivoted_cholesky(M, tol: float = -1.0):
+    """U1, U2 and the 0-based pivots p of dpstrf's M[p][:, p] = U'U, where
+    U = [U1 U2] has as many rows as M's numerical rank: the factorisation
+    stops at the first pivot at most `tol`, or at LAPACK's own cut-off
+    n eps max(diag M) when tol < 0.  M is overwritten when Fortran-ordered."""
+    U, piv, rank = _lapack("dpstrf", M, tol=tol, overwrite_a=True)
+    piv -= 1
+    return U[:rank, :rank], U[:rank, rank:], piv
+
+
+def _pivoted_solve(U1, piv, b) -> np.ndarray:
+    """The solution x of M x = b that is 0 off the pivot columns, from
+    `_pivoted_cholesky` of M; for b in M's range it solves M x = b.  It is
+    0 when the rank is 0."""
+    x = np.zeros(b.size)
+    rank = U1.shape[0]
+    if rank:
+        (x[piv[:rank]],) = _lapack("dpotrs", U1, b[piv[:rank]], lower=False)
+    return x
+
+
+def _min_eigenvalue(A) -> float:
+    """The smallest eigenvalue of the symmetric A, read from its lower
+    triangle: dsyevr asked for the first eigenvalue by index alone."""
+    w, *_ = _lapack("dsyevr", A, compute_v=0, range="I", il=1, iu=1)
+    return w[0]
+
+
+def _cholesky_and_inverse(A):
+    """The lower Cholesky factor L of A = L L' and its inverse; a matrix
+    that is not positive definite raises ConvergenceError."""
+    (L,) = _lapack("dpotrf", A, lower=1)
+    (L_inv,) = _lapack("dtrtri", L, lower=1)
+    return L, L_inv
 
 
 def _gram(A: _Rows) -> np.ndarray:
@@ -687,9 +766,8 @@ def _affine_chart(B: _Rows, d, weights):
     """
     root = np.sqrt(weights)
     A = B._replace(vals=B.vals * np.divide(1, root)[B.cols])  # B / root as scipy.sparse divides
-    U, piv, rank = _lapack("dpstrf", _gram(A), overwrite_a=True)
-    piv -= 1
-    U1, U2 = U[:rank, :rank], U[:rank, rank:]  # the solvers read the upper triangle
+    U1, U2, piv = _pivoted_cholesky(_gram(A))  # the solvers read the upper triangle
+    rank = U1.shape[0]
     K = np.zeros((A.shape[1], A.shape[1] - rank))
     if U2.size:  # transposed, as scipy solves a block that is not Fortran-contiguous
         (X,) = _lapack("dtrtrs", U1.T, U2, lower=True, trans=1)
@@ -697,11 +775,8 @@ def _affine_chart(B: _Rows, d, weights):
     K[piv[rank:], np.arange(K.shape[1])] = 1.0
     for _ in range(2):  # orthonormalise (K'K >= I, so the Cholesky exists); twice for rounding
         K = np.linalg.solve(np.linalg.cholesky(K.T @ K), K.T).T
-    q = np.zeros(A.shape[1])
-    if rank:
-        Ad = np.bincount(A.cols, weights=A.vals * d[A.rows], minlength=A.shape[1])
-        (x,) = _lapack("dpotrs", U1, Ad[piv[:rank]], lower=False)
-        q[piv[:rank]] = x
+    Ad = np.bincount(A.cols, weights=A.vals * d[A.rows], minlength=A.shape[1])
+    q = _pivoted_solve(U1, piv, Ad)
     q -= K @ (K.T @ q)
     return q / root, K / root[:, None]
 
@@ -838,18 +913,19 @@ def _interior_point(Lq, Lu, kc, tol, max_steps):
         dual:   maximise kc'u     subject to  S = Lq + mat(Lu u) >= 0,
 
     where <Lq, X> - kc'u = <X, S> on feasible points.  Each Newton step is
-    Mehrotra's predictor-corrector on the HKM direction: the Schur matrix
-    M_ij = tr(A_i X A_j S^-1), A_j = mat(Lu e_j), is the Gram matrix of
-    the blocks R' A_j P, X = R R', S^-1 = P P'.  Each iterate moves to 0.98
-    of the way to the boundary of the cone, separately for X and for
-    (u, S).  The start is infeasible, u = 0, S = Lq + tI, X = sI, so Lq
-    need not be definite.
+    Mehrotra's predictor-corrector on the HKM direction (see
+    `_newton_step`).  Each iterate moves to 0.98 of the way to the boundary
+    of the cone, separately for X and for (u, S), a distance read from one
+    smallest eigenvalue each.  The start is infeasible, u = 0,
+    S = Lq + tI, X = sI, so Lq need not be definite.
 
     Returns u, the number of Newton steps, and (gap, primal, dual): the
     relative gap |<Lq, X> - kc'u| / max(1, |<Lq, X>|, |kc'u|) and the two
     relative residuals, all within `tol`.  The iterates approach the
     relative interior of the optimal face, so where the optimum is not
-    unique the answer is its maximum-rank point.
+    unique the answer is its maximum-rank point.  A step that fails, as
+    when X or S is not positive definite to rounding, raises
+    ConvergenceError("Newton step N failed: ...").
     """
     r, k = Lq.shape[0], kc.size
     A = np.ascontiguousarray(Lu.T).reshape(k, r, r)  # A[j] = A_j, contiguous for matmul
@@ -857,7 +933,7 @@ def _interior_point(Lq, Lu, kc, tol, max_steps):
     lq_scale = max(1.0, np.linalg.norm(Lq))
     eye = np.eye(r)
     u = np.zeros(k)
-    S = Lq + (1.0 - min(0.0, np.linalg.eigvalsh(Lq)[0])) * eye
+    S = Lq + (1.0 - min(0.0, _min_eigenvalue(Lq))) * eye
     X = max(1.0, np.abs(kc).max(initial=0.0)) * eye
 
     for step in range(max_steps + 1):
@@ -879,7 +955,7 @@ def _interior_point(Lq, Lu, kc, tol, max_steps):
 
         try:
             X, u, S = _newton_step(A, Lu, X, u, S, Rp, Rd)
-        except np.linalg.LinAlgError as exc:
+        except ConvergenceError as exc:
             # X or S lost definiteness to rounding, as on a program whose
             # face has no interior
             raise ConvergenceError(
@@ -893,42 +969,51 @@ def _interior_point(Lq, Lu, kc, tol, max_steps):
 
 def _newton_step(A, Lu, X, u, S, Rp, Rd):
     """One predictor-corrector step of `_interior_point` from (X, u, S) with
-    residuals Rp and Rd; returns the next (X, u, S)."""
+    residuals Rp and Rd; returns the next (X, u, S).
+
+    The Schur matrix M_ij = tr(A_i X A_j S^-1), A_j = mat(Lu e_j), is the
+    Gram matrix of the blocks R' A_j P, where X = R R' and S^-1 = P P' come
+    from LAPACK's Cholesky factors (dpotrf) and their inverses (dtrtri).
+    Near the optimum M is singular to rounding, so it is solved by pivoted
+    Cholesky, cut off at the first pivot up to 1e-14 times its largest
+    diagonal entry; du is 0 off the pivots, and 0 at rank 0.  Each step
+    length comes from one smallest eigenvalue (`_step_to_boundary`).
+    LAPACK failures raise ConvergenceError.
+    """
     r, k = X.shape[0], u.size
-    RX = np.linalg.cholesky(X)
-    RX_inv = np.linalg.inv(RX)
-    P = np.linalg.inv(np.linalg.cholesky(S)).T
-    S_inv = P @ P.T
+    RX, RX_inv = _cholesky_and_inverse(X)
+    _, PT = _cholesky_and_inverse(S)  # S = L L', so S^-1 = P P' with P = L^-T
+    P = PT.T
+    S_inv = P @ PT
     G = (RX.T @ (A @ P)).reshape(k, r * r)  # row j is vec(R' A_j P)
-    w, Q = np.linalg.eigh(G @ G.T)
-    # M is singular to rounding near the optimum: solve on its range
-    keep = w > 1e-14 * w.max(initial=0.0)
-    w, Q = w[keep], Q[:, keep]
+    M = G @ G.T
+    U1, _, piv = _pivoted_cholesky(M, 1e-14 * M.diagonal().max(initial=0.0))
+    XRd = X @ Rd
 
     def direction(target, corr):
         # X dS + dX S = target I - X S - corr, linearised, with the
         # residual equations substituted in
         base = target * S_inv - X
-        rhs = Lu.T @ (base - (corr + X @ Rd) @ S_inv).ravel() - Rp
-        du = Q @ ((Q.T @ rhs) / w)
+        rhs = Lu.T @ (base - (corr + XRd) @ S_inv).ravel() - Rp
+        du = _pivoted_solve(U1, piv, rhs)
         dS = Rd + (Lu @ du).reshape(r, r)
         dX = base - (corr + X @ dS) @ S_inv
         return (dX + dX.T) / 2.0, du, dS
 
     mu = np.vdot(X, S) / r
     dX, du, dS = direction(0.0, 0.0)
-    ap, ad = _step_to_boundary(RX_inv, dX), _step_to_boundary(P.T, dS)
+    ap, ad = _step_to_boundary(RX_inv, dX), _step_to_boundary(PT, dS)
     mu_aff = np.vdot(X + ap * dX, S + ad * dS) / r
     sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
     dX, du, dS = direction(sigma * mu, dX @ dS)
-    ap, ad = _step_to_boundary(RX_inv, dX), _step_to_boundary(P.T, dS)
+    ap, ad = _step_to_boundary(RX_inv, dX), _step_to_boundary(PT, dS)
     return X + ap * dX, u + ad * du, S + ad * dS
 
 
 def _step_to_boundary(L_inv, D):
     """min(1, 0.98 a) for the largest a with L L' + a D >= 0, from
     lambda_min(L^-1 D L^-T)."""
-    lam = np.linalg.eigvalsh(L_inv @ D @ L_inv.T)[0]
+    lam = _min_eigenvalue(L_inv @ D @ L_inv.T)
     return min(1.0, -0.98 / lam) if lam < 0.0 else 1.0
 
 

@@ -98,6 +98,37 @@ def test_json_bad_matroid_section_is_a_parse_error(matroid):
         parse_instance(json.dumps(dict(JSON_BASE, matroid=matroid)))
 
 
+# The fractional numbers of {"n": 3.9, "edges": [[0, 1.7, 1]], "parts":
+# [{"k": 1.5, "vertices": [0, 1, 2.2]}], "matroid": {"kind": "uniform",
+# "k": 2.9}} once parsed as n 3, edge (0, 1), budget 1, vertex 2 and rank 2.
+# Each case puts one non-integer into one integer field of a good instance.
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"n": 3.9}, "n"),
+        ({"n": 3.0}, "n"),
+        ({"edges": [[0, 1.7, 1], [1, 2, 1.0]]}, "edges"),
+        ({"parts": [{"k": 1.5, "vertices": [0, 1, 2]}]}, "parts k"),
+        ({"parts": [{"k": True, "vertices": [0, 1, 2]}]}, "parts k"),
+        ({"parts": [{"k": 1, "vertices": [0, 1, 2.2]}]}, "parts vertices"),
+        ({"matroid": {"kind": "uniform", "k": 2.9}}, "matroid k"),
+        ({"matroid": {"kind": "uniform", "k": "2"}}, "matroid k"),
+        (
+            {"matroid": {"kind": "graphic", "aux_vertices": 3.5, "aux_edges": [[0, 1], [1, 2], [0, 2]]}},
+            "matroid aux_vertices",
+        ),
+        (
+            {"matroid": {"kind": "graphic", "aux_vertices": 3, "aux_edges": [[0, 1], [1, 2.0], [0, 2]]}},
+            "matroid aux_edges",
+        ),
+        ({"matroid": {"kind": "explicit", "sets": [[0, 1.5]]}}, "matroid sets"),
+    ],
+)
+def test_json_number_in_an_integer_field_must_be_an_integer(change, field):
+    with pytest.raises(ParseError, match=f"^{field}: expected an integer, got "):
+        parse_instance(json.dumps(dict(JSON_BASE, **change)))
+
+
 def test_bad_top_level_json_is_a_parse_error():
     from cutkit.io import parse_instance_json
 
@@ -115,10 +146,13 @@ def test_text_bad_matroid_number_is_a_parse_error():
         ("matroid explicit 2\n2 0 1\n1 x\n", 7),
         ("matroid graphic 3 2\n0 1\n1 2\n", 5),
         ("matroid graphic 3 4\n0 1\n1 2\n2 0\n", 5),
+        ("matroid partition whatever 7\n", 5),
     ):
         with pytest.raises(ParseError) as exc_info:
             parse_instance(base + section)
         assert exc_info.value.line == line
+    with pytest.raises(ParseError, match="^line 5: expected 'matroid partition'$"):
+        parse_instance(base + "matroid partition whatever 7\n")
 
 
 @st.composite

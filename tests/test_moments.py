@@ -478,6 +478,149 @@ def test_each_sampled_conditioning_path_is_conditioned_once(monkeypatch):
     assert len(set(steps)) == len(steps)
 
 
+def reference_objective(mv, edges):
+    total = 0.0
+    for u, v, w in edges:
+        total += w * (1.0 - mv.corr(u, v)) / 2.0
+    return total
+
+
+def reference_block_independent(m, parts, alpha, budget_L, rng_seed, edges=None):
+    """make_block_independent as a restart-by-restart loop that conditions
+    and scores one path at a time; parts are sorted and nonempty."""
+
+    def worst_part(mv):
+        upper = np.triu(information_matrix(mv), 1)
+        return max(
+            float(upper[np.ix_(p, p)].sum() / (len(p) * (len(p) - 1) / 2)) if len(p) > 1 else 0.0
+            for p in parts
+        )
+
+    start_obj = reference_objective(m, edges) if edges is not None else None
+
+    def winner_key(mv, worst):
+        if worst > alpha:
+            return None
+        if start_obj is None:
+            return worst
+        obj = reference_objective(mv, edges)
+        return None if obj < start_obj - alpha - 1e-9 else -obj
+
+    if winner_key(m, worst_part(m)) is not None:
+        return m
+
+    def scored(mv, vertex, value):
+        try:
+            nxt, _ = condition(mv, vertex, value)
+        except DegenerateEventError:
+            return None
+        worst = worst_part(nxt)
+        return nxt, worst, winner_key(nxt, worst)
+
+    seen = {}
+    best_candidate = None
+    winners = []
+    for r in range(moments.RESTARTS):
+        rng = np.random.default_rng(np.random.SeedSequence((rng_seed, r)))
+        cur, path = m, ()
+        for _ in range(budget_L):
+            for _ in range(16):
+                block = parts[rng.integers(len(parts))]
+                vertex = int(block[rng.integers(len(block))])
+                step = path + ((vertex, moments.sample_value(cur, vertex, rng)),)
+                if step not in seen:
+                    seen[step] = scored(cur, *step[-1])
+                if seen[step] is not None:
+                    break
+            else:
+                break
+            path = step
+            cur, worst, key = seen[path]
+            if best_candidate is None or worst < best_candidate[0]:
+                best_candidate = (worst, r, cur)
+            if key is not None:
+                winners.append((key, r, cur))
+                break
+    if winners:
+        winners.sort(key=lambda t: (t[0], t[1]))
+        return winners[0][2]
+    raise SearchFailureError("no candidate", best=best_candidate[2] if best_candidate else m)
+
+
+@lru_cache(maxsize=None)
+def small_relaxation(n, c, seed, level, eps):
+    from cutkit import Config
+    from cutkit.rounding import relax_multi
+
+    return relax_multi(gen_random(n, 0.6, "uniform", c, "uniform", seed=seed), eps, Config(level=level))
+
+
+def search_outcome(search, *args, **kwargs):
+    """(won, y bytes, level) of a search's answer, or of the best candidate
+    its SearchFailureError carries."""
+    try:
+        out, won = search(*args, **kwargs), True
+    except SearchFailureError as exc:
+        out, won = exc.best, False
+    return won, out.y.tobytes(), out.level
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.integers(6, 9),
+    c=st.integers(1, 2),
+    seed=st.integers(0, 2),
+    level=st.sampled_from([3, 4]),
+    eps=st.sampled_from([0.5, 0.3]),
+    strict=st.booleans(),
+    with_edges=st.booleans(),
+    rng_seed=st.integers(0, 2**64),
+)
+@example(n=8, c=2, seed=0, level=4, eps=0.3, strict=False, with_edges=True, rng_seed=7)
+@example(n=9, c=1, seed=1, level=4, eps=0.5, strict=True, with_edges=True, rng_seed=12)
+def test_search_by_depth_matches_the_restart_loop(
+    n, c, seed, level, eps, strict, with_edges, rng_seed
+):
+    # alpha 0 lets no candidate qualify, so the search fails and reports
+    # the best one of every restart's steps
+    relax = small_relaxation(n, c, seed, level, eps)
+    parts = [sorted(p - relax.kernel.forbidden) for p in relax.kernel.parts]
+    parts = [p for p in parts if p]
+    alpha = 0.0 if strict else eps**6
+    edges = relax.program.edges if with_edges else None
+    args = (relax.moments, parts, alpha, relax.moments.level - 2, rng_seed)
+    got = search_outcome(make_block_independent, *args, edges=edges)
+    assert got == search_outcome(reference_block_independent, *args, edges=edges)
+    assert relax.moments.objective_value(relax.program.edges) == reference_objective(
+        relax.moments, relax.program.edges
+    )
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.integers(3, 5),
+    points=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 31)), min_size=1, max_size=4),
+    split=st.integers(1, 5),
+    alpha=st.sampled_from([0.0, 0.05, 1.0]),
+    with_edges=st.booleans(),
+    rng_seed=st.integers(0, 2**64),
+)
+def test_search_ties_go_to_the_first_restart(n, points, split, alpha, with_edges, rng_seed):
+    # distributions on a few points, with small weights, give many distinct
+    # vectors with equal scores and equal objectives
+    total = sum(w for w, _ in points)
+    mv = mv_from_dist(
+        n, 3, [(w / total, [1 if bits >> v & 1 else -1 for v in range(n)]) for w, bits in points]
+    )
+    parts = [p for p in (list(range(min(split, n))), list(range(min(split, n), n))) if p]
+    edges = [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)] if with_edges else None
+    args = (mv, parts, alpha, 1, rng_seed)
+    got = search_outcome(make_block_independent, *args, edges=edges)
+    assert got == search_outcome(reference_block_independent, *args, edges=edges)
+    if with_edges:
+        assert mv.objective_value(edges) == reference_objective(mv, edges)
+
+
 def test_relaxation_dominance_small_corpus():
     checked = 0
     for s in range(12):
@@ -776,14 +919,34 @@ ADMM_OBJECTIVES = {
     "c2_n8.txt": 0.7500000002211269,
 }
 
+# Newton steps of each corpus program at the default Config, as the solver
+# took them with an eigendecomposition of the Schur matrix
+NEWTON_STEPS = {
+    "c1_n6.txt": 7,
+    "c1_n6_uniform_matroid.txt": 8,
+    "c1_n7.json": 8,
+    "c2_n7.txt": 8,
+    "c2_n8.txt": 8,
+}
+
 
 @pytest.mark.parametrize("name", sorted(ADMM_OBJECTIVES))
-def test_corpus_objective_matches_the_admm_answer(name):
+def test_corpus_objective_matches_the_admm_answer(name, monkeypatch):
+    steps = []
+    run = moments._interior_point
+
+    def counting(*args):
+        out = run(*args)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(moments, "_interior_point", counting)
     inst, _ = read_instance(str(CORPUS / name))
     prog = build_program(kernelize_multi(inst, 0.5), 0)
     mv = solve(prog)
     assert mv.objective_value(prog.edges) == pytest.approx(ADMM_OBJECTIVES[name], abs=1e-6)
     assert mv.min_eigenvalue() >= -PSD_TOL
+    assert steps == [NEWTON_STEPS[name]]
 
 
 def test_newton_step_cap_reports_the_gap(monkeypatch):
@@ -924,16 +1087,43 @@ def test_missing_flapack_names_the_folder_and_scipy(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "routine, info",
-    [("dpstrf", -1), ("dtrtrs", 3), ("dpotrs", -2), ("dgesdd_lwork", -1), ("dgesdd", 5)],
+    [
+        ("dpstrf", -1),
+        ("dtrtrs", 3),
+        ("dpotrs", -2),
+        ("dgesdd_lwork", -1),
+        ("dgesdd", 5),
+        ("dsyevr", -4),  # first called by the start test on Lq, before any Newton step
+        ("dpotrf", 2),  # X or S not positive definite
+        ("dtrtri", 1),
+    ],
 )
 def test_lapack_failure_is_a_convergence_error(routine, info, monkeypatch):
     real = getattr(moments._flapack, routine)
     monkeypatch.setattr(
         moments._flapack, routine, lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], info)
     )
+    newton = routine in ("dpotrf", "dtrtri")  # first called inside a Newton step
     prog = chart_programs()["c2_n7.txt"]
-    with pytest.raises(ConvergenceError, match=f"LAPACK {routine} failed with info {info}$"):
+    failure = f"LAPACK {routine} failed with info {info}"
+    match = f"^Newton step 0 failed: {failure} \\(gap " if newton else f"^{failure}$"
+    with pytest.raises(ConvergenceError, match=match) as raised:
         solve(prog)
+    assert (raised.value.iterations == 0) if newton else raised.value.iterations is None
+
+
+@pytest.mark.parametrize("rank", [0, 1, 3, 5])
+def test_schur_solve_on_a_singular_matrix_solves_on_its_range(rank):
+    # M = B B' of rank `rank`, with b = M z in its range; rank 0 gives x = 0
+    rng = np.random.default_rng(rank)
+    B = rng.standard_normal((6, rank))
+    M = B @ B.T
+    b = M @ rng.standard_normal(6)
+    U1, _, piv = moments._pivoted_cholesky(M.copy(), 1e-14 * M.diagonal().max(initial=0.0))
+    assert U1.shape == (rank, rank)
+    x = moments._pivoted_solve(U1, piv, b)
+    assert np.count_nonzero(x) <= rank
+    assert np.abs(M @ x - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
 
 def test_pivoted_cholesky_rank_report_is_not_a_failure():
