@@ -11,17 +11,30 @@ The first two terms are scored once per side set, edge by edge; the cross
 term of a whole block of A-side by B-side sets is one matrix product, run
 with OpenBLAS held to one thread.  The cut in the list falls inside at most
 one part, and each way of dividing that part's budget between the halves
-gives one pair of sides.  When every feasible set fits one block, all
-allowed vertices go to A.  The matroid oracle keeps the rank-sized sets
-whose rank, from the matroid's rank table, is their size, and scores them
-edge by edge.  Ties on the optimum go to the lexicographically smallest
-list.
+gives one pair of sides.  The split goes where the sides hold the fewest
+sets, and only where it pays: scoring every set edge by edge costs sets x
+edges, the split side sets x edges plus one value per pair.
+
+Weights are nonnegative, so cut(S & A) + cut(S & B) bounds cut(S).  Pairs
+are scored in order of that bound, and the sides of a pair that fills more
+than one block are sorted by cut, so that a floor ends each row's columns
+and the rows themselves: target - TOL for the decision, and the running
+best less the tie tolerance for the optimizing oracles.  When nothing is
+forbidden and every budget is half its part, S and V - S cut the same
+edges; the oracles then list only the sets that hold vertex 0, which of
+the two lists first, and count each optimum twice.
+
+The matroid oracle keeps the rank-sized sets whose rank, from the
+matroid's rank table, is their size, and scores them edge by edge.  Ties
+on the optimum go to the lexicographically smallest list.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +139,18 @@ class _BestTracker:
                 self.best_rev = int(revs[pick])
                 self.best_mask = int(ties[pick])
 
-    def result(self) -> OracleResult:
+    def floor(self) -> float:
+        """The least cut value that can still tie the best so far."""
+        return self.best_val - _TIE_ATOL
+
+    def result(self, copies: int = 1) -> OracleResult:
+        """The optimum, when each scored set stands for `copies` sets."""
+        if self.best_mask is None:
+            raise InfeasibleError("no feasible set")
         best = _mask_to_set(self.best_mask, self.g.n)
         # Recompute with the canonical evaluator so stored and re-derived
         # values agree bit for bit.
-        return OracleResult(cut_value(self.g, best), best, self.count)
+        return OracleResult(cut_value(self.g, best), best, copies * self.count)
 
 
 def _subset_masks(pool, k) -> np.ndarray:
@@ -213,13 +233,19 @@ def _sides(pools, at) -> list:
     ]
 
 
-def _split_point(pools) -> int:
-    """How many allowed vertices go to side A: all of them when every
-    feasible set fits one block, else the count that makes the A-side and
-    B-side sets fewest, since each of those is scored edge by edge."""
+def _split_point(pools, edges: int) -> int:
+    """How many allowed vertices go to side A.
+
+    Scoring every feasible set edge by edge costs sets x edges; the split
+    with the fewest side sets costs side sets x edges plus one value per
+    pair of side sets.  All vertices go to A, which scores every set
+    directly, when that is cheaper or the sets fill at most a sixteenth of
+    a block: on so few, a split's set-up outweighs its saving.
+    """
     listed = sum(len(pool) for pool, _ in pools)
     sets = [math.comb(len(pool), k) for pool, k in pools]
-    if math.prod(sets) <= _CHUNK:
+    total = math.prod(sets)
+    if total <= _CHUNK // 16:
         return listed
 
     def side_sets(at):
@@ -228,19 +254,45 @@ def _split_point(pools) -> int:
         n_j, k = len(pools[j][0]), pools[j][1]
         return sum(head * math.comb(t, a) + math.comb(n_j - t, k - a) * tail for a in a_range)
 
-    return min(range(listed + 1), key=side_sets)
+    count, at = min((side_sets(at), at) for at in range(listed + 1))
+    return at if count * edges + total < total * edges else listed
 
 
-def _blocks(g: WeightedGraph, pools):
-    """(vals, rows, cols) for every feasible set, in blocks of at most
-    _CHUNK sets: vals[r, c] is the cut value of rows[r] | cols[c].
+def _pinned(pools, n: int) -> tuple:
+    """(pools, copies).  When the pools hold all n vertices and every budget
+    is half its pool, S and its complement are both feasible and cut the
+    same edges, and the one holding vertex 0 lists first: the pools of the
+    sets that hold vertex 0, each standing for 2 sets.  Else `pools`, 1."""
+    listed = sum(len(pool) for pool, _ in pools)
+    if listed == 0 or listed < n or any(2 * k != len(pool) for pool, k in pools):
+        return pools, 1
+    j = next(j for j, (pool, _) in enumerate(pools) if pool and pool[0] == 0)
+    pool, k = pools[j]
+    return pools[:j] + [([0], 1), (pool[1:], k - 1)] + pools[j + 1 :], 2
+
+
+def _blocks(g: WeightedGraph, pools, floor=lambda: -math.inf):
+    """(vals, rows, cols) blocks of at most _CHUNK sets: vals[r, c] is the
+    cut value of rows[r] | cols[c].  No feasible set comes twice, and every
+    one whose cut is at least floor() comes once; floor() is read again
+    before each band of blocks, so it may rise while they are scored.
 
     With A and B the two sides, cut(S) = cut(S & A) + cut(S & B)
     - 2 w(S & A, S & B); the first two terms are scored once per side set,
-    and the cross weights of a block come from one matrix product.
+    and the cross weights of a block come from one matrix product.  As
+    weights are nonnegative, the first two terms bound cut(S).  Pairs go
+    in order of that bound at their best sets; the sides of a pair that
+    fills more than one block are sorted by cut, so that the floor ends
+    each band's columns and the bands.
     """
     listed = [v for pool, _ in pools for v in pool]
-    at = _split_point(pools)
+    at = _split_point(pools, len(g.edges))
+    if at == len(listed):  # no split: every set is scored edge by edge
+        masks = _product([_subset_masks(pool, k) for pool, k in pools])
+        cuts = _mask_values(g, masks)
+        for start in range(0, masks.size, _CHUNK):
+            yield cuts[start : start + _CHUNK, None], masks[start : start + _CHUNK], _NO_SET
+        return
     on_a, on_b = set(listed[:at]), set(listed[at:])
     # (A end, B end, weight) of each edge across the split
     cross = [
@@ -263,31 +315,56 @@ def _blocks(g: WeightedGraph, pools):
         ends = _unpack(flat, g.n)[a_ends + b_ends].T.astype(np.float64)
         reach = ends[:, : len(a_ends)] @ w2
         in_b = ends[:, len(a_ends) :]
-    start = 0
-    for xa, xb in pairs:
-        a = slice(start, start + xa.size)
-        b = slice(a.stop, a.stop + xb.size)
-        start = b.stop
-        width = min(xb.size, _CHUNK)
-        height = max(1, _CHUNK // width)
-        for c in range(b.start, b.stop, width):
-            cols = slice(c, min(c + width, b.stop))
-            for r in range(a.start, a.stop, height):
-                rows = slice(r, min(r + height, a.stop))
-                vals = cuts[rows, None] + cuts[None, cols]
-                if cross:  # else the cross term is 0, as with every vertex on A
-                    vals -= reach[rows] @ in_b[cols].T
-                yield vals, flat[rows], flat[cols]
+    sizes = [x.size for pair in pairs for x in pair]
+    starts = [0, *itertools.accumulate(sizes[:-1])]
+    best = np.maximum.reduceat(cuts, starts).tolist()  # best cut of each side
+    spans = []  # (bound, A side, B side, sorted): the sides index flat
+    for i in range(0, len(sizes), 2):
+        a = slice(starts[i], starts[i] + sizes[i])
+        b = slice(a.stop, a.stop + sizes[i + 1])
+        ordered = min(sizes[i], sizes[i + 1]) > 1 and sizes[i] * sizes[i + 1] > _CHUNK
+        if ordered:
+            a = a.start + np.argsort(-cuts[a], kind="stable")
+            b = b.start + np.argsort(-cuts[b], kind="stable")
+        spans.append((best[i] + best[i + 1], a, b, ordered))
+    for bound, a, b, ordered in sorted(spans, key=lambda span: -span[0]):
+        ca, cb, ma, mb = cuts[a], cuts[b], flat[a], flat[b]
+        if ordered:
+            ka, kb = -ca, -cb  # ascending, for searchsorted
+        if cross:
+            ra, rb = reach[a], in_b[b]
+        rows, ncols = ca.size, cb.size
+        r = 0
+        while r < rows:
+            least = floor()
+            # cut values sum nonnegative terms, so their relative rounding
+            # error is far below this margin
+            least -= TOL * (1.0 + abs(least))
+            if ordered:  # the rows that can reach the floor, and row r's columns
+                rows = int(np.searchsorted(ka, cb[0] - least, side="right"))
+                ncols = int(np.searchsorted(kb, ca[r] - least, side="right"))
+            if bound < least or r >= rows or ncols == 0:
+                break
+            width = min(ncols, _CHUNK)
+            top = slice(r, min(r + _CHUNK // width, rows))
+            for c in range(0, ncols, width):
+                cols = slice(c, min(c + width, ncols))
+                vals = ca[top, None] + cb[None, cols]
+                if cross:  # else no edge crosses the split
+                    vals -= ra[top] @ rb[cols].T
+                yield vals, ma[top], mb[cols]
+            r = top.stop
 
 
-def _best(g: WeightedGraph, blocks) -> OracleResult:
+def _best(g: WeightedGraph, pools) -> OracleResult:
+    """The optimum over the feasible sets of `pools`; blocks that cannot
+    reach the running best are skipped."""
+    pools, copies = _pinned(pools, g.n)
     tracker = _BestTracker(g)
     with ONE_BLAS_THREAD:
-        for block in blocks:
+        for block in _blocks(g, pools, tracker.floor):
             tracker.feed(*block)
-    if tracker.best_mask is None:
-        raise InfeasibleError("no feasible set")
-    return tracker.result()
+    return tracker.result(copies)
 
 
 def oracle_maxcut_k(
@@ -295,13 +372,15 @@ def oracle_maxcut_k(
 ) -> OracleResult:
     """Exact maximum cut over all k-subsets avoiding `forbidden`."""
     config = config or Config()
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise InputError(f"k must be an integer, got {k!r}")
     k = int(k)
     if k < 0 or k > g.n:
         raise InputError(f"k={k} out of range for n={g.n}")
     _check_mask_width(g.n)
     forbidden = as_vertex_set(forbidden, g.n)
     everyone = frozenset(range(g.n))
-    return _best(g, _blocks(g, _pools([everyone], [k], forbidden, config.oracle_combo_cap)))
+    return _best(g, _pools([everyone], [k], forbidden, config.oracle_combo_cap))
 
 
 def oracle_constrained(
@@ -312,7 +391,7 @@ def oracle_constrained(
     _check_mask_width(inst.graph.n)
     forbidden = as_vertex_set(forbidden, inst.graph.n)
     pools = _pools(inst.parts, inst.budgets, forbidden, config.oracle_combo_cap)
-    return _best(inst.graph, _blocks(inst.graph, pools))
+    return _best(inst.graph, pools)
 
 
 def oracle_matroid(g: WeightedGraph, m, config: Config | None = None) -> OracleResult:
@@ -328,7 +407,11 @@ def oracle_matroid(g: WeightedGraph, m, config: Config | None = None) -> OracleR
     # a block at a time, which bounds the rank table's temporaries
     bases = [c[m._rank_table(c.view(np.int64)) == rank] for c in _chunks(masks)]
     bases = np.concatenate([masks[:0], *bases])
-    return _best(g, ((_mask_values(g, c)[:, None], c, _NO_SET) for c in _chunks(bases)))
+    tracker = _BestTracker(g)
+    with ONE_BLAS_THREAD:
+        for c in _chunks(bases):
+            tracker.feed(_mask_values(g, c)[:, None], c, _NO_SET)
+    return tracker.result()
 
 
 def oracle_all_cut_decision(
@@ -345,7 +428,9 @@ def oracle_all_cut_decision(
         pools = _pools(inst.parts, inst.budgets, frozenset(), config.oracle_combo_cap)
     except InfeasibleError:
         return False
+    pools, _ = _pinned(pools, inst.graph.n)
+    least = target - TOL
     with ONE_BLAS_THREAD:
         return any(
-            float(vals.max()) >= target - TOL for vals, _, _ in _blocks(inst.graph, pools)
+            float(vals.max()) >= least for vals, _, _ in _blocks(inst.graph, pools, lambda: least)
         )

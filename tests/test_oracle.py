@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from cutkit import _blas, oracle
 from cutkit.config import Config
-from cutkit.errors import CapacityError, InfeasibleError
+from cutkit.errors import CapacityError, InfeasibleError, InputError
 from cutkit.forge import gadget_from_3dm, gen_3dm, tdm_has_perfect_matching
 from cutkit.graph import ConstrainedInstance, WeightedGraph, cut_value
 from cutkit.matroid import ExplicitMatroid, GraphicMatroid, PartitionMatroid, UniformMatroid
@@ -118,6 +119,15 @@ def test_capacity_errors():
 def test_infeasible_k():
     with pytest.raises(InfeasibleError):
         oracle_maxcut_k(k3(), 3, forbidden={0})
+
+
+@pytest.mark.parametrize("k", [2.5, "2", 2.0, True, None])
+def test_maxcut_k_refuses_a_k_that_is_not_an_integer(k):
+    g = random_graph(5, 0.8, np.random.default_rng(4))
+    with pytest.raises(InputError, match="integer"):
+        oracle_maxcut_k(g, k)
+    # numpy integers are integers
+    assert oracle_maxcut_k(g, np.int64(2)) == oracle_maxcut_k(g, 2)
 
 
 def test_constrained_equals_single_when_one_part():
@@ -545,10 +555,23 @@ def test_oracles_refuse_graphs_wider_than_the_mask():
 
 # ---------------------------------------------------------------------------
 # the split enumerator: every feasible set is an A-side set joined to a
-# B-side set, scored in blocks; a small _CHUNK forces splits and many blocks
-# on small graphs
+# B-side set, scored in blocks; a small _CHUNK makes many blocks on small
+# graphs, and `split_anywhere` puts the split at any point
 
 CHUNKS = st.sampled_from([1, 2, 3, 5, 16, 1 << 16])
+
+
+@contextlib.contextmanager
+def split_anywhere(data, chunk):
+    """Blocks of at most `chunk` values, and a split point drawn by `data`
+    in each call: every split point, no split included, gives the same
+    answers."""
+
+    def drawn(pools, edges):
+        return data.draw(st.integers(0, sum(len(pool) for pool, _ in pools)))
+
+    with mock.patch.object(oracle, "_CHUNK", chunk), mock.patch.object(oracle, "_split_point", drawn):
+        yield
 
 
 def mask_to_set(mask):
@@ -575,7 +598,7 @@ def test_property_split_oracles_match_the_reference(data, inst, chunk):
     g, parts, budgets, forbidden = inst
     ci = ConstrainedInstance(g, parts, budgets)
     k = data.draw(st.integers(0, g.n - len(forbidden)))
-    with mock.patch.object(oracle, "_CHUNK", chunk):
+    with split_anywhere(data, chunk):
         by_k = oracle_maxcut_k(g, k, forbidden=forbidden)
         by_parts = oracle_constrained(ci, forbidden=forbidden)
         decision = oracle_all_cut_decision(ci)
@@ -601,6 +624,85 @@ def test_property_split_blocks_hold_each_feasible_set_once(inst, chunk):
         assert vals.size <= chunk
         for (r, c), value in np.ndenumerate(vals):
             assert value == pytest.approx(cut_value(g, mask_to_set(rows[r] | cols[c])), abs=1e-12)
+
+
+@SEEDED
+@given(data=st.data(), inst=split_instances(n_max=10), chunk=CHUNKS)
+def test_property_split_blocks_hold_each_set_above_the_floor_once(data, inst, chunk):
+    g, parts, budgets, forbidden = inst
+    pools = _pools(parts, budgets, forbidden, cap=10**7)
+    values = {
+        int(m): cut_value(g, mask_to_set(m))
+        for m in reference_feasible_masks(parts, budgets, forbidden)
+    }
+    floor = data.draw(st.sampled_from(sorted(values.values())))
+    for at in range(sum(len(pool) for pool, _ in pools) + 1):
+        with mock.patch.object(oracle, "_CHUNK", chunk), mock.patch.object(
+            oracle, "_split_point", lambda pools, edges: at
+        ):
+            blocks = list(_blocks(g, pools, lambda: floor))
+        seen = [int(m) for _, r, c in blocks for m in np.bitwise_or.outer(r, c).ravel()]
+        assert len(seen) == len(set(seen)) and set(seen) <= set(values)
+        assert {m for m, value in values.items() if value >= floor} <= set(seen)
+        for vals, rows, cols in blocks:
+            assert vals.size <= chunk
+            for (r, c), value in np.ndenumerate(vals):
+                assert value == pytest.approx(values[int(rows[r] | cols[c])], abs=1e-12)
+
+
+@st.composite
+def unit_graphs(draw, n):
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph(n, [(u, v, 1.0) for (u, v), kept in zip(pairs, keep) if kept])
+
+
+@st.composite
+def half_budget_instances(draw):
+    """1-3 parts of even size (possibly empty) that hold every vertex, each
+    with half its size as budget; vertex 0 may sit in any part, at any place.
+    Integer or unit weights, so ties are common."""
+    halves = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda h: sum(h) < 6))
+    n = 2 * sum(halves)
+    order = draw(st.permutations(range(n)))
+    ends = list(itertools.accumulate(2 * h for h in halves))
+    parts = [frozenset(order[end - 2 * h : end]) for h, end in zip(halves, ends)]
+    return draw(st.one_of(int_graphs(n), unit_graphs(n))), parts, halves
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data(), inst=half_budget_instances(), chunk=st.sampled_from([1, 3, 16, 1 << 16]))
+def test_property_half_budget_oracles_match_the_reference(data, inst, chunk):
+    # each cut is listed once, as the set that holds vertex 0, and counted twice
+    g, parts, budgets = inst
+    ci = ConstrainedInstance(g, parts, budgets)
+    with split_anywhere(data, chunk):
+        by_k = oracle_maxcut_k(g, g.n // 2)
+        by_parts = oracle_constrained(ci)
+        decision = oracle_all_cut_decision(ci)
+    assert as_triple(by_k) == reference_maxcut_k(g, g.n // 2, frozenset())
+    assert as_triple(by_parts) == reference_constrained(g, parts, budgets, frozenset())
+    assert decision is reference_decision(g, parts, budgets)
+
+
+def test_no_matching_decision_scores_under_a_tenth_of_its_feasible_sets(monkeypatch):
+    # 653 184 feasible sets; only pairs of sides whose cuts sum to the
+    # target can hold an all-edges cut
+    tdm, has_matching = gen_3dm(4, 6, 1, drop_planted=True)
+    assert not has_matching
+    gadget = gadget_from_3dm(tdm)
+    feasible = math.prod(math.comb(len(p), k) for p, k in zip(gadget.parts, gadget.budgets))
+    scored = []
+    blocks = oracle._blocks
+
+    def spying(*args):
+        for block in blocks(*args):
+            scored.append(block[0].size)
+            yield block
+
+    monkeypatch.setattr(oracle, "_blocks", spying)
+    assert oracle_all_cut_decision(gadget) is False
+    assert 0 < sum(scored) < feasible / 10
 
 
 GADGETS = [(size, size, seed, drop) for size in (2, 3, 4) for seed in range(3) for drop in (False, True)]
