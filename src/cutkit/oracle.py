@@ -24,9 +24,11 @@ forbidden and every budget is half its part, S and V - S cut the same
 edges; the oracles then list only the sets that hold vertex 0, which of
 the two lists first, and count each optimum twice.
 
-The matroid oracle keeps the rank-sized sets whose rank, from the
-matroid's rank table, is their size, and scores them edge by edge.  Ties
-on the optimum go to the lexicographically smallest list.
+The matroid oracle enumerates the rank-sized sets the same way and keeps
+the bases: a set whose rank-table rank is below its size scores -inf, and
+a block with no base is skipped.  A non-base only lowers a block, so the
+floor holds; nothing is halved, as the complement of a base is in general
+not a base.  Ties on the optimum go to the lexicographically smallest list.
 """
 
 from __future__ import annotations
@@ -176,11 +178,6 @@ def _subset_masks(pool, k) -> np.ndarray:
     return masks
 
 
-def _chunks(masks: np.ndarray):
-    for start in range(0, masks.size, _CHUNK):
-        yield masks[start : start + _CHUNK]
-
-
 def _product(factors) -> np.ndarray:
     """Every union of one mask from each factor, the first varying slowest."""
     return functools.reduce(lambda x, y: np.bitwise_or.outer(x, y).ravel(), factors)
@@ -239,13 +236,13 @@ def _split_point(pools, edges: int) -> int:
     Scoring every feasible set edge by edge costs sets x edges; the split
     with the fewest side sets costs side sets x edges plus one value per
     pair of side sets.  All vertices go to A, which scores every set
-    directly, when that is cheaper or the sets fill at most a sixteenth of
-    a block: on so few, a split's set-up outweighs its saving.
+    directly, when that is cheaper or the sets fill at most an eighth of a
+    block: on so few, a split's set-up outweighs its saving.
     """
     listed = sum(len(pool) for pool, _ in pools)
     sets = [math.comb(len(pool), k) for pool, k in pools]
     total = math.prod(sets)
-    if total <= _CHUNK // 16:
+    if total <= _CHUNK // 8:
         return listed
 
     def side_sets(at):
@@ -397,20 +394,18 @@ def oracle_constrained(
 def oracle_matroid(g: WeightedGraph, m, config: Config | None = None) -> OracleResult:
     """Exact maximum cut over the bases of matroid m."""
     config = config or Config()
+    if g.n != m.n:
+        raise InputError("graph and matroid ground sets differ")
     _check_mask_width(g.n)
     rank = m.rank()
-    if math.comb(g.n, rank) > config.oracle_combo_cap:
-        raise CapacityError(
-            f"C({g.n},{rank}) exceeds enumeration cap {config.oracle_combo_cap}"
-        )
-    masks = _subset_masks(range(g.n), rank)
-    # a block at a time, which bounds the rank table's temporaries
-    bases = [c[m._rank_table(c.view(np.int64)) == rank] for c in _chunks(masks)]
-    bases = np.concatenate([masks[:0], *bases])
+    pools = _pools([frozenset(range(g.n))], [rank], frozenset(), config.oracle_combo_cap)
     tracker = _BestTracker(g)
     with ONE_BLAS_THREAD:
-        for c in _chunks(bases):
-            tracker.feed(_mask_values(g, c)[:, None], c, _NO_SET)
+        for vals, rows, cols in _blocks(g, pools, tracker.floor):
+            unions = (rows[:, None] | cols).ravel().view(np.int64)
+            bases = (m._rank_table(unions) == rank).reshape(vals.shape)
+            if bases.any():  # else the tracker would score a block of -inf
+                tracker.feed(np.where(bases, vals, -np.inf), rows, cols)
     return tracker.result()
 
 

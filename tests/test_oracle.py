@@ -180,6 +180,14 @@ def test_matroid_graphic_triangle():
     assert res.opt_value == pytest.approx(expect, abs=1e-12)
 
 
+@pytest.mark.parametrize("matroid", [UniformMatroid(3, 1), UniformMatroid(5, 1)])
+def test_matroid_refuses_a_graph_on_another_ground_set(matroid):
+    # on ground set {0, 1, 2}, vertex 3 is in no base
+    g = WeightedGraph(4, [(0, 3, 1.0), (1, 2, 0.1)])
+    with pytest.raises(InputError, match="ground sets differ"):
+        oracle_matroid(g, matroid)
+
+
 def test_all_cut_single_star():
     g = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]).normalize()
     inst = ConstrainedInstance(g, [{0}, {1}, {2}, {3}], [0, 1, 1, 1])
@@ -607,6 +615,17 @@ def test_property_split_oracles_match_the_reference(data, inst, chunk):
     assert decision is reference_decision(g, parts, budgets)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10), chunk=CHUNKS)
+def test_property_matroid_oracle_matches_the_reference_under_any_split(data, n, chunk):
+    # small blocks and any split point give blocks that hold no base
+    g = data.draw(float_graphs(n))
+    m = data.draw(any_matroid(n))
+    with split_anywhere(data, chunk):
+        res = oracle_matroid(g, m)
+    assert as_triple(res) == reference_matroid(g, m)
+
+
 @SEEDED
 @given(inst=split_instances(n_max=10), chunk=CHUNKS)
 def test_property_split_blocks_hold_each_feasible_set_once(inst, chunk):
@@ -703,6 +722,23 @@ def test_no_matching_decision_scores_under_a_tenth_of_its_feasible_sets(monkeypa
     monkeypatch.setattr(oracle, "_blocks", spying)
     assert oracle_all_cut_decision(gadget) is False
     assert 0 < sum(scored) < feasible / 10
+
+
+def test_matroid_oracle_never_holds_its_candidates_whole(monkeypatch):
+    # C(20, 10) = 184 756 rank-sized sets, listed as side sets of at most
+    # a sixteenth of that
+    g = random_graph(20, 0.3, np.random.default_rng(20))
+    expect = oracle_maxcut_k(g, 10)
+    listed = []
+    subset_masks = oracle._subset_masks
+
+    def spying(pool, k):
+        listed.append(subset_masks(pool, k))
+        return listed[-1]
+
+    monkeypatch.setattr(oracle, "_subset_masks", spying)
+    assert oracle_matroid(g, UniformMatroid(20, 10)) == expect
+    assert 0 < max(masks.size for masks in listed) <= math.comb(20, 10) // 16
 
 
 GADGETS = [(size, size, seed, drop) for size in (2, 3, 4) for seed in range(3) for drop in (False, True)]
