@@ -13,9 +13,11 @@ interior-point method.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
+from functools import lru_cache, update_wrapper
+from itertools import accumulate, combinations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +51,12 @@ N_MAX_SDP = 14  # the largest reduced graph the relaxation accepts
 # ConvergenceError.
 SDP_TOL = 2e-8
 SDP_MAX_ITER = 100
+
+# The relaxation's geometry is kept for the most recently solved shapes,
+# within this many entries and this many bytes of arrays; a geometry larger
+# than the byte bound is built for each solve and not kept.
+_GEOMETRY_CACHE_ENTRIES = 32
+_GEOMETRY_CACHE_BYTES = 32 << 20
 
 RESTARTS = 64  # sampled paths the conditioning search tries; a repeated path is conditioned once
 
@@ -85,12 +93,9 @@ def subset_basis(n: int, max_size: int) -> SubsetBasis:
     if n > _LUT_N_MAX:
         raise CapacityError(f"n={n} exceeds moment-basis cap {_LUT_N_MAX}")
     max_size = min(max_size, n)
-    masks = []
-    for size in range(max_size + 1):
-        masks.extend(
-            sorted(sum(1 << v for v in c) for c in combinations(range(n), size))
-        )
-    masks = np.asarray(masks, dtype=np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    sizes = np.bitwise_count(masks)
+    masks = masks[sizes <= max_size][np.argsort(sizes[sizes <= max_size], kind="stable")]
     pos = np.full(1 << n, -1, dtype=np.int32)
     pos[masks] = np.arange(masks.size, dtype=np.int32)
     pos.flags.writeable = False
@@ -849,6 +854,124 @@ def _face_operator(K, V, class_idx, scale):
     return L
 
 
+def _canonical(program: SdpProgram):
+    """The edge-free program of `program`'s shape, and `program`'s free
+    vertices in the order of its labels 0, 1, ...
+
+    The free vertices are laid out part by part, the parts ordered by
+    (kept size, budget) and each part's vertices ascending, then any free
+    vertex outside every part; the supers take the labels after them.  Two
+    programs of one level, super count and multiset of (kept size, budget)
+    get the same canonical program.
+    """
+    kept = [sorted(part - program.forbidden) for part in program.parts]
+    order = sorted(range(len(kept)), key=lambda p: (len(kept[p]), program.budgets[p]))
+    free = [v for p in order for v in kept[p]]
+    if len(set(free)) != len(free):
+        raise InputError("parts repeat a vertex")
+    free += sorted(set(range(program.n)) - program.forbidden - set(free))
+    ends = list(accumulate((len(kept[p]) for p in order), initial=0))
+    canonical = SdpProgram(
+        n=program.n,
+        level=program.level,
+        edges=(),
+        parts=tuple(frozenset(range(a, b)) for a, b in zip(ends, ends[1:])),
+        budgets=tuple(program.budgets[p] for p in order),
+        forbidden=frozenset(range(len(free), program.n)),
+    )
+    return canonical, free
+
+
+class _Geometry(NamedTuple):
+    """A program's constraint data: the chart y = q + K u of its affine set
+    and the LMI Lq + mat(Lu u) = V' M(q + K u) V on its face.  A[j] is
+    mat(Lu e_j), and Lu is a view of A.  Every array is read-only."""
+
+    q: np.ndarray
+    K: np.ndarray
+    Lq: np.ndarray
+    Lu: np.ndarray
+    A: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.q.nbytes + self.K.nbytes + self.Lq.nbytes + self.A.nbytes
+
+
+class _CacheInfo(NamedTuple):
+    hits: int
+    builds: int
+    entries: int
+    nbytes: int
+
+
+class _BoundedCache:
+    """`build` behind a thread-safe least-recently-used cache keyed by its
+    one argument, holding at most _GEOMETRY_CACHE_ENTRIES results and
+    _GEOMETRY_CACHE_BYTES of their `nbytes`; a result larger than the byte
+    bound is returned and not kept.  Like functools.lru_cache, it has
+    cache_info() and cache_clear()."""
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+        self._build = build
+        self._lock = threading.Lock()
+        self._kept = OrderedDict()
+        self._hits = self._builds = self._nbytes = 0
+
+    def __call__(self, key):
+        with self._lock:
+            found = self._kept.get(key)
+            if found is not None:
+                self._kept.move_to_end(key)
+                self._hits += 1
+                return found
+        built = self._build(key)
+        with self._lock:
+            self._builds += 1
+            if key not in self._kept and built.nbytes <= _GEOMETRY_CACHE_BYTES:
+                self._kept[key] = built
+                self._nbytes += built.nbytes
+                while (
+                    len(self._kept) > _GEOMETRY_CACHE_ENTRIES
+                    or self._nbytes > _GEOMETRY_CACHE_BYTES
+                ):
+                    self._nbytes -= self._kept.popitem(last=False)[1].nbytes
+        return built
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._builds, len(self._kept), self._nbytes)
+
+    def cache_clear(self):
+        with self._lock:
+            self._kept.clear()
+            self._hits = self._builds = self._nbytes = 0
+
+
+@_BoundedCache
+def _geometry(program: SdpProgram) -> _Geometry:
+    """The chart, face and LMI operator of `program`, which reads its
+    parts, budgets, supers and level, not its edges; see `solve`."""
+    _, label, ms, mult = _free_rows(program)
+    # Scaling entry (T, U) by sqrt(m_T m_U) gives the face block the
+    # nonzero spectrum and the Frobenius norm of the full matrix, so the
+    # residuals keep their meaning for the lifted answer.
+    weight = np.outer(mult, mult)
+    counts = np.bincount(ms.class_idx.ravel(), weights=weight.ravel(), minlength=ms.dim_y)
+    q, K = _affine_chart(*_affine_rows(program, ms.basis, label), counts)
+    V = face_basis(program)
+    scale = np.sqrt(weight)
+    # L(u) = V' M(q + K u) V = Lq + Lu u;
+    # since K' W K = I, Lu' vec(L(u) - Lq) = u
+    Lq = V.T @ (q[ms.class_idx] * scale) @ V
+    r, k = Lq.shape[0], K.shape[1]
+    A = np.ascontiguousarray(_face_operator(K, V, ms.class_idx, scale).T).reshape(k, r, r)
+    for a in (q, K, Lq, A):
+        a.flags.writeable = False
+    return _Geometry(q, K, Lq, A.reshape(k, r * r).T, A)
+
+
 def solve(program: SdpProgram) -> MomentVector:
     """Solve the relaxation to a feasible near-optimal moment vector.
 
@@ -864,30 +987,27 @@ def solve(program: SdpProgram) -> MomentVector:
     after SDP_MAX_ITER Newton steps, or when the lifted moment matrix is
     not PSD within PSD_TOL.
 
+    q, K, Lq and Lu are the program's geometry.  They read the level, the
+    number of supers, and each part's kept size and budget, but not the
+    edges, which enter through the objective kc = K'c alone; and the
+    kernel makes every program of one (c, eps) and budgets the same shape,
+    with min(|V_i|, ceil(k_i / eps)) kept vertices per part.  So the solve
+    labels the free vertices in a canonical order (see `_canonical`):
+    part by part, the parts ordered by (kept size, budget), then any free
+    vertex outside every part, the supers last.  It builds the geometry
+    of that edge-free canonical program, or reuses it from a thread-safe
+    LRU bounded by _GEOMETRY_CACHE_ENTRIES entries and
+    _GEOMETRY_CACHE_BYTES bytes (a larger geometry is built and not kept),
+    so a cached solve returns the same bytes as a cold one.
+
     The solve runs with OpenBLAS held to one thread (see `cutkit._blas`),
     and the caller's thread count is restored when it returns or raises.
     """
     with ONE_BLAS_THREAD:
-        free, label, ms, mult = _free_rows(program)
-        basis = ms.basis
-        # Scaling entry (T, U) by sqrt(m_T m_U) gives the face block the
-        # nonzero spectrum and the Frobenius norm of the full matrix, so the
-        # residuals keep their meaning for the lifted answer.
-        weight = np.outer(mult, mult)
-        counts = np.bincount(
-            ms.class_idx.ravel(),
-            weights=weight.ravel(),
-            minlength=basis.masks.size,
-        )
-        cvec, _ = _objective_vector(program, basis, label)
-        q, K = _affine_chart(*_affine_rows(program, basis, label), counts)
-        V = face_basis(program)
-        scale = np.sqrt(weight)
-        # L(u) = V' M(q + K u) V = Lq + Lu u;
-        # since K' W K = I, Lu' vec(L(u) - Lq) = u
-        Lq = V.T @ (q[ms.class_idx] * scale) @ V
-        Lu = _face_operator(K, V, ms.class_idx, scale)
-
+        canonical, free = _canonical(program)
+        q, K, Lq, Lu, _ = _geometry(canonical)
+        basis = subset_basis(len(free), 2 * program.level)
+        cvec, _ = _objective_vector(program, basis, {v: j for j, v in enumerate(free)})
         kc = K.T @ cvec
         u, steps, (_, prim, dual) = _interior_point(Lq, Lu, kc, SDP_TOL, SDP_MAX_ITER)
 
@@ -928,7 +1048,8 @@ def _interior_point(Lq, Lu, kc, tol, max_steps):
     ConvergenceError("Newton step N failed: ...").
     """
     r, k = Lq.shape[0], kc.size
-    A = np.ascontiguousarray(Lu.T).reshape(k, r, r)  # A[j] = A_j, contiguous for matmul
+    # A[j] = A_j, contiguous for matmul; no copy when Lu is a `_Geometry`'s
+    A = np.ascontiguousarray(Lu.T).reshape(k, r, r)
     kc_scale = max(1.0, np.linalg.norm(kc))
     lq_scale = max(1.0, np.linalg.norm(Lq))
     eye = np.eye(r)

@@ -520,6 +520,7 @@ def test_bench_skips_the_sdp_row_whose_lapack_call_fails(tmp_path, monkeypatch, 
     monkeypatch.setattr(
         moments._flapack, "dgesdd", lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], 2)
     )
+    moments._geometry.cache_clear()  # so that the face is built again
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     shutil.copy(Path(CORPUS_DIR) / "c1_n6.txt", corpus)

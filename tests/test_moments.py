@@ -4,8 +4,9 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,19 @@ def perfectly_correlated_pair(level=3):
 
 def k3():
     return WeightedGraph(3, [(0, 1, 1 / 3), (0, 2, 1 / 3), (1, 2, 1 / 3)])
+
+
+@pytest.mark.parametrize("n, max_size", [(0, 2), (1, 0), (5, 2), (7, 9), (10, 4)])
+def test_subset_basis_lists_masks_by_size_then_value(n, max_size):
+    want = [
+        sum(1 << v for v in c)
+        for size in range(min(max_size, n) + 1)
+        for c in sorted(combinations(range(n), size), key=lambda c: sum(1 << v for v in c))
+    ]
+    basis = subset_basis(n, max_size)
+    assert basis.masks.dtype == np.int64 and basis.masks.tolist() == want
+    assert basis.pos[basis.masks].tolist() == list(range(len(want)))
+    assert np.count_nonzero(basis.pos >= 0) == len(want)
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +872,7 @@ def test_full_cone_reaches_the_face_objective(monkeypatch):
     face = solve(prog).objective_value(prog.edges)
     N = moment_structure(prog.n - len(prog.forbidden), prog.level).dim_mat
     monkeypatch.setattr(moments, "face_basis", lambda program: np.eye(N))
+    moments._geometry.cache_clear()  # the first solve kept the face's geometry
     assert solve(prog).objective_value(prog.edges) == pytest.approx(face, abs=1e-7)
 
 
@@ -977,6 +992,165 @@ def test_singular_face_block_at_the_chart_origin_solves(monkeypatch):
     assert np.linalg.eigvalsh(Lq)[0] <= 1e-12
     assert mv.min_eigenvalue() >= -PSD_TOL
     assert mv.objective_value(prog.edges) >= reduced_optimum(ker) - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the geometry, built once per canonical program
+
+
+def solve_outcome(prog):
+    """(Newton steps, y bytes or the ConvergenceError's message, objective)."""
+    steps = []
+    run = moments._interior_point
+
+    def counting(*args):
+        out = run(*args)
+        steps.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moments, "_interior_point", counting)
+        try:
+            mv = solve(prog)
+        except ConvergenceError as exc:
+            return exc.iterations, str(exc), None
+    return steps[0], mv.y.tobytes(), mv.objective_value(prog.edges)
+
+
+def relabelled(inst, rng):
+    """An isomorphic copy of inst under random vertex labels, its parts and
+    budgets listed in reverse order."""
+    perm = rng.permutation(inst.graph.n)
+    graph = WeightedGraph(inst.graph.n, [(perm[u], perm[v], w) for u, v, w in inst.graph.edges])
+    parts = [frozenset(int(perm[v]) for v in p) for p in inst.parts]
+    return ConstrainedInstance(graph, parts[::-1], inst.budgets[::-1])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    n=st.integers(8, 14),
+    c=st.integers(1, 4),
+    eps=st.sampled_from([0.5, 0.25]),
+    law=st.sampled_from(["one", "uniform", "half"]),
+    seed=st.integers(0, 10**6),
+)
+def test_property_a_cached_geometry_answers_as_a_cold_one(n, c, eps, law, seed):
+    # weights drawn from (0, 1] leave no degree ties, so the kernel keeps
+    # the same vertices of the relabelled copy
+    inst = gen_random(n, 0.5, "uniform", c, law, seed=seed)
+    try:
+        prog = build_program(kernelize_multi(inst, eps), 0)
+    except CapacityError:
+        assume(False)
+    # keeps every solve of the property well under a second
+    assume(moments.basis_dim(prog.n - len(prog.forbidden), prog.level) <= 93)
+    moments._geometry.cache_clear()
+    cold = solve_outcome(prog)
+    assert solve_outcome(prog) == cold
+    assert moments._geometry.cache_info()[:3] == (1, 1, 1)  # hits, builds, entries
+    copy = build_program(kernelize_multi(relabelled(inst, np.random.default_rng(seed)), eps), 0)
+    assert moments._canonical(copy)[0] == moments._canonical(prog)[0]
+    steps, _, objective = solve_outcome(copy)
+    assert moments._geometry.cache_info()[:3] == (2, 1, 1)
+    assert steps == cold[0]
+    if objective is None or cold[2] is None:
+        assert objective is None and cold[2] is None
+    else:
+        assert objective == pytest.approx(cold[2], abs=1e-9)
+
+
+def test_canonical_layout_puts_free_vertices_outside_every_part_last():
+    # parts of kept sizes 2 and 1 (one super each), vertex 3 in no part
+    prog = moments.SdpProgram(
+        n=7,
+        level=2,
+        edges=((0, 3, 0.5), (1, 5, 0.5)),
+        parts=(frozenset({0, 5, 6}), frozenset({4, 1})),
+        budgets=(1, 0),
+        forbidden=frozenset({6, 1}),
+    )
+    canonical, free = moments._canonical(prog)
+    assert free == [4, 0, 5, 2, 3]
+    assert canonical.parts == (frozenset({0}), frozenset({1, 2}))
+    assert canonical.budgets == (0, 1)
+    assert canonical.forbidden == frozenset({5, 6}) and canonical.edges == ()
+    mv = solve(prog)
+    assert [mv.bias(v) for v in (1, 4, 6)] == [-1.0, pytest.approx(-1.0, abs=1e-6), -1.0]
+    assert mv.objective_value(prog.edges) == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(InputError, match="parts repeat a vertex"):
+        moments._canonical(replace(prog, parts=(frozenset({0, 5}), frozenset({0, 4}))))
+
+
+def test_geometry_cache_keeps_read_only_arrays_within_its_bounds(monkeypatch):
+    programs = [
+        build_program(pinned_kernel(n, 2, with_supers, ["any", "any"], seed), 0)
+        for n, with_supers, seed in [(6, False, 1), (7, True, 2), (8, False, 3), (8, True, 4)]
+    ]
+    canonicals = [moments._canonical(prog)[0] for prog in programs]
+    assert len(set(canonicals)) == len(canonicals)
+    sizes = [moments._geometry(p).nbytes for p in canonicals]
+    geometry = moments._geometry(canonicals[sizes.index(max(sizes))])
+    assert geometry.A.size
+    for array in geometry:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        geometry.K[0, 0] = 1.0
+    assert np.shares_memory(geometry.Lu, geometry.A)
+
+    monkeypatch.setattr(moments, "_GEOMETRY_CACHE_ENTRIES", 2)
+    moments._geometry.cache_clear()
+    for prog in programs:
+        solve(prog)
+    info = moments._geometry.cache_info()
+    assert (info.hits, info.builds, info.entries) == (0, 4, 2)
+    assert info.nbytes == sum(sizes[2:])  # the two most recent
+
+    # a geometry larger than the byte bound is returned and not kept
+    monkeypatch.setattr(moments, "_GEOMETRY_CACHE_ENTRIES", 32)
+    monkeypatch.setattr(moments, "_GEOMETRY_CACHE_BYTES", max(sizes) - 1)
+    moments._geometry.cache_clear()
+    for prog in programs + programs:
+        solve(prog)
+    info = moments._geometry.cache_info()
+    assert info.nbytes <= max(sizes) - 1 and info.entries < len(programs)
+    assert info.builds > len(programs)
+    assert info.hits + info.builds == 2 * len(programs)
+
+
+def test_concurrent_solves_share_the_geometry_cache(monkeypatch):
+    # four threads on a cold cache that keeps two of the three shapes, so
+    # lookups, builds and evictions interleave
+    programs = [
+        build_program(pinned_kernel(n, 2, with_supers, ["any", "any"], seed), 0)
+        for n, with_supers, seed in [(7, True, 2), (8, False, 3), (8, True, 4)]
+    ]
+    expected = [solve(prog).y for prog in programs]
+    monkeypatch.setattr(moments, "_GEOMETRY_CACHE_ENTRIES", 2)
+    moments._geometry.cache_clear()
+    results = {}
+
+    def worker(t):
+        order = [(t + i) % len(programs) for i in range(3 * len(programs))]
+        results[t] = [(i, solve(programs[i]).y) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for answers in results.values():
+        for i, y in answers:
+            assert y.tobytes() == expected[i].tobytes()
+    info = moments._geometry.cache_info()
+    assert info.hits + info.builds == 4 * 3 * len(programs)  # no count lost
+    assert info.entries <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -1103,6 +1277,7 @@ def test_lapack_failure_is_a_convergence_error(routine, info, monkeypatch):
     monkeypatch.setattr(
         moments._flapack, routine, lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], info)
     )
+    moments._geometry.cache_clear()  # so that the chart and the face are built again
     newton = routine in ("dpotrf", "dtrtri")  # first called inside a Newton step
     prog = chart_programs()["c2_n7.txt"]
     failure = f"LAPACK {routine} failed with info {info}"
