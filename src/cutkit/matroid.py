@@ -14,6 +14,7 @@ at least half the LP optimum.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,6 +307,18 @@ def _highs_options():
 
 
 _HIGHS_OPTIONS = _highs_options()
+_THREAD = threading.local()
+
+
+def _solver():
+    """This thread's HiGHS instance, given the options once.  passModel
+    drops the previous model with its solution and basis, so every master
+    is still solved from scratch."""
+    solver = getattr(_THREAD, "highs", None)
+    if solver is None:
+        solver = _THREAD.highs = _highs._Highs()
+        solver.passOptions(_HIGHS_OPTIONS)
+    return solver
 
 
 def _solve_master(ew, cover):
@@ -321,27 +334,26 @@ def _solve_master(ew, cover):
     """
     nb, ne = cover.shape
     ncol, nrow = ne + nb, 2 * ne + 1
-    a = np.zeros((ncol, nrow))  # transposed, so nonzero() walks it column-wise
-    a[:ne, :ne] = a[:ne, ne : 2 * ne] = np.eye(ne)
-    a[ne:, :ne], a[ne:, ne : 2 * ne] = -cover, cover
-    a[ne:, 2 * ne] = 1.0
-    col, row = np.nonzero(a)
+    # column y_e holds 1 in rows e and ne + e; column lambda_B is row B of
+    # `lam`, whose nonzeros nonzero() walks in row order
+    lam = np.hstack([-cover, cover, np.ones((nb, 1))])
+    base, row = np.nonzero(lam)
+    counts = np.concatenate([np.full(ne, 2), np.bincount(base, minlength=nb)])
 
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = ncol
     lp.num_row_ = lp.a_matrix_.num_row_ = nrow
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=ncol))])
-    lp.a_matrix_.index_ = row
-    lp.a_matrix_.value_ = a[col, row]
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(counts)])
+    lp.a_matrix_.index_ = np.concatenate([(np.arange(ne)[:, None] + [0, ne]).ravel(), row])
+    lp.a_matrix_.value_ = np.concatenate([np.ones(2 * ne), lam[base, row]])
     lp.col_cost_ = np.concatenate([-ew, np.zeros(nb)])
     lp.col_lower_ = np.zeros(ncol)
     lp.col_upper_ = np.concatenate([np.ones(ne), np.full(nb, _highs.kHighsInf)])
     lp.row_lower_ = np.concatenate([np.full(2 * ne, -_highs.kHighsInf), [1.0]])
     lp.row_upper_ = np.concatenate([np.repeat([0.0, 2.0], ne), [1.0]])
 
-    solver = _highs._Highs()
-    solver.passOptions(_HIGHS_OPTIONS)
+    solver = _solver()
     solver.passModel(lp)
     solver.run()
     status = solver.getModelStatus()
@@ -366,9 +378,11 @@ def solve_lp(g: WeightedGraph, m: MatroidOracle) -> FractionalPoint:
     pi1, pi2 and the dual mu of the sum row, a base B improves the master
     when sum_{v in B} omega_v + mu > 0, where omega_v sums pi2_e - pi1_e over
     the edges at v; the greedy base of largest omega is the best such B.
-    HiGHS solves each master through scipy's bindings (`_solve_master`).
-    Each is built afresh: a model warm-started by adding columns ends
-    degenerate masters on other optimal vertices, and so other bases.
+    HiGHS solves each master through scipy's bindings (`_solve_master`),
+    on one instance per thread.  Each master is built afresh, with the
+    base cover grown one row per entering base: a model warm-started by
+    adding columns ends degenerate masters on other optimal vertices, and
+    so other bases.
     """
     if g.n != m.n:
         raise InputError("graph and matroid ground sets differ")
@@ -382,21 +396,22 @@ def solve_lp(g: WeightedGraph, m: MatroidOracle) -> FractionalPoint:
     incidence[eu, np.arange(ne)] = 1.0
     incidence[ev, np.arange(ne)] = 1.0
     bases = [base]
+    cover = incidence[list(base)].sum(axis=0)[None, :]  # cover[b, e] = |B & e|
     while True:
-        rows = _base_polytope_rows(n, bases)
-        z, fun, pi, mu = _solve_master(ew, rows @ incidence)
+        z, fun, pi, mu = _solve_master(ew, cover)
         omega = incidence @ (pi[ne:] - pi[:ne])
         entering = m.max_weight_base(omega)
         gain = omega[list(entering)].sum() + mu
         if gain <= _PRICE_TOL or entering in bases:
             break
         bases.append(entering)
+        cover = np.vstack([cover, incidence[list(entering)].sum(axis=0)])
 
     lam = np.maximum(z[ne:], 0.0)
     keep = lam > 0.0
     bases = tuple(b for b, k in zip(bases, keep) if k)
     weights = lam[keep] / lam[keep].sum()
-    x = weights @ rows[keep]
+    x = weights @ _base_polytope_rows(n, bases)
     return FractionalPoint(x=x, y=z[:ne], value=float(-fun), bases=bases, weights=weights)
 
 

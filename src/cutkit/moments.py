@@ -13,16 +13,15 @@ interior-point method.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, update_wrapper
+from functools import lru_cache
 from itertools import accumulate, combinations, product
 from typing import NamedTuple
 
 import numpy as np
 
 from ._blas import ONE_BLAS_THREAD
+from ._cache import bounded_cache
 from ._highs import FLAPACK, load
 from .config import PSD_TOL
 from .errors import (
@@ -898,58 +897,7 @@ class _Geometry(NamedTuple):
         return self.q.nbytes + self.K.nbytes + self.Lq.nbytes + self.A.nbytes
 
 
-class _CacheInfo(NamedTuple):
-    hits: int
-    builds: int
-    entries: int
-    nbytes: int
-
-
-class _BoundedCache:
-    """`build` behind a thread-safe least-recently-used cache keyed by its
-    one argument, holding at most _GEOMETRY_CACHE_ENTRIES results and
-    _GEOMETRY_CACHE_BYTES of their `nbytes`; a result larger than the byte
-    bound is returned and not kept.  Like functools.lru_cache, it has
-    cache_info() and cache_clear()."""
-
-    def __init__(self, build):
-        update_wrapper(self, build)
-        self._build = build
-        self._lock = threading.Lock()
-        self._kept = OrderedDict()
-        self._hits = self._builds = self._nbytes = 0
-
-    def __call__(self, key):
-        with self._lock:
-            found = self._kept.get(key)
-            if found is not None:
-                self._kept.move_to_end(key)
-                self._hits += 1
-                return found
-        built = self._build(key)
-        with self._lock:
-            self._builds += 1
-            if key not in self._kept and built.nbytes <= _GEOMETRY_CACHE_BYTES:
-                self._kept[key] = built
-                self._nbytes += built.nbytes
-                while (
-                    len(self._kept) > _GEOMETRY_CACHE_ENTRIES
-                    or self._nbytes > _GEOMETRY_CACHE_BYTES
-                ):
-                    self._nbytes -= self._kept.popitem(last=False)[1].nbytes
-        return built
-
-    def cache_info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._hits, self._builds, len(self._kept), self._nbytes)
-
-    def cache_clear(self):
-        with self._lock:
-            self._kept.clear()
-            self._hits = self._builds = self._nbytes = 0
-
-
-@_BoundedCache
+@bounded_cache(lambda: (_GEOMETRY_CACHE_ENTRIES, _GEOMETRY_CACHE_BYTES))
 def _geometry(program: SdpProgram) -> _Geometry:
     """The chart, face and LMI operator of `program`, which reads its
     parts, budgets, supers and level, not its edges; see `solve`."""
@@ -1107,6 +1055,7 @@ def _newton_step(A, Lu, X, u, S, Rp, Rd):
     P = PT.T
     S_inv = P @ PT
     G = (RX.T @ (A @ P)).reshape(k, r * r)  # row j is vec(R' A_j P)
+    # numpy sends a product with its own transpose to dsyrk; a copied G.T would not be
     M = G @ G.T
     U1, _, piv = _pivoted_cholesky(M, 1e-14 * M.diagonal().max(initial=0.0))
     XRd = X @ Rd

@@ -24,6 +24,13 @@ forbidden and every budget is half its part, S and V - S cut the same
 edges; the oracles then list only the sets that hold vertex 0, which of
 the two lists first, and count each optimum twice.
 
+The split point and the side sets read only each pool's size and budget,
+the edge count and _CHUNK, so `_plan` builds them once per shape, in list
+positions 0..listed-1, and keeps them in a bounded LRU; each call moves
+bit i of the planned masks to its i-th listed vertex (`_relabel`).  A
+pool's subsets are listed by position within it, so these are the masks,
+in the order, that listing the call's own pools would give.
+
 The matroid oracle enumerates the rank-sized sets the same way and keeps
 the bases: a set whose rank-table rank is below its size scores -inf, and
 a block with no base is skipped.  A non-base only lowers a block, so the
@@ -38,10 +45,12 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._blas import ONE_BLAS_THREAD
+from ._cache import bounded_cache
 from .config import Config, TOL
 from .errors import CapacityError, InfeasibleError, InputError
 from .graph import ConstrainedInstance, WeightedGraph, as_vertex_set, cut_value
@@ -50,6 +59,12 @@ _CHUNK = 1 << 16  # values per scored block; keeps a block's arrays in cache
 _MASK_BITS = 64  # candidate sets are uint64 masks
 _NO_SET = np.zeros(1, dtype=np.uint64)  # the one set on an empty side
 _TIE_ATOL = 1e-12  # cut values this close to the best tie with it
+
+# The enumeration plans of the most recently seen pool shapes are kept,
+# within this many entries and this many bytes of masks; a larger plan is
+# built for each call and not kept.
+_PLAN_CACHE_ENTRIES = 256
+_PLAN_CACHE_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -268,6 +283,75 @@ def _pinned(pools, n: int) -> tuple:
     return pools[:j] + [([0], 1), (pool[1:], k - 1)] + pools[j + 1 :], 2
 
 
+class _Plan(NamedTuple):
+    """How the feasible sets of a pool shape are listed, in list positions:
+    pool j holds the positions after those of pools 0..j-1.  Side A holds
+    the first `at` positions, all of them when there is no split.  `flat`
+    holds the A-side then the B-side sets of each pair of `_sides`, `sizes`
+    their counts; with no split, the one list of every set.  `flat` is
+    read-only."""
+
+    at: int
+    flat: np.ndarray
+    sizes: tuple
+
+    @property
+    def nbytes(self) -> int:
+        return self.flat.nbytes
+
+
+@bounded_cache(lambda: (_PLAN_CACHE_ENTRIES, _PLAN_CACHE_BYTES))
+def _plan(key) -> _Plan:
+    """The plan of key = (shape, edges, _CHUNK): shape holds the (size,
+    budget) of each pool in list order.  The split and the side sets read
+    only these, so pools of one shape share a plan whatever their vertices
+    and weights."""
+    shape, edges, _ = key
+    ends = list(itertools.accumulate(size for size, _ in shape))
+    pools = [(list(range(end - size, end)), k) for (size, k), end in zip(shape, ends)]
+    at = _split_point(pools, edges)
+    if at == sum(size for size, _ in shape):
+        lists = [_product([_subset_masks(pool, k) for pool, k in pools])]
+    else:
+        lists = [x for pair in _sides(pools, at) for x in pair]
+    flat = np.concatenate(lists) if len(lists) > 1 else lists[0]
+    flat.flags.writeable = False
+    return _Plan(at, flat, tuple(x.size for x in lists))
+
+
+# _BYTE_BITS[i, b] is bit i of the byte b, and _BIT[v] the mask of vertex v
+_BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.uint64)
+_BIT = np.uint64(1) << np.arange(_MASK_BITS, dtype=np.uint64)
+
+
+def _relabel(masks: np.ndarray, labels) -> np.ndarray:
+    """`masks` with bit i moved to bit labels[i], through one table per byte
+    of the masks: the table of byte b maps its value to the union of the
+    moved bits 8b..8b+7 it holds."""
+    if labels == list(range(len(labels))):
+        return masks
+    planes = (len(labels) + 7) // 8
+    moved = np.zeros(8 * planes, dtype=np.uint64)
+    moved[: len(labels)] = _BIT[labels]
+    # the moved bits are distinct, so their sum is their union
+    tables = moved.reshape(planes, 8) @ _BYTE_BITS
+    octets = np.ascontiguousarray(_bytes(masks)[:, :planes].T)  # row b: byte b of each mask
+    out = tables[0].take(octets[0])
+    for b in range(1, planes):
+        out |= tables[b].take(octets[b])
+    return out
+
+
+def _side_sets(pools, edges: int) -> tuple:
+    """(at, flat, sizes) of `_Plan` for these pools, in vertex masks: the
+    plan of their shape, with position i relabelled to the i-th listed
+    vertex.  Each pool lists its sets in lex order of its positions, so
+    these are the lists `_sides` and `_subset_masks` give on the pools."""
+    shape = tuple((len(pool), k) for pool, k in pools)
+    at, flat, sizes = _plan((shape, edges, _CHUNK))
+    return at, _relabel(flat, [v for pool, _ in pools for v in pool]), sizes
+
+
 def _blocks(g: WeightedGraph, pools, floor=lambda: -math.inf):
     """(vals, rows, cols) blocks of at most _CHUNK sets: vals[r, c] is the
     cut value of rows[r] | cols[c].  No feasible set comes twice, and every
@@ -283,12 +367,11 @@ def _blocks(g: WeightedGraph, pools, floor=lambda: -math.inf):
     each band's columns and the bands.
     """
     listed = [v for pool, _ in pools for v in pool]
-    at = _split_point(pools, len(g.edges))
+    at, flat, sizes = _side_sets(pools, len(g.edges))
+    cuts = _mask_values(g, flat)  # cut value of each side set on its own
     if at == len(listed):  # no split: every set is scored edge by edge
-        masks = _product([_subset_masks(pool, k) for pool, k in pools])
-        cuts = _mask_values(g, masks)
-        for start in range(0, masks.size, _CHUNK):
-            yield cuts[start : start + _CHUNK, None], masks[start : start + _CHUNK], _NO_SET
+        for start in range(0, flat.size, _CHUNK):
+            yield cuts[start : start + _CHUNK, None], flat[start : start + _CHUNK], _NO_SET
         return
     on_a, on_b = set(listed[:at]), set(listed[at:])
     # (A end, B end, weight) of each edge across the split
@@ -297,9 +380,6 @@ def _blocks(g: WeightedGraph, pools, floor=lambda: -math.inf):
         for u, v, w in g.edges
         if (u in on_a and v in on_b) or (u in on_b and v in on_a)
     ]
-    pairs = _sides(pools, at)
-    flat = np.concatenate([x for pair in pairs for x in pair])
-    cuts = _mask_values(g, flat)  # cut value of each side set on its own
     if cross:
         # only the ends of crossing edges enter the products: per side set,
         # twice its weight to each B end (read for an A-side set) and its
@@ -312,7 +392,6 @@ def _blocks(g: WeightedGraph, pools, floor=lambda: -math.inf):
         ends = _unpack(flat, g.n)[a_ends + b_ends].T.astype(np.float64)
         reach = ends[:, : len(a_ends)] @ w2
         in_b = ends[:, len(a_ends) :]
-    sizes = [x.size for pair in pairs for x in pair]
     starts = [0, *itertools.accumulate(sizes[:-1])]
     best = np.maximum.reduceat(cuts, starts).tolist()  # best cut of each side
     spans = []  # (bound, A side, B side, sorted): the sides index flat

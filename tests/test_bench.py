@@ -15,10 +15,12 @@ from cutkit import bench, moments, rounding
 from cutkit.bench import METHODS, run_bench
 from cutkit.cli import main
 from cutkit.config import TOL, Config
+from cutkit.errors import CapacityError
 from cutkit.forge import gen_random
 from cutkit.graph import ConstrainedInstance, cut_value
 from cutkit.io import format_instance_text, read_instance
 from cutkit.matroid import UniformMatroid
+from cutkit.oracle import oracle_constrained
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 SEEDED = settings(max_examples=6, derandomize=True, deadline=None)
@@ -91,7 +93,7 @@ def two_instances(tmp_path):
 
 
 def test_bench_relaxes_and_solves_the_matroid_once_per_instance(two_instances, monkeypatch):
-    calls = {"relax": 0, "matroid": 0}
+    calls = {"relax": 0, "matroid": 0, "oracle": 0}
 
     def counting(module, name, key):
         orig = getattr(module, name)
@@ -104,8 +106,9 @@ def test_bench_relaxes_and_solves_the_matroid_once_per_instance(two_instances, m
 
     counting(rounding, "solve", "relax")
     counting(bench, "solve_matroid", "matroid")
+    counting(bench, "oracle_constrained", "oracle")
     report = run_bench(two_instances, list(METHODS), [1, 2, 3])
-    assert calls == {"relax": 2, "matroid": 2}
+    assert calls == {"relax": 2, "matroid": 2, "oracle": 2}
     assert len(report.rows) == 2 * len(METHODS) * 3
     assert not any(r.skipped for r in report.rows)
     monkeypatch.undo()
@@ -132,6 +135,29 @@ def test_failed_relaxation_skips_every_seed_row_of_sdp_only(two_instances, monke
     others = [r for r in report.rows if r.method != "sdp"]
     assert len(others) == 18
     assert all(not r.skipped and r.feasible for r in others)
+
+
+def test_failed_oracle_search_skips_the_oracle_rows_with_its_error_once(two_instances, monkeypatch):
+    config = Config(oracle_combo_cap=1)
+    inst, _ = read_instance(str(Path(two_instances) / "c1_n6.txt"))
+    with pytest.raises(CapacityError) as raised:
+        oracle_constrained(inst, config=config)
+    calls = []
+    search = bench.oracle_constrained
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "oracle_constrained", counting)
+    report = run_bench(two_instances, ["greedy", "oracle"], [1, 2], config=config)
+    assert len(calls) == 2  # one search per instance
+    oracle_rows = [r for r in report.rows if r.method == "oracle"]
+    assert len(oracle_rows) == 4
+    assert all(r.skipped == f"CapacityError: {raised.value}" for r in oracle_rows)
+    assert "skipped,skipped" in oracle_rows[0].csv_line()
+    greedy = [r for r in report.rows if r.method == "greedy"]
+    assert all(not r.skipped and r.oracle_value is None and r.ratio is None for r in greedy)
 
 
 def test_shared_stage_time_goes_to_the_first_seed_row(two_instances, monkeypatch):

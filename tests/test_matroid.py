@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -682,6 +683,53 @@ def test_master_lp_on_highs_matches_linprog_bit_for_bit(monkeypatch):
         want = _linprog_master(ew, cover)
         for a, b in zip(got, want):
             assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_each_thread_reuses_one_highs_instance_and_a_failed_master_leaves_no_trace():
+    g = gen_random(10, 0.4, "unit", 1, "one", seed=8).graph
+    ew = g._edge_arrays[2]
+    cover = np.array([[1.0, 0.0, 2.0] * (len(g.edges) // 3) + [1.0] * (len(g.edges) % 3)])
+    fresh = _linprog_master(ew, cover)
+    # no base column: sum_B lambda_B = 1 has no solution
+    with pytest.raises(InfeasibleError):
+        matroid._solve_master(ew, np.zeros((0, len(g.edges))))
+    got = matroid._solve_master(ew, cover)
+    for a, b in zip(got, fresh):
+        assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(matroid._solver()))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert matroid._solver() is matroid._solver()
+    assert seen[0] is not matroid._solver()
+
+
+def test_concurrent_lp_solves_answer_as_serial_ones():
+    cases = [(g, m) for _, _, g, m in _matroid_corpus(6, 3100)]
+    serial = [solve_lp(g, m) for g, m in cases]
+    answers = [None] * (2 * len(cases))
+
+    def solve(i):
+        g, m = cases[i % len(cases)]
+        answers[i] = solve_lp(g, m)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(answers))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i, got in enumerate(answers):
+        want = serial[i % len(cases)]
+        assert got.x.tobytes() == want.x.tobytes() and got.value == want.value
+        assert got.bases == want.bases and got.weights.tobytes() == want.weights.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -572,13 +572,15 @@ CHUNKS = st.sampled_from([1, 2, 3, 5, 16, 1 << 16])
 @contextlib.contextmanager
 def split_anywhere(data, chunk):
     """Blocks of at most `chunk` values, and a split point drawn by `data`
-    in each call: every split point, no split included, gives the same
-    answers."""
+    for each pool shape: every split point, no split included, gives the
+    same answers.  The plans kept so far are dropped, so that the drawn
+    split is used and each example draws the same way when replayed."""
 
     def drawn(pools, edges):
         return data.draw(st.integers(0, sum(len(pool) for pool, _ in pools)))
 
     with mock.patch.object(oracle, "_CHUNK", chunk), mock.patch.object(oracle, "_split_point", drawn):
+        oracle._plan.cache_clear()
         yield
 
 
@@ -659,6 +661,7 @@ def test_property_split_blocks_hold_each_set_above_the_floor_once(data, inst, ch
         with mock.patch.object(oracle, "_CHUNK", chunk), mock.patch.object(
             oracle, "_split_point", lambda pools, edges: at
         ):
+            oracle._plan.cache_clear()  # else the plan of the first split is reused
             blocks = list(_blocks(g, pools, lambda: floor))
         seen = [int(m) for _, r, c in blocks for m in np.bitwise_or.outer(r, c).ravel()]
         assert len(seen) == len(set(seen)) and set(seen) <= set(values)
@@ -702,6 +705,82 @@ def test_property_half_budget_oracles_match_the_reference(data, inst, chunk):
     assert as_triple(by_k) == reference_maxcut_k(g, g.n // 2, frozenset())
     assert as_triple(by_parts) == reference_constrained(g, parts, budgets, frozenset())
     assert decision is reference_decision(g, parts, budgets)
+
+
+# ---------------------------------------------------------------------------
+# the enumeration plan: the split and the side sets of a pool shape, kept
+# in list positions and relabelled to each call's vertices
+
+
+@st.composite
+def plan_instances(draw):
+    """n <= 24, 1-4 parts (possibly empty) that hold every vertex, forbidden
+    vertices or none, and budgets of any size or of half the allowed
+    vertices of each part, so that complement pinning runs too."""
+    n = draw(st.integers(1, 24))
+    c = draw(st.integers(1, 4))
+    label = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+    parts = [frozenset(v for v in range(n) if label[v] == i) for i in range(c)]
+    forbidden = draw(st.one_of(st.just(frozenset()), st.frozensets(st.integers(0, n - 1), max_size=n)))
+    allowed = [len(p - forbidden) for p in parts]
+    if draw(st.booleans()):
+        budgets = [a // 2 for a in allowed]
+    else:
+        budgets = [draw(st.integers(0, a)) for a in allowed]
+    return draw(int_graphs(n)), parts, budgets, forbidden
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(inst=plan_instances())
+def test_property_plan_lists_the_side_sets_and_a_warm_call_answers_as_a_cold_one(inst):
+    g, parts, budgets, forbidden = inst
+    raw = _pools(parts, budgets, forbidden, cap=10**7)
+    for pools in (raw, oracle._pinned(raw, g.n)[0]):
+        at, flat, sizes = oracle._side_sets(pools, len(g.edges))
+        assert at == oracle._split_point(pools, len(g.edges))
+        if at == sum(len(pool) for pool, _ in pools):
+            lists = [oracle._product([_subset_masks(pool, k) for pool, k in pools])]
+        else:
+            lists = [x for pair in _sides(pools, at) for x in pair]
+        assert flat.dtype == np.uint64
+        assert flat.tobytes() == np.concatenate(lists).tobytes()
+        assert sizes == tuple(x.size for x in lists)
+
+    ci = ConstrainedInstance(g, parts, budgets)
+    oracle._plan.cache_clear()
+    cold = oracle_constrained(ci, forbidden=forbidden)
+    kept = oracle._plan.cache_info().entries
+    warm = oracle_constrained(ci, forbidden=forbidden)
+    assert oracle._plan.cache_info()[:2] == (kept, 1)  # hits, builds
+    assert (warm.opt_value.hex(), warm.best_set, warm.optimal_count) == (
+        cold.opt_value.hex(), cold.best_set, cold.optimal_count
+    )
+
+
+def test_plans_are_read_only_and_an_edgeless_plan_over_the_byte_bound_is_not_kept(monkeypatch):
+    # an edgeless graph never splits, so its plan lists every feasible set:
+    # C(23, 11) = 1 352 078 sets that hold vertex 0, 10.8 MB of masks
+    res = oracle_maxcut_k(WeightedGraph(24, []), 12)
+    assert (res.opt_value, res.optimal_count) == (0.0, math.comb(24, 12))
+    assert oracle._plan.cache_info()[1:] == (1, 0, 0)  # builds, entries, bytes
+
+    oracle._plan.cache_clear()
+    rng = np.random.default_rng(30)
+    graphs = [random_graph(n, 0.5, rng) for n in range(8, 20)]
+    for g in graphs:  # 12 shapes, split or not, every plan kept
+        oracle_maxcut_k(g, g.n // 3)
+    info = oracle._plan.cache_info()
+    assert (info.builds, info.entries) == (12, 12)
+    assert all(not plan.flat.flags.writeable for plan in oracle._plan._kept.values())
+    for entries, nbytes in ((3, info.nbytes), (64, info.nbytes // 2)):
+        oracle._plan.cache_clear()
+        monkeypatch.setattr(oracle, "_PLAN_CACHE_ENTRIES", entries)
+        monkeypatch.setattr(oracle, "_PLAN_CACHE_BYTES", nbytes)
+        for g in graphs:
+            oracle_maxcut_k(g, g.n // 3)
+            kept = oracle._plan.cache_info()
+            assert kept.entries <= entries and kept.nbytes <= nbytes
+        assert 0 < kept.entries < 12
 
 
 def test_no_matching_decision_scores_under_a_tenth_of_its_feasible_sets(monkeypatch):
