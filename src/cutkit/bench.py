@@ -143,11 +143,13 @@ def _oracle_answer(res):
 METHODS = {"sdp": _sdp, "pipage": _pipage, "greedy": _greedy, "oracle": _oracle}
 
 
-def _optimum(solver, *args, **kwargs) -> float | None:
+def _attempt(call, *args, **kwargs) -> tuple:
+    """(call's result, "") or, when it raises a toolkit error, (None,
+    "<Error>: <message>"), the text of a skipped row."""
     try:
-        return solver(*args, **kwargs).opt_value
-    except CutkitError:
-        return None
+        return call(*args, **kwargs), ""
+    except CutkitError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def run_bench(
@@ -159,7 +161,8 @@ def run_bench(
 ) -> BenchReport:
     """Run every (instance, method, seed) combination; a toolkit error marks
     its row skipped instead of aborting the run, and a file that does not
-    parse marks all of its rows skipped.
+    parse marks all of its rows skipped.  Every toolkit call goes through
+    `_attempt`, with the solver named by its module global at call time.
 
     Each method prepares once per instance and answers once per seed, so
     the relaxation, the matroid LP and the oracle run once per instance; a
@@ -169,7 +172,8 @@ def run_bench(
 
     Ratios divide by the optimum of the problem the method solved: pipage
     on an instance that declares a matroid solves over that matroid's
-    bases, every other row over the partition constraints.
+    bases, every other row over the partition constraints.  When the
+    matroid search fails, pipage keeps its answer and has no ratio.
     """
     config = config or Config()
     for method in methods:
@@ -182,31 +186,28 @@ def run_bench(
         if f.endswith((".txt", ".json")) and not f.startswith(".")
     )
     for name in names:
-        try:
-            inst, matroid = read_instance(os.path.join(corpus_dir, name))
-        except CutkitError as exc:
+        parsed, unread = _attempt(read_instance, os.path.join(corpus_dir, name))
+        if parsed is None:
             report.rows.extend(
                 BenchRow(
                     instance=name, method=method, value=None, oracle_value=None,
-                    feasible=False, seed=seed, wall_time_s=0.0,
-                    skipped=f"{type(exc).__name__}: {exc}",
+                    feasible=False, seed=seed, wall_time_s=0.0, skipped=unread,
                 )
                 for method in methods
                 for seed in seeds
             )
             continue
+        inst, matroid = parsed
         # one search gives every row's oracle_value and the oracle method's answer
         t0 = time.perf_counter()
-        try:
-            optimum, unsolved = oracle_constrained(inst, config=config), ""
-        except CutkitError as exc:
-            optimum, unsolved = None, f"{type(exc).__name__}: {exc}"
+        optimum, unsolved = _attempt(oracle_constrained, inst, config=config)
         searched = time.perf_counter() - t0
         oracle_value = None if optimum is None else optimum.opt_value
         matroid_value = None
         if matroid is not None and "pipage" in methods:
             # looked up on its module, so a wrapper installed there sees the call
-            matroid_value = _optimum(oracle.oracle_matroid, inst.graph, matroid, config)
+            best, _ = _attempt(oracle.oracle_matroid, inst.graph, matroid, config)
+            matroid_value = None if best is None else best.opt_value
         for method in methods:
             on_matroid = method == "pipage" and matroid is not None
             t0 = time.perf_counter()
@@ -214,10 +215,7 @@ def run_bench(
                 answer = None if optimum is None else _oracle_answer(optimum)
                 failure, t0 = unsolved, t0 - searched
             else:
-                try:
-                    answer, failure = METHODS[method](inst, matroid, eps, config), ""
-                except CutkitError as exc:
-                    answer, failure = None, f"{type(exc).__name__}: {exc}"
+                answer, failure = _attempt(METHODS[method], inst, matroid, eps, config)
             # the shared stage's time goes to the first seed's row, so each
             # method's wall_time_s still sums to its total
             shared = time.perf_counter() - t0
@@ -236,11 +234,9 @@ def run_bench(
                 )
                 t0 = time.perf_counter()
                 if answer is not None:
-                    try:
-                        sol = answer(seed)
+                    sol, row.skipped = _attempt(answer, seed)
+                    if sol is not None:
                         row.value, row.feasible = sol.value, sol.feasible
-                    except CutkitError as exc:
-                        row.skipped = f"{type(exc).__name__}: {exc}"
                 row.wall_time_s = shared + time.perf_counter() - t0
                 shared = 0.0
                 report.rows.append(row)

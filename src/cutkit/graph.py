@@ -6,6 +6,7 @@ function, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +30,8 @@ class WeightedGraph:
     """Undirected graph with nonnegative edge weights.
 
     Edges are canonicalized on construction: endpoints ordered, parallel
-    edges merged by summing weights, self-loops rejected.
+    edges merged by summing weights, self-loops rejected.  Every weight,
+    merged weight and the total weight must be finite.
     """
 
     n: int
@@ -46,6 +48,8 @@ class WeightedGraph:
                 raise InputError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) out of range [0, {n})")
+            if not math.isfinite(w):
+                raise InputError(f"weight {w} on edge ({u},{v}) is not finite")
             if w < 0:
                 raise InputError(f"negative weight {w} on edge ({u},{v})")
             key = (u, v) if u < v else (v, u)
@@ -54,6 +58,9 @@ class WeightedGraph:
         object.__setattr__(
             self, "edges", tuple((u, v, w) for (u, v), w in sorted(merged.items()))
         )
+        with np.errstate(over="ignore"):  # an overflow is refused here, not warned of
+            if math.isinf(self.total_weight):  # so is a merged weight that overflows
+                raise InputError("the edge weights overflow: their total is infinite")
 
     @cached_property
     def _edge_arrays(self):

@@ -360,11 +360,14 @@ def entropy_of_vertex(m: MomentVector, i: int) -> float:
 def _part_scores(info: np.ndarray, parts) -> np.ndarray:
     """Average pairwise MI inside each sorted part, over its upper triangle
     (the pairs a < b, without the entropy diagonal); 0 below two vertices.
-    info may carry leading batch axes; the scores are the last axis."""
+    info may carry leading batch axes; the scores are the last axis.  The
+    gathered blocks are made contiguous, so each sums its terms in the
+    order it would alone, and a batch scores as its members one by one."""
     upper = np.triu(info, 1)
     return np.stack(
         [
-            upper[..., np.array(p)[:, None], p].sum(axis=(-2, -1)) / (len(p) * (len(p) - 1) / 2)
+            np.ascontiguousarray(upper[..., np.array(p)[:, None], p]).sum(axis=(-2, -1))
+            / (len(p) * (len(p) - 1) / 2)
             if len(p) > 1
             else np.zeros(info.shape[:-2])
             for p in parts
@@ -614,6 +617,22 @@ class _Rows(NamedTuple):
         return out
 
 
+def _budget_rows(program: SdpProgram, label, pos, S, width) -> _Rows:
+    """The budget operator at the masks S, as row-ordered triplets with
+    `width` columns: for a part with selectable vertices K and target
+    t = 2k - |K|, row p |S| + j of part p is sum_{i in K} e_{S_j ^ {i}}
+    - t e_{S_j}, its columns the positions `pos` gives."""
+    rows, cols, vals = [], [], []
+    for p, (part, k) in enumerate(zip(program.parts, program.budgets)):
+        kept = [label[v] for v in part - program.forbidden]
+        # one row per mask, the row's entries side by side
+        rows.append(np.repeat(p * S.size + np.arange(S.size), len(kept) + 1))
+        cols.append(np.column_stack([pos[S ^ (1 << i)] for i in kept] + [pos[S]]).ravel())
+        vals.append(np.tile([1.0] * len(kept) + [len(kept) - 2.0 * k], S.size))
+    shape = (len(program.parts) * S.size, width)
+    return _Rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), shape)
+
+
 def _affine_rows(program: SdpProgram, basis: SubsetBasis, label):
     """Sparse equality system B y = d over the selectable vertices, B as
     row-ordered triplets.
@@ -628,18 +647,16 @@ def _affine_rows(program: SdpProgram, basis: SubsetBasis, label):
     """
     pos = basis.pos
     S = basis.masks[: basis_dim(basis.n, 2 * program.level - 1)]  # masks sort by size
-    rows, cols, vals = [np.zeros(1, dtype=np.int64)], [pos[:1]], [np.ones(1)]
-    for p, (part, k) in enumerate(zip(program.parts, program.budgets)):
-        kept = [label[v] for v in part - program.forbidden]
-        # one row per depth, the row's entries side by side
-        at = np.repeat(1 + p * S.size + np.arange(S.size), len(kept) + 1)
-        rows.append(at)
-        cols.append(np.column_stack([pos[S ^ (1 << i)] for i in kept] + [pos[S]]).ravel())
-        vals.append(np.tile([1.0] * len(kept) + [len(kept) - 2.0 * k], S.size))
-    shape = (1 + len(program.parts) * S.size, basis.masks.size)
-    d = np.zeros(shape[0])
+    budget = _budget_rows(program, label, pos, S, basis.masks.size)
+    B = _Rows(
+        np.concatenate([[0], budget.rows + 1]),
+        np.concatenate([pos[:1], budget.cols]),
+        np.concatenate([[1.0], budget.vals]),
+        (1 + budget.shape[0], budget.shape[1]),
+    )
+    d = np.zeros(B.shape[0])
     d[0] = 1.0
-    return _Rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), shape), d
+    return B, d
 
 
 def _objective_vector(program: SdpProgram, basis: SubsetBasis, label):
@@ -816,20 +833,9 @@ def face_basis(program: SdpProgram) -> np.ndarray:
     {V S V' : S >= 0} is exact and leaves the optimum unchanged.
     """
     _, label, ms, mult = _free_rows(program)
-    N = ms.dim_mat
-    pos = ms.basis.pos
     T = ms.row_masks[: basis_dim(ms.n, program.level - 1)]  # masks sort by size
-    cols = np.arange(T.size)
-    null = []
-    for part, k in zip(program.parts, program.budgets):
-        kept = [label[v] for v in part - program.forbidden]
-        v = np.zeros((N, T.size))  # column j is v_T for T = T[j]
-        for i in kept:
-            v[pos[T ^ (1 << i)], cols] += 1.0
-        v[pos[T], cols] -= 2.0 * k - len(kept)
-        null.append(v)
-    W = np.hstack(null) / np.sqrt(mult)[:, None]
-    return _null_space(W.T)
+    null = _budget_rows(program, label, ms.basis.pos, T, ms.dim_mat)  # row p |T| + j is v_T[j]
+    return _null_space(null.toarray() / np.sqrt(mult))
 
 
 def _null_space(A) -> np.ndarray:
@@ -956,8 +962,14 @@ def solve(program: SdpProgram) -> MomentVector:
         q, K, Lq, Lu, _ = _geometry(canonical)
         basis = subset_basis(len(free), 2 * program.level)
         cvec, _ = _objective_vector(program, basis, {v: j for j, v in enumerate(free)})
-        kc = K.T @ cvec
-        u, steps, (_, prim, dual) = _interior_point(Lq, Lu, kc, SDP_TOL, SDP_MAX_ITER)
+        try:
+            with np.errstate(over="raise"):
+                kc = K.T @ cvec
+                u, steps, (_, prim, dual) = _interior_point(Lq, Lu, kc, SDP_TOL, SDP_MAX_ITER)
+        except FloatingPointError as exc:
+            # the Newton steps multiply quantities of the objective's size,
+            # so weights far above 1e100 overflow
+            raise ConvergenceError(f"the relaxation overflowed: {exc}") from exc
 
         y = q + K @ u
         mv = MomentVector(

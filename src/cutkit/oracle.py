@@ -13,7 +13,10 @@ with OpenBLAS held to one thread.  The cut in the list falls inside at most
 one part, and each way of dividing that part's budget between the halves
 gives one pair of sides.  The split goes where the sides hold the fewest
 sets, and only where it pays: scoring every set edge by edge costs sets x
-edges, the split side sets x edges plus one value per pair.
+edges, the split side sets x edges plus one value per pair.  Where it does
+not pay, side A takes every allowed vertex: the one pair is then every
+feasible set against the empty set, no edge crosses, and each set is
+scored edge by edge.
 
 Weights are nonnegative, so cut(S & A) + cut(S & B) bounds cut(S).  Pairs
 are scored in order of that bound, and the sides of a pair that fills more
@@ -31,11 +34,12 @@ bit i of the planned masks to its i-th listed vertex (`_relabel`).  A
 pool's subsets are listed by position within it, so these are the masks,
 in the order, that listing the call's own pools would give.
 
-The matroid oracle enumerates the rank-sized sets the same way and keeps
-the bases: a set whose rank-table rank is below its size scores -inf, and
-a block with no base is skipped.  A non-base only lowers a block, so the
-floor holds; nothing is halved, as the complement of a base is in general
-not a base.  Ties on the optimum go to the lexicographically smallest list.
+The matroid oracle enumerates the rank-sized sets the same way, through the
+same search, and keeps the bases: a set whose rank-table rank is below its
+size scores -inf, and a block with no base is skipped.  A non-base only
+lowers a block, so the floor holds; nothing is halved, as the complement
+of a base is in general not a base.  Ties on the optimum go to the
+lexicographically smallest list.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from .graph import ConstrainedInstance, WeightedGraph, as_vertex_set, cut_value
 
 _CHUNK = 1 << 16  # values per scored block; keeps a block's arrays in cache
 _MASK_BITS = 64  # candidate sets are uint64 masks
-_NO_SET = np.zeros(1, dtype=np.uint64)  # the one set on an empty side
 _TIE_ATOL = 1e-12  # cut values this close to the best tie with it
 
 # The enumeration plans of the most recently seen pool shapes are kept,
@@ -250,9 +253,10 @@ def _split_point(pools, edges: int) -> int:
 
     Scoring every feasible set edge by edge costs sets x edges; the split
     with the fewest side sets costs side sets x edges plus one value per
-    pair of side sets.  All vertices go to A, which scores every set
-    directly, when that is cheaper or the sets fill at most an eighth of a
-    block: on so few, a split's set-up outweighs its saving.
+    pair of side sets.  All vertices go to A, whose one pair of sides is
+    every set and the empty set, when that is cheaper or the sets fill at
+    most an eighth of a block: on so few, a split's set-up outweighs its
+    saving.
     """
     listed = sum(len(pool) for pool, _ in pools)
     sets = [math.comb(len(pool), k) for pool, k in pools]
@@ -286,10 +290,9 @@ def _pinned(pools, n: int) -> tuple:
 class _Plan(NamedTuple):
     """How the feasible sets of a pool shape are listed, in list positions:
     pool j holds the positions after those of pools 0..j-1.  Side A holds
-    the first `at` positions, all of them when there is no split.  `flat`
-    holds the A-side then the B-side sets of each pair of `_sides`, `sizes`
-    their counts; with no split, the one list of every set.  `flat` is
-    read-only."""
+    the first `at` positions.  `flat` holds the A-side then the B-side sets
+    of each pair of `_sides`, `sizes` their counts; with no split, the one
+    pair of every set and the empty set.  `flat` is read-only."""
 
     at: int
     flat: np.ndarray
@@ -310,11 +313,8 @@ def _plan(key) -> _Plan:
     ends = list(itertools.accumulate(size for size, _ in shape))
     pools = [(list(range(end - size, end)), k) for (size, k), end in zip(shape, ends)]
     at = _split_point(pools, edges)
-    if at == sum(size for size, _ in shape):
-        lists = [_product([_subset_masks(pool, k) for pool, k in pools])]
-    else:
-        lists = [x for pair in _sides(pools, at) for x in pair]
-    flat = np.concatenate(lists) if len(lists) > 1 else lists[0]
+    lists = [x for pair in _sides(pools, at) for x in pair]
+    flat = np.concatenate(lists)
     flat.flags.writeable = False
     return _Plan(at, flat, tuple(x.size for x in lists))
 
@@ -364,15 +364,12 @@ def _blocks(g: WeightedGraph, pools, floor=lambda: -math.inf):
     weights are nonnegative, the first two terms bound cut(S).  Pairs go
     in order of that bound at their best sets; the sides of a pair that
     fills more than one block are sorted by cut, so that the floor ends
-    each band's columns and the bands.
+    each band's columns and the bands.  With no split, side B holds only
+    the empty set, so the blocks are one column of sets scored directly.
     """
     listed = [v for pool, _ in pools for v in pool]
     at, flat, sizes = _side_sets(pools, len(g.edges))
     cuts = _mask_values(g, flat)  # cut value of each side set on its own
-    if at == len(listed):  # no split: every set is scored edge by edge
-        for start in range(0, flat.size, _CHUNK):
-            yield cuts[start : start + _CHUNK, None], flat[start : start + _CHUNK], _NO_SET
-        return
     on_a, on_b = set(listed[:at]), set(listed[at:])
     # (A end, B end, weight) of each edge across the split
     cross = [
@@ -432,14 +429,20 @@ def _blocks(g: WeightedGraph, pools, floor=lambda: -math.inf):
             r = top.stop
 
 
-def _best(g: WeightedGraph, pools) -> OracleResult:
-    """The optimum over the feasible sets of `pools`; blocks that cannot
-    reach the running best are skipped."""
-    pools, copies = _pinned(pools, g.n)
+def _best(g: WeightedGraph, pools, copies: int = 1, keep=None) -> OracleResult:
+    """The optimum over the feasible sets of `pools`, each standing for
+    `copies` sets; blocks that cannot reach the running best are skipped.
+    keep(rows, cols), when given, says which sets rows[r] | cols[c] of a
+    block count: the others score -inf, and a block with none is skipped."""
     tracker = _BestTracker(g)
     with ONE_BLAS_THREAD:
-        for block in _blocks(g, pools, tracker.floor):
-            tracker.feed(*block)
+        for vals, rows, cols in _blocks(g, pools, tracker.floor):
+            if keep is not None:
+                kept = keep(rows, cols)
+                if not kept.any():  # else the tracker would score a block of -inf
+                    continue
+                vals = np.where(kept, vals, -np.inf)
+            tracker.feed(vals, rows, cols)
     return tracker.result(copies)
 
 
@@ -456,7 +459,8 @@ def oracle_maxcut_k(
     _check_mask_width(g.n)
     forbidden = as_vertex_set(forbidden, g.n)
     everyone = frozenset(range(g.n))
-    return _best(g, _pools([everyone], [k], forbidden, config.oracle_combo_cap))
+    pools = _pools([everyone], [k], forbidden, config.oracle_combo_cap)
+    return _best(g, *_pinned(pools, g.n))
 
 
 def oracle_constrained(
@@ -467,7 +471,7 @@ def oracle_constrained(
     _check_mask_width(inst.graph.n)
     forbidden = as_vertex_set(forbidden, inst.graph.n)
     pools = _pools(inst.parts, inst.budgets, forbidden, config.oracle_combo_cap)
-    return _best(inst.graph, pools)
+    return _best(inst.graph, *_pinned(pools, inst.graph.n))
 
 
 def oracle_matroid(g: WeightedGraph, m, config: Config | None = None) -> OracleResult:
@@ -478,14 +482,13 @@ def oracle_matroid(g: WeightedGraph, m, config: Config | None = None) -> OracleR
     _check_mask_width(g.n)
     rank = m.rank()
     pools = _pools([frozenset(range(g.n))], [rank], frozenset(), config.oracle_combo_cap)
-    tracker = _BestTracker(g)
-    with ONE_BLAS_THREAD:
-        for vals, rows, cols in _blocks(g, pools, tracker.floor):
-            unions = (rows[:, None] | cols).ravel().view(np.int64)
-            bases = (m._rank_table(unions) == rank).reshape(vals.shape)
-            if bases.any():  # else the tracker would score a block of -inf
-                tracker.feed(np.where(bases, vals, -np.inf), rows, cols)
-    return tracker.result()
+
+    def is_base(rows, cols):
+        unions = (rows[:, None] | cols).ravel().view(np.int64)
+        return (m._rank_table(unions) == rank).reshape(rows.size, cols.size)
+
+    # never pinned: the complement of a base is in general not a base
+    return _best(g, pools, keep=is_base)
 
 
 def oracle_all_cut_decision(

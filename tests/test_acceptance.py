@@ -7,9 +7,11 @@ compare reports byte for byte without tripling the runtime.
 
 import re
 import time
+from pathlib import Path
 
 from cutkit.config import Config
 from cutkit.verify import (
+    SUITES,
     suite_bias_preservation,
     suite_conditioning_telescope,
     suite_correction_bound,
@@ -124,3 +126,26 @@ def test_criterion_12_determinism():
         assert second.report == first.report, f"{name} report varies across reruns"
         assert second.passed == first.passed
     print("ACCEPTANCE 12 determinism: PASS")
+
+
+def test_criterion_13_reports_match_the_pinned_reports():
+    """Each suite's report, as `cutkit verify` prints it, equals the one in
+    tests/data/verify_reports.txt.  A change that means to move a report
+    lists every moved value and regenerates the file with
+
+        PYTHONPATH=src python -m cutkit.cli verify --suite kernel \\
+            --suite kernel-multi --suite matroid --suite sandwich \\
+            --suite relaxation --suite conditioning --suite bias \\
+            --suite correction --suite pipeline --suite gadget \\
+            > tests/data/verify_reports.txt
+
+    The suites' cached results are read, so none runs a second time.
+    """
+    pinned = (Path(__file__).resolve().parent / "data" / "verify_reports.txt").read_text()
+    lines = []
+    for name, fn in SUITES.items():
+        result, _ = run_cached(name, fn)
+        lines.append(f"{'PASS' if result.passed else 'FAIL'} {result.report}")
+        lines.extend(f"  counterexample: {f}" for f in result.failures)
+    assert "\n".join(lines) + "\n" == pinned
+    print("ACCEPTANCE 13 pinned reports: PASS")

@@ -2,6 +2,7 @@
 bench rows it produces."""
 
 import json
+import math
 import re
 import shutil
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutkit import bench, moments, rounding
+from cutkit import bench, moments, oracle, rounding
 from cutkit.bench import METHODS, run_bench
 from cutkit.cli import main
 from cutkit.config import TOL, Config
@@ -23,6 +24,7 @@ from cutkit.matroid import UniformMatroid
 from cutkit.oracle import oracle_constrained
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+GOLDEN_BENCH = Path(__file__).resolve().parent / "data" / "corpus_bench.csv"
 SEEDED = settings(max_examples=6, derandomize=True, deadline=None)
 
 
@@ -193,6 +195,115 @@ def test_bench_skips_a_json_file_with_a_malformed_matroid(tmp_path, capsys):
         else:
             assert r["skipped"] is None and r["feasible"] is True
     assert main(["solve", str(corpus / "no_rank.json"), "--method", "greedy"]) == 1
+
+
+def golden_rows(instance=None, seeds=(1, 2, 3)):
+    """The golden CSV rows of `instance` (every instance when None) and `seeds`,
+    split into columns."""
+    rows = [line.split(",") for line in GOLDEN_BENCH.read_text().splitlines()[1:]]
+    return [r for r in rows if instance in (None, r[0]) and int(r[-1]) in seeds]
+
+
+def assert_golden(rows, want):
+    """CSV rows, split into columns, equal to the golden ones: values within
+    the golden file's 1e-9, every other column exactly."""
+    assert len(rows) == len(want)
+    for got, expect in zip(rows, want):
+        for column, (a, b) in enumerate(zip(got, expect)):
+            if column in (2, 3, 4) and b not in ("", "skipped"):  # value, oracle_value, ratio
+                assert float(a) == pytest.approx(float(b), rel=0, abs=1e-9), (expect, column)
+            else:
+                assert a == b, (expect, column)
+
+
+def infinite_weight(name):
+    """The corpus file `name` with its first edge weight 1e309 in its own
+    format: the weight parses as infinite."""
+    text = (CORPUS / name).read_text()
+    if name.endswith(".json"):
+        obj = json.loads(text)
+        obj["edges"][0][2] = "WEIGHT"
+        return json.dumps(obj).replace('"WEIGHT"', "1e309")
+    head, first, rest = text.split("\n", 2)
+    u, v, _ = first.split()
+    return f"{head}\n{u} {v} 1e309\n{rest}"
+
+
+@pytest.mark.parametrize("mutant", ["c1_n6.txt", "c1_n7.json"])
+def test_a_file_with_an_infinite_weight_gives_skipped_rows_and_the_report(tmp_path, mutant):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(CORPUS / "c1_n6.txt", corpus)
+    (corpus / f"mutant{Path(mutant).suffix}").write_text(infinite_weight(mutant))
+    out = tmp_path / "report"
+    argv = ["bench", str(corpus), "--methods", "sdp,pipage,greedy,oracle", "--seeds", "1",
+            "--out", str(out)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in out.with_suffix(".csv").read_text().splitlines()[1:]]
+    assert_golden([r for r in rows if r[0] == "c1_n6.txt"], golden_rows("c1_n6.txt", (1,)))
+    skipped = [r for r in json.loads(out.with_suffix(".json").read_text())["rows"]
+               if r["instance"].startswith("mutant")]
+    assert len(skipped) == 4
+    assert all(re.fullmatch(r"ParseError: weight inf on edge \(\d+,\d+\) is not finite", r["skipped"])
+               for r in skipped)
+
+
+def test_a_failed_matroid_search_leaves_the_pipage_row_without_a_ratio(monkeypatch):
+    # c1_n6_uniform_matroid.txt is the one corpus file that declares a matroid
+    searched = []
+
+    def refused(*args):
+        searched.append(args)
+        raise CapacityError("refused")
+
+    monkeypatch.setattr(oracle, "oracle_matroid", refused)
+    report = run_bench(str(CORPUS), list(METHODS), [1, 2, 3])
+    assert len(searched) == 1
+    rows = [line.split(",") for line in report.to_csv().splitlines()[1:]]
+    want = golden_rows()
+    hit = [i for i, r in enumerate(want) if r[:2] == ["c1_n6_uniform_matroid.txt", "pipage"]]
+    assert len(hit) == 3
+    for i in hit:  # no ratio; the value, oracle_value and feasible stay
+        assert rows[i][4] == "" and want[i][4] != ""
+        rows[i][4] = want[i][4]
+    assert_golden(rows, want)
+    pipage = [r for r in report.rows if r.instance == "c1_n6_uniform_matroid.txt" and r.method == "pipage"]
+    assert all(not r.skipped and r.ratio_base == "matroid" and r.ratio is None for r in pipage)
+
+
+# tokens a mutant may take in place of one of its own: non-finite and huge
+# weights in both formats, small counts and ids, and text that is no number
+MUTANT_TOKENS = ["1e309", "inf", "nan", "Infinity", "NaN", "1e308", "-1", "0", "1", "2", "7",
+                 "0.5", "-0.0", "3.0", "x", "", "null", "true"]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    base=st.sampled_from(["c1_n6.txt", "c1_n6_uniform_matroid.txt", "c1_n7.json"]),
+    data=st.data(),
+)
+def test_property_one_mutated_token_skips_or_answers_its_own_rows_only(tmp_path_factory, base, data):
+    text = (CORPUS / base).read_text()
+    tokens = list(re.finditer(r"[-\w.+]+" if base.endswith(".json") else r"\S+", text))
+    at = tokens[data.draw(st.integers(0, len(tokens) - 1))]
+    token = data.draw(st.sampled_from(MUTANT_TOKENS))
+    corpus = tmp_path_factory.mktemp("mutant")
+    shutil.copy(CORPUS / "c1_n6.txt", corpus)
+    (corpus / f"mutant{Path(base).suffix}").write_text(text[: at.start()] + token + text[at.end() :])
+    out = tmp_path_factory.mktemp("report") / "report"
+    argv = ["bench", str(corpus), "--methods", "sdp,pipage,greedy,oracle", "--seeds", "1",
+            "--out", str(out)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in out.with_suffix(".csv").read_text().splitlines()[1:]]
+    assert_golden([r for r in rows if r[0] == "c1_n6.txt"], golden_rows("c1_n6.txt", (1,)))
+    mutant = [r for r in json.loads(out.with_suffix(".json").read_text())["rows"]
+              if r["instance"].startswith("mutant")]
+    assert len(mutant) == 4
+    for r in mutant:
+        if r["skipped"]:
+            assert SKIPPED.match(r["skipped"])
+        else:
+            assert math.isfinite(r["value"])
 
 
 # ---------------------------------------------------------------------------

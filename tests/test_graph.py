@@ -120,6 +120,29 @@ def test_negative_weight_rejected():
         WeightedGraph(2, [(0, 1, -0.5)])
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1, float("inf"))], "not finite"),
+        ([(0, 1, float("-inf"))], "not finite"),
+        ([(0, 1, float("nan"))], "not finite"),
+        ([(0, 1, "1e309")], "not finite"),
+        ([(1, 2, 1.0), (0, 1, 1e308), (1, 0, 1e308)], "overflow"),  # parallel edges
+        ([(0, 1, 1e308), (1, 2, 1e308)], "overflow"),
+    ],
+)
+def test_non_finite_weights_are_refused(edges, message):
+    # pytest turns RuntimeWarning into an error, so an overflow warning
+    # while summing the total would fail here too
+    with pytest.raises(InputError, match=message):
+        WeightedGraph(3, edges)
+
+
+def test_a_finite_total_near_the_largest_float_is_kept():
+    g = WeightedGraph(3, [(0, 1, 1e308), (1, 2, 7e307)])
+    assert g.total_weight == 1e308 + 7e307
+
+
 def test_normalize_total_weight():
     g = WeightedGraph(3, [(0, 1, 2.0), (1, 2, 3.0)]).normalize()
     assert abs(g.total_weight - 1.0) <= 1e-12

@@ -129,6 +129,19 @@ def test_json_number_in_an_integer_field_must_be_an_integer(change, field):
         parse_instance(json.dumps(dict(JSON_BASE, **change)))
 
 
+@pytest.mark.parametrize("weight", ["1e309", "inf", "-inf", "nan"])
+def test_a_non_finite_weight_is_a_parse_error_in_the_text_format(weight):
+    with pytest.raises(ParseError, match="not finite"):
+        parse_instance(f"3 2 1\n0 1 {weight}\n1 2 1.0\n3 1 0 1 2\n")
+
+
+@pytest.mark.parametrize("weight", ["1e309", "Infinity", "-Infinity", "NaN"])
+def test_a_non_finite_weight_is_a_parse_error_in_json(weight):
+    text = json.dumps(JSON_BASE).replace("[0, 1, 1.0]", f"[0, 1, {weight}]")
+    with pytest.raises(ParseError, match="not finite"):
+        parse_instance(text)
+
+
 def test_bad_top_level_json_is_a_parse_error():
     from cutkit.io import parse_instance_json
 

@@ -428,6 +428,24 @@ def test_information_matrix_matches_the_marginals(mv):
     assert np.abs(vertex_entropies(mv) - np.diag(info)).max() <= 1e-12
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(2, 8),
+    n=st.integers(4, 9),
+    data=st.data(),
+)
+def test_part_scores_of_a_stack_are_each_members_own_bit_for_bit(seed, batch, n, data):
+    # conditioning scores the paths of a depth as one stack, and ties go by
+    # restart order: a path's score must not hang on which paths share it
+    info = np.random.default_rng(seed).random((batch, n, n))
+    where = data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    parts = [[v for v in range(n) if where[v] == p] for p in range(3)]
+    stacked = moments._part_scores(info, parts)
+    for b in range(batch):
+        assert stacked[b].tobytes() == moments._part_scores(info[b], parts).tobytes()
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(mv=MOMENT_VECTORS, data=st.data())
 def test_iid_pair_information_sum_over_ordered_pairs(mv, data):

@@ -738,10 +738,10 @@ def test_property_plan_lists_the_side_sets_and_a_warm_call_answers_as_a_cold_one
     for pools in (raw, oracle._pinned(raw, g.n)[0]):
         at, flat, sizes = oracle._side_sets(pools, len(g.edges))
         assert at == oracle._split_point(pools, len(g.edges))
-        if at == sum(len(pool) for pool, _ in pools):
-            lists = [oracle._product([_subset_masks(pool, k) for pool, k in pools])]
-        else:
-            lists = [x for pair in _sides(pools, at) for x in pair]
+        lists = [x for pair in _sides(pools, at) for x in pair]
+        if at == sum(len(pool) for pool, _ in pools):  # no split: every set, then the empty set
+            assert [x.tolist() for x in lists[1:]] == [[0]]
+            assert lists[0].tobytes() == oracle._product([_subset_masks(pool, k) for pool, k in pools]).tobytes()
         assert flat.dtype == np.uint64
         assert flat.tobytes() == np.concatenate(lists).tobytes()
         assert sizes == tuple(x.size for x in lists)
