@@ -243,9 +243,23 @@ def parse_instance(text: str):
     return parse_instance_text(text)
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of `path`.  A missing file raises FileNotFoundError;
+    any other entry that cannot be read (a directory, a file that is not
+    UTF-8) is a ParseError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} {exc.reason}") from exc
+
+
 def read_instance(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    return parse_instance(_read_text(path))
 
 
 def format_instance_text(inst: ConstrainedInstance, matroid=None) -> str:
@@ -291,5 +305,4 @@ def parse_3dm(text: str) -> ThreeDMInstance:
 
 
 def read_3dm(path: str) -> ThreeDMInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_3dm(fh.read())
+    return parse_3dm(_read_text(path))

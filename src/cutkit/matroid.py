@@ -382,7 +382,10 @@ def solve_lp(g: WeightedGraph, m: MatroidOracle) -> FractionalPoint:
     on one instance per thread.  Each master is built afresh, with the
     base cover grown one row per entering base: a model warm-started by
     adding columns ends degenerate masters on other optimal vertices, and
-    so other bases.
+    so other bases.  HiGHS reads a cost at or above its `infinite_cost`
+    (1e20) as infinite, so when the largest weight reaches it the masters
+    are solved on the weights divided by the largest, and the value is
+    scaled back.
     """
     if g.n != m.n:
         raise InputError("graph and matroid ground sets differ")
@@ -392,6 +395,10 @@ def solve_lp(g: WeightedGraph, m: MatroidOracle) -> FractionalPoint:
 
     n, ne = g.n, len(g.edges)
     eu, ev, ew = g._edge_arrays
+    scale = 1.0
+    if ne and ew.max() >= _HIGHS_OPTIONS.infinite_cost:
+        scale = ew.max()
+        ew = ew / scale
     incidence = np.zeros((n, ne))
     incidence[eu, np.arange(ne)] = 1.0
     incidence[ev, np.arange(ne)] = 1.0
@@ -412,7 +419,7 @@ def solve_lp(g: WeightedGraph, m: MatroidOracle) -> FractionalPoint:
     bases = tuple(b for b, k in zip(bases, keep) if k)
     weights = lam[keep] / lam[keep].sum()
     x = weights @ _base_polytope_rows(n, bases)
-    return FractionalPoint(x=x, y=z[:ne], value=float(-fun), bases=bases, weights=weights)
+    return FractionalPoint(x=x, y=z[:ne], value=float(-fun) * scale, bases=bases, weights=weights)
 
 
 def quad_value(g: WeightedGraph, x) -> float:

@@ -248,6 +248,37 @@ def test_a_file_with_an_infinite_weight_gives_skipped_rows_and_the_report(tmp_pa
                for r in skipped)
 
 
+def test_entries_that_cannot_be_read_give_skipped_rows_and_the_report(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(CORPUS / "c1_n6.txt", corpus)
+    (corpus / "oops.txt").mkdir()
+    (corpus / "bin.txt").write_bytes(b"\xff\xfe")
+    out = tmp_path / "report"
+    argv = ["bench", str(corpus), "--methods", "sdp,pipage,greedy,oracle", "--seeds", "1",
+            "--out", str(out)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in out.with_suffix(".csv").read_text().splitlines()[1:]]
+    assert_golden([r for r in rows if r[0] == "c1_n6.txt"], golden_rows("c1_n6.txt", (1,)))
+    skipped = {}
+    for r in json.loads(out.with_suffix(".json").read_text())["rows"]:
+        if r["instance"] != "c1_n6.txt":
+            assert r["skipped"].startswith("ParseError: ") and r["value"] is None
+            skipped.setdefault(r["instance"], set()).add(r["skipped"])
+    assert sorted(skipped) == ["bin.txt", "oops.txt"]
+    for name, reasons in skipped.items():
+        assert len(reasons) == 1 and str(corpus / name) in reasons.pop()
+    capsys.readouterr()
+    for name in skipped:  # solve reports each as a parse error, with no traceback
+        assert main(["solve", str(corpus / name), "--method", "greedy"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(corpus / name) in err and "Traceback" not in err
+    assert main(["solve", str(tmp_path / "missing.txt")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(tmp_path / 'missing.txt')!r}\n"
+    )
+
+
 def test_a_failed_matroid_search_leaves_the_pipage_row_without_a_ratio(monkeypatch):
     # c1_n6_uniform_matroid.txt is the one corpus file that declares a matroid
     searched = []

@@ -19,7 +19,7 @@ from cutkit.config import load_config
 from cutkit.errors import InfeasibleError, InputError, ParseError, StallError
 from cutkit.forge import gen_random
 from cutkit.graph import WeightedGraph, cut_value
-from cutkit.io import format_instance_text
+from cutkit.io import format_instance_text, read_instance
 from cutkit import _highs, matroid
 from cutkit.matroid import (
     ExplicitMatroid,
@@ -35,6 +35,8 @@ from cutkit.matroid import (
 )
 from cutkit.oracle import oracle_matroid
 from cutkit.verify import _matroid_corpus
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def k3():
@@ -343,6 +345,24 @@ def test_solve_matroid_corpus_half_guarantee():
         assert sol.feasible
         assert sol.value >= 0.5 * lp.value - 1e-6
         assert sol.value >= 0.5 * opt.opt_value - 1e-9
+
+
+@pytest.mark.parametrize("huge", [1e20, 1e50, 1e100])
+def test_pipage_answers_with_a_weight_highs_reads_as_infinite(tmp_path, capsys, huge):
+    # HiGHS's infinite_cost is 1e20; the masters run on the weights over the largest
+    path = tmp_path / "huge.txt"
+    head, first, rest = (CORPUS / "c1_n6.txt").read_text().split("\n", 2)
+    u, v, _ = first.split()
+    path.write_text(f"{head}\n{u} {v} {huge!r}\n{rest}")
+    assert main(["solve", str(path), "--method", "pipage"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    inst, _ = read_instance(str(path))
+    m = PartitionMatroid(inst.graph.n, inst.parts, inst.budgets)
+    opt = oracle_matroid(inst.graph, m)
+    assert out["feasible"] is True and m.is_independent(set(out["set"]))
+    assert len(out["set"]) == m.rank() and out["value"] >= 0.5 * opt.opt_value
+    lp = solve_lp(inst.graph, m)
+    assert opt.opt_value * (1 - 1e-12) <= lp.value <= 2 * huge
 
 
 def test_solve_matroid_infeasible():

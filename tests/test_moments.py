@@ -1277,6 +1277,130 @@ def test_missing_flapack_names_the_folder_and_scipy(tmp_path, monkeypatch):
     assert _highs.FLAPACK in str(info.value) and _highs.FLAPACK not in sys.modules
 
 
+def _fresh_python(probe):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    res = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(res.stdout)
+
+
+@pytest.mark.parametrize("callers", [None, "7"])
+def test_load_sets_the_idle_worker_timeout_only_while_it_maps(monkeypatch, callers):
+    import importlib.util
+
+    key = "OPENBLAS_THREAD_TIMEOUT"
+    if callers is None:
+        monkeypatch.delenv(key, raising=False)
+    else:
+        monkeypatch.setenv(key, callers)
+    before = dict(os.environ)
+    seen = []
+    real = importlib.util.module_from_spec
+    monkeypatch.setattr(
+        importlib.util, "module_from_spec", lambda spec: seen.append(os.environ.get(key)) or real(spec)
+    )
+    monkeypatch.delitem(sys.modules, _highs.FLAPACK)
+    module = _highs.load(_highs.FLAPACK)
+    assert seen == ["4" if callers is None else callers]
+    assert dict(os.environ) == before and module is sys.modules[_highs.FLAPACK]
+    assert module.dpotrf(np.array([[4.0]]))[0].tolist() == [[2.0]]
+
+
+def test_concurrent_loads_map_each_module_once_with_the_timeout_set(monkeypatch):
+    import importlib.util
+    import time
+
+    key = "OPENBLAS_THREAD_TIMEOUT"
+    monkeypatch.delenv(key, raising=False)
+    monkeypatch.delitem(sys.modules, _highs.FLAPACK)
+    monkeypatch.delitem(sys.modules, _highs.HIGHS)
+    before = dict(os.environ)
+    seen = []
+    real = importlib.util.module_from_spec
+
+    def slow_mapping(spec):  # widens the window in which another load could interleave
+        time.sleep(0.02)
+        seen.append(os.environ.get(key))
+        return real(spec)
+
+    monkeypatch.setattr(importlib.util, "module_from_spec", slow_mapping)
+    names = [_highs.FLAPACK, _highs.HIGHS] * 4
+    barrier, got = threading.Barrier(len(names)), [None] * len(names)
+
+    def worker(i):
+        barrier.wait(timeout=10)
+        got[i] = _highs.load(names[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(names))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(module is sys.modules[name] for name, module in zip(names, got))
+    assert seen == ["4", "4"] and dict(os.environ) == before
+
+
+def test_load_runs_no_scipy_package_init():
+    probe = (
+        "import json, os, sys, numpy as np; from cutkit import _highs; "
+        "lapack = _highs.load(_highs.FLAPACK); highs = _highs.load(_highs.HIGHS); "
+        "print(json.dumps([[m for m in ('scipy', 'scipy.linalg', 'scipy.optimize') if m in sys.modules], "
+        "lapack.dpotrf(np.array([[9.0]]))[0].tolist(), highs.HIGHS_VERSION_MAJOR >= 1, "
+        "'OPENBLAS_THREAD_TIMEOUT' in os.environ]))"
+    )
+    assert _fresh_python(probe) == [[], [[3.0]], True, False]
+
+
+def test_missing_extension_names_scipy_when_scipy_was_not_imported(tmp_path):
+    import scipy
+
+    probe = (
+        "import json, sys; from cutkit import _highs; "
+        "before = 'scipy' in sys.modules\n"
+        f"try: _highs.load(_highs.FLAPACK, {str(tmp_path)!r})\n"
+        "except ImportError as exc: print(json.dumps([before, str(exc)]))"
+    )
+    before, message = _fresh_python(probe)
+    assert before is False
+    assert str(tmp_path) in message and f"scipy {scipy.__version__}" in message
+
+
+# each OpenBLAS mapped, by file name, and its thread count, read through the
+# return value of openblas_set_num_threads_local with the types `_blas` gives it
+_THREAD_COUNTS = (
+    "import ctypes, json, os\n"
+    "counts = {}\n"
+    "for path in dict.fromkeys(l.split(None, 5)[5].strip() for l in open('/proc/self/maps') "
+    "if 'openblas' in l):\n"
+    "    f = ctypes.CDLL(path).openblas_set_num_threads_local\n"
+    "    f.argtypes, f.restype = [ctypes.c_int], ctypes.c_int\n"
+    "    counts[os.path.basename(path)] = f(1)\n"
+    "    f(counts[os.path.basename(path)])\n"
+    "print(json.dumps(counts))"
+)
+
+
+@pytest.mark.skipif(
+    not _blas._openblas_thread_setters(), reason="no OpenBLAS with a thread-local setter"
+)
+def test_scipys_openblas_keeps_its_thread_count_in_either_import_order():
+    counts = [
+        _fresh_python(f"import {imports}\n{_THREAD_COUNTS}")
+        for imports in ("cutkit.moments, scipy.linalg", "scipy.linalg, cutkit.moments")
+    ]
+    assert counts[0] == counts[1] and counts[0]
+    assert all(count >= 1 for count in counts[0].values())
+
+
 @pytest.mark.parametrize(
     "routine, info",
     [
