@@ -51,6 +51,11 @@ N_MAX_SDP = 14  # the largest reduced graph the relaxation accepts
 SDP_TOL = 2e-8
 SDP_MAX_ITER = 100
 
+# The chart and the face take a matrix's rank from the pivoted Cholesky of
+# its Gram matrix, cut off at the first pivot at most _RANK_TOL times the
+# largest diagonal entry (`_null_basis`).
+_RANK_TOL = 1e-9
+
 # The relaxation's geometry is kept for the most recently solved shapes,
 # within this many entries and this many bytes of arrays; a geometry larger
 # than the byte bound is built for each solve and not kept.
@@ -350,11 +355,6 @@ def mutual_information(m: MomentVector, i: int, j: int) -> float:
     if i == j:
         raise InputError("mutual information needs two distinct vertices")
     return float(information_matrix(m)[_vertex(m, i), _vertex(m, j)])
-
-
-def entropy_of_vertex(m: MomentVector, i: int) -> float:
-    i = _vertex(m, i)
-    return float(information_matrix(m)[i, i])
 
 
 def _part_scores(info: np.ndarray, parts) -> np.ndarray:
@@ -713,11 +713,11 @@ def _lapack(routine: str, *args, **kwargs):
     return out
 
 
-def _pivoted_cholesky(M, tol: float = -1.0):
+def _pivoted_cholesky(M, tol: float):
     """U1, U2 and the 0-based pivots p of dpstrf's M[p][:, p] = U'U, where
     U = [U1 U2] has as many rows as M's numerical rank: the factorisation
-    stops at the first pivot at most `tol`, or at LAPACK's own cut-off
-    n eps max(diag M) when tol < 0.  M is overwritten when Fortran-ordered."""
+    stops at the first pivot at most `tol`.  M is overwritten when
+    Fortran-ordered."""
     U, piv, rank = _lapack("dpstrf", M, tol=tol, overwrite_a=True)
     piv -= 1
     return U[:rank, :rank], U[:rank, rank:], piv
@@ -769,33 +769,45 @@ def _gram(A: _Rows) -> np.ndarray:
     return G.reshape(n, n, order="F")
 
 
-def _affine_chart(B: _Rows, d, weights):
-    """q, K with {y : B y = d} = {q + K u : u in R^k}.
+def _null_basis(A: _Rows):
+    """K, U1 and p: an orthonormal basis K of null(A), and the factor U1
+    and 0-based pivots p of the pivoted Cholesky P' A'A P = U'U.
 
-    K is a basis of null(B) orthonormal in the weighted inner product
-    <a, b> = sum_s w_s a_s b_s, so K' W K = I, and q is the W-nearest
-    solution to 0, so K' W q = 0.  With A = B W^-1/2, one pivoted Cholesky
-    of the sparse Gram matrix, P' A'A P = U'U with U = [U1 U2] of the rank
-    of B, gives the null space P [-U1^-1 U2; I] and a solution on the
-    pivot columns.  Dependent rows (with c >= 2, P's row at depth {q}, q
-    in Q, and Q's at depth {p}, p in P, both sum to the product of the two
-    budget equations) need no special case.  The Gram matrix squares the
-    condition of A; on the benchmark programs the nonzero singular values
-    of A lie in [0.048, 1.44] and the rest are rounding (1e-15), so the
-    rank is clear.  The LAPACK calls take the flags and work sizes that
-    scipy.linalg's solve_triangular and cho_solve pass, and give their bits.
+    U = [U1 U2] has as many rows as A's rank, read at the _RANK_TOL
+    cut-off.  The null space P [-U1^-1 U2; I] is orthonormalised by two
+    Cholesky solves (K'K >= I, so the Cholesky exists; twice for rounding).
+    The Gram matrix squares the condition of A.
     """
-    root = np.sqrt(weights)
-    A = B._replace(vals=B.vals * np.divide(1, root)[B.cols])  # B / root as scipy.sparse divides
-    U1, U2, piv = _pivoted_cholesky(_gram(A))  # the solvers read the upper triangle
+    G = _gram(A)
+    U1, U2, piv = _pivoted_cholesky(G, _RANK_TOL * G.diagonal().max(initial=0.0))
     rank = U1.shape[0]
     K = np.zeros((A.shape[1], A.shape[1] - rank))
     if U2.size:  # transposed, as scipy solves a block that is not Fortran-contiguous
         (X,) = _lapack("dtrtrs", U1.T, U2, lower=True, trans=1)
         K[piv[:rank]] = -X
     K[piv[rank:], np.arange(K.shape[1])] = 1.0
-    for _ in range(2):  # orthonormalise (K'K >= I, so the Cholesky exists); twice for rounding
+    for _ in range(2):
         K = np.linalg.solve(np.linalg.cholesky(K.T @ K), K.T).T
+    return K, U1, piv
+
+
+def _affine_chart(B: _Rows, d, weights):
+    """q, K with {y : B y = d} = {q + K u : u in R^k}.
+
+    K is a basis of null(B) orthonormal in the weighted inner product
+    <a, b> = sum_s w_s a_s b_s, so K' W K = I, and q is the W-nearest
+    solution to 0, so K' W q = 0.  With A = B W^-1/2, `_null_basis(A)`
+    gives the null space, and its factor a solution on the pivot columns.
+    Dependent rows (with c >= 2, P's row at depth {q}, q in Q, and Q's at
+    depth {p}, p in P, both sum to the product of the two budget
+    equations) need no special case.  On the benchmark programs the
+    nonzero singular values of A lie in [0.048, 1.44] and the rest are
+    rounding (1e-15), so the rank is clear, and q and K have the bits of
+    scipy.linalg's dpstrf, solve_triangular and cho_solve.
+    """
+    root = np.sqrt(weights)
+    A = B._replace(vals=B.vals * np.divide(1, root)[B.cols])  # B / root as scipy.sparse divides
+    K, U1, piv = _null_basis(A)
     Ad = np.bincount(A.cols, weights=A.vals * d[A.rows], minlength=A.shape[1])
     q = _pivoted_solve(U1, piv, Ad)
     q -= K @ (K.T @ q)
@@ -835,16 +847,7 @@ def face_basis(program: SdpProgram) -> np.ndarray:
     _, label, ms, mult = _free_rows(program)
     T = ms.row_masks[: basis_dim(ms.n, program.level - 1)]  # masks sort by size
     null = _budget_rows(program, label, ms.basis.pos, T, ms.dim_mat)  # row p |T| + j is v_T[j]
-    return _null_space(null.toarray() / np.sqrt(mult))
-
-
-def _null_space(A) -> np.ndarray:
-    """Orthonormal basis of null(A): scipy.linalg.null_space's gesdd call,
-    work size and eps * max(M, N) cutoff, and so its bits."""
-    (lwork,) = _lapack("dgesdd_lwork", *A.shape, compute_uv=1, full_matrices=1)
-    u, s, vh = _lapack("dgesdd", A, compute_uv=1, lwork=int(lwork), full_matrices=1)
-    rcond = np.finfo(s.dtype).eps * max(u.shape[0], vh.shape[1])
-    return vh[np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int) :, :].T
+    return _null_basis(null._replace(vals=null.vals / np.sqrt(mult)[null.cols]))[0]
 
 
 def _face_operator(K, V, class_idx, scale):

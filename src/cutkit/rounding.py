@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
 
@@ -63,76 +64,12 @@ class BalanceReport:
     joint: bool
 
 
-# Cephes ndtri (S. L. Moshier), the algorithm inside scipy.special.ndtri:
-# a rational approximation in (p - 1/2)^2 on exp(-2) < p < 1 - exp(-2), and
-# in 1/x, x = sqrt(-2 log p), on each tail, split at x = 8.
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_SQRT_2PI = 2.50662827463100050242
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-             -5.66762857469070293439e1, 1.39312609387279679503e1,
-             -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
-             8.63602421390890590575e1, -2.25462687854119370527e2,
-             2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-             5.71628192246421288162e1, 4.40805073893200834700e1,
-             1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-             -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
-             4.13172038254672030440e1, 1.50425385692907503408e1,
-             2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-             3.93881025292474443415e0, 1.33303460815807542389e0,
-             2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6,
-             6.23974539184983293730e-9)
-_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0,
-             1.37702099489081330271e0, 2.16236993594496635890e-1,
-             1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _polevl(x, coef, monic=False):
-    """Horner's rule as Cephes evaluates it; `monic` adds the implicit
-    leading coefficient 1 of Cephes' p1evl."""
-    ans = x + coef[0] if monic else coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def ndtri(p) -> np.ndarray:
-    """Inverse of the standard normal CDF, elementwise, with the bits of
-    scipy.special.ndtri: -inf at 0, +inf at 1, NaN outside [0, 1].
-
-    The tails take their logarithms from `math.log` (the C library's, as
-    Cephes does); numpy's vectorised log differs from it in the last bit.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    x = np.full(p.shape, np.nan)
-    x[p == 0.0] = -np.inf
-    x[p == 1.0] = np.inf
-    upper = p > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - p, p)
-    mid = y > _EXP_M2
-    t = y[mid] - 0.5
-    t2 = t * t
-    ratio = t2 * _polevl(t2, _NDTRI_P0) / _polevl(t2, _NDTRI_Q0, monic=True)
-    x[mid] = (t + t * ratio) * _SQRT_2PI
-    tail = (p > 0.0) & (p < 1.0) & ~mid
-    r = np.sqrt([-2.0 * math.log(v) for v in y[tail].tolist()])
-    r0 = r - np.array([math.log(v) for v in r.tolist()]) / r
-    z = 1.0 / r
-    r1 = np.where(
-        r < 8.0,
-        z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1, monic=True),
-        z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2, monic=True),
-    )
-    x[tail] = np.where(upper[tail], r0 - r1, -(r0 - r1))
-    return x
+def _normal_quantiles(p) -> np.ndarray:
+    """The standard normal quantile of each p in [0, 1], from
+    `statistics.NormalDist`: -inf at 0, +inf at 1."""
+    inv_cdf = NormalDist().inv_cdf
+    x = [-math.inf if v == 0.0 else math.inf if v == 1.0 else inv_cdf(v) for v in np.ravel(p)]
+    return np.array(x, dtype=np.float64)
 
 
 class BiasProfile:
@@ -169,7 +106,7 @@ class BiasProfile:
     @cached_property
     def thresholds(self) -> np.ndarray:
         p = np.clip((1.0 + self.b) / 2.0, 0.0, 1.0)
-        return ndtri(p)  # -inf / +inf for deterministic vertices
+        return _normal_quantiles(p)  # -inf / +inf for deterministic vertices
 
     @cached_property
     def factor(self) -> np.ndarray:

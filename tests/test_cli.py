@@ -516,11 +516,11 @@ def test_cli_import_and_bench_leave_scipy_packages_unloaded(tmp_path):
 def test_bench_skips_the_sdp_row_whose_lapack_call_fails(tmp_path, monkeypatch, capsys):
     from cutkit import moments
 
-    real = moments._flapack.dgesdd
+    real = moments._flapack.dpstrf
     monkeypatch.setattr(
-        moments._flapack, "dgesdd", lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], 2)
+        moments._flapack, "dpstrf", lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], -1)
     )
-    moments._geometry.cache_clear()  # so that the face is built again
+    moments._geometry.cache_clear()  # so that the chart and the face are built again
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     shutil.copy(Path(CORPUS_DIR) / "c1_n6.txt", corpus)
@@ -535,7 +535,7 @@ def test_bench_skips_the_sdp_row_whose_lapack_call_fails(tmp_path, monkeypatch, 
     assert [r for r in csv_rows if r.startswith("c1_n6.txt,greedy,")] == want
     rows = json.loads(out.with_suffix(".json").read_text())["rows"]
     (skipped,) = [r["skipped"] for r in rows if r["skipped"]]
-    assert skipped == "ConvergenceError: LAPACK dgesdd failed with info 2"
+    assert skipped == "ConvergenceError: LAPACK dpstrf failed with info -1"
 
 
 def test_parser_is_built_once():
