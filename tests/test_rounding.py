@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutkit import rounding
 from cutkit.config import Config
@@ -110,22 +112,48 @@ def ulps_around(x, count=1):
     return out
 
 
-def test_thresholds_are_scipy_ndtri_within_8_ulp():
+def assert_quantiles_match_ndtri(p):
+    assert_within_8_ulp_of_ndtri(rounding._normal_quantiles(p), p)
+
+
+def test_ndtri_at_the_ends():
+    assert rounding._normal_quantiles([0.0, 1.0]).tolist() == [-np.inf, np.inf]
+    assert_quantiles_match_ndtri([0.0, 1.0, 0.5])
+
+
+def test_ndtri_where_the_central_branch_meets_the_tails():
+    # scipy's central rational branch gives way to its tails at exp(-2)
+    e2 = math.exp(-2.0)
+    assert_quantiles_match_ndtri(ulps_around(e2) + ulps_around(1.0 - e2))
+    assert_quantiles_match_ndtri(ulps_around(0.13533528323661269189, 4))
+
+
+def test_ndtri_where_the_tail_variable_crosses_eight():
+    # x = sqrt(-2 log y) = 8 at y = exp(-32), on both tails
+    y = math.exp(-32.0)
+    assert_quantiles_match_ndtri(ulps_around(y, 3) + ulps_around(1.0 - y, 3))
+
+
+def test_ndtri_at_the_extreme_doubles():
+    assert_quantiles_match_ndtri([5e-324, 2.0**-1074 * 3, 2.0**-1022, 1.0 - 2.0**-53, 2.0**-53])
+
+
+def test_ndtri_on_a_dense_grid():
     grid = np.linspace(0.0, 1.0, 200_001)
-    e2, e32 = math.exp(-2.0), math.exp(-32.0)  # where scipy's branches meet
-    for p in (
-        grid,
-        np.exp(-np.linspace(0.0, 744.0, 20_001)),  # the lower tail, down to 5e-324
-        1.0 - np.exp(-np.linspace(0.0, 36.0, 20_001)),  # the upper tail
-        ulps_around(e2, 4) + ulps_around(1.0 - e2) + ulps_around(e32, 3) + ulps_around(1.0 - e32, 3),
-        [5e-324, 2.0**-1074 * 3, 2.0**-1022, 1.0 - 2.0**-53, 2.0**-53],
-    ):
-        assert_within_8_ulp_of_ndtri(rounding._normal_quantiles(p), p)
+    assert_quantiles_match_ndtri(grid)
+    assert_quantiles_match_ndtri(np.exp(-np.linspace(0.0, 744.0, 20_001)))  # down to 5e-324
+    assert_quantiles_match_ndtri(1.0 - np.exp(-np.linspace(0.0, 36.0, 20_001)))
     # through BiasProfile, on independent vertices with biases on a grid
     b = 2.0 * grid[::400] - 1.0
     rho = np.outer(b, b)
     np.fill_diagonal(rho, 1.0)
     assert_thresholds_are_norm_ppf(BiasProfile(b, rho))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_ndtri_matches_scipy(ps):
+    assert_quantiles_match_ndtri(ps)
 
 
 def test_inconsistent_profile_rejected():
