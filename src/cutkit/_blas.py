@@ -1,9 +1,12 @@
 """Holding OpenBLAS to one thread around small matrix products.
 
-The interior-point solve and the exact oracles make many BLAS calls on
-matrices a few dozen wide at most, where waking OpenBLAS's other threads
-costs more than the calls.  Both enter `ONE_BLAS_THREAD`, one guard for
-the whole process.
+The interior-point solve and the exact oracles make many BLAS calls,
+most on matrices a few dozen wide (the relaxation's face side r is at
+most 27 on the sdp-ladder workload), where waking OpenBLAS's other
+threads costs more than the calls.  Both enter `ONE_BLAS_THREAD`, one
+guard for the whole process.  The largest relaxations `auto_level`
+admits reach r 220, where a second thread would pay on the Newton
+step's products; they run on one thread too.
 """
 
 from __future__ import annotations

@@ -3,15 +3,18 @@
 cutkit calls two of scipy's compiled extensions: HiGHS's bindings
 (`scipy.optimize._highspy._core`) for the matroid master LP, and the
 LAPACK wrappers (`scipy.linalg._flapack`) for the relaxation's affine
-chart, face basis and Newton steps.  Importing either the usual way first
-runs its parent package's `__init__`: `scipy.optimize` loads linprog,
-shgo, `scipy.fft` and about 175 other modules, and `scipy.linalg` loads
-scipy's array-API layer, which clones numpy's namespace and with it
-imports `numpy.testing` and `numpy.f2py`.  `load` runs the extension
-file alone under its own name and registers it in `sys.modules`, so a
-later import of the parent package finds it there and the process holds
-one copy.  It finds scipy's folder with `find_spec`, without running
-`scipy/__init__` either.
+chart, face basis and Newton steps.  `matroid` maps HiGHS on its first
+master LP, not at import, so a process that builds matroids only for
+the exact oracle never maps it; `moments` maps LAPACK at import.
+Importing either the usual way first runs its parent package's
+`__init__`: `scipy.optimize` loads linprog, shgo, `scipy.fft` and about
+175 other modules, and `scipy.linalg` loads scipy's array-API layer,
+which clones numpy's namespace and with it imports `numpy.testing` and
+`numpy.f2py`.  `load` runs the extension file alone under its own name
+and registers it in `sys.modules`, so a later import of the parent
+package finds it there and the process holds one copy.  It finds
+scipy's folder with `find_spec`, without running `scipy/__init__`
+either.
 
 Mapping `_flapack` starts scipy's OpenBLAS, whose idle worker threads by
 default spin for about 2^28 cycles before they sleep, and cutkit never

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from ._highs import HIGHS, load
 from .errors import InfeasibleError, InputError, StallError
 from .graph import CutSolution, WeightedGraph, as_vertex_set, cut_value
-
-_highs = load(HIGHS)
 
 _FEAS_TOL = 1e-7
 _PRICE_TOL = 1e-9  # least reduced-cost gain for a base to enter the master LP
@@ -295,18 +294,29 @@ def _base_polytope_rows(n: int, bases) -> np.ndarray:
     return rows
 
 
-def _highs_options():
-    """The options `linprog(method="highs")` passes to HiGHS, output off."""
-    opts = _highs.HighsOptions()
+@cache
+def _lp():
+    """HiGHS's bindings and the options `linprog(method="highs")` passes
+    to HiGHS, output off.  HiGHS is mapped here, on the first master LP,
+    so a process that only builds matroids and enumerates them never maps
+    it."""
+    highs = load(HIGHS)
+    opts = highs.HighsOptions()
     opts.presolve = "on"
     opts.output_flag = False
     opts.log_to_console = False
-    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-    opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    return opts
+    opts.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return highs, opts
 
 
-_HIGHS_OPTIONS = _highs_options()
+def __getattr__(name):
+    """`_highs`, HiGHS's bindings, mapped on first access (PEP 562)."""
+    if name == "_highs":
+        return _lp()[0]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 _THREAD = threading.local()
 
 
@@ -316,8 +326,9 @@ def _solver():
     is still solved from scratch."""
     solver = getattr(_THREAD, "highs", None)
     if solver is None:
-        solver = _THREAD.highs = _highs._Highs()
-        solver.passOptions(_HIGHS_OPTIONS)
+        highs, opts = _lp()
+        solver = _THREAD.highs = highs._Highs()
+        solver.passOptions(opts)
     return solver
 
 
@@ -340,24 +351,25 @@ def _solve_master(ew, cover):
     base, row = np.nonzero(lam)
     counts = np.concatenate([np.full(ne, 2), np.bincount(base, minlength=nb)])
 
-    lp = _highs.HighsLp()
+    highs, _ = _lp()
+    lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = ncol
     lp.num_row_ = lp.a_matrix_.num_row_ = nrow
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
     lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(counts)])
     lp.a_matrix_.index_ = np.concatenate([(np.arange(ne)[:, None] + [0, ne]).ravel(), row])
     lp.a_matrix_.value_ = np.concatenate([np.ones(2 * ne), lam[base, row]])
     lp.col_cost_ = np.concatenate([-ew, np.zeros(nb)])
     lp.col_lower_ = np.zeros(ncol)
-    lp.col_upper_ = np.concatenate([np.ones(ne), np.full(nb, _highs.kHighsInf)])
-    lp.row_lower_ = np.concatenate([np.full(2 * ne, -_highs.kHighsInf), [1.0]])
+    lp.col_upper_ = np.concatenate([np.ones(ne), np.full(nb, highs.kHighsInf)])
+    lp.row_lower_ = np.concatenate([np.full(2 * ne, -highs.kHighsInf), [1.0]])
     lp.row_upper_ = np.concatenate([np.repeat([0.0, 2.0], ne), [1.0]])
 
     solver = _solver()
     solver.passModel(lp)
     solver.run()
     status = solver.getModelStatus()
-    if status != _highs.HighsModelStatus.kOptimal:
+    if status != highs.HighsModelStatus.kOptimal:
         raise InfeasibleError(f"LP failed: HiGHS model status {solver.modelStatusToString(status)}")
     solution = solver.getSolution()
     dual = np.array(solution.row_dual)
@@ -396,7 +408,8 @@ def solve_lp(g: WeightedGraph, m: MatroidOracle) -> FractionalPoint:
     n, ne = g.n, len(g.edges)
     eu, ev, ew = g._edge_arrays
     scale = 1.0
-    if ne and ew.max() >= _HIGHS_OPTIONS.infinite_cost:
+    _, opts = _lp()
+    if ne and ew.max() >= opts.infinite_cost:
         scale = ew.max()
         ew = ew / scale
     incidence = np.zeros((n, ne))

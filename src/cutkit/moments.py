@@ -62,6 +62,10 @@ _RANK_TOL = 1e-9
 _GEOMETRY_CACHE_ENTRIES = 32
 _GEOMETRY_CACHE_BYTES = 32 << 20
 
+# A Newton step computes the Schur matrix's blocks R' A_j P this many
+# entries at a time, so the one full-size array it allocates holds them.
+_SCHUR_SLICE = 1 << 16
+
 RESTARTS = 64  # sampled paths the conditioning search tries; a repeated path is conditioned once
 
 
@@ -851,15 +855,15 @@ def face_basis(program: SdpProgram) -> np.ndarray:
 
 
 def _face_operator(K, V, class_idx, scale):
-    """The r^2 x k matrix whose column j is vec(V' M(K e_j) V), built a
-    few columns at a time so that no k x N x N array is ever held."""
+    """The k x r x r array whose slice j is V' M(K e_j) V, built a few
+    slices at a time so that no k x N x N array is ever held."""
     N, r = V.shape
-    L = np.empty((r * r, K.shape[1]))
+    A = np.empty((K.shape[1], r, r))
     step = max(1, (1 << 14) // (N * N))
     for j in range(0, K.shape[1], step):
         Mj = K[:, j : j + step].T[:, class_idx] * scale
-        L[:, j : j + step] = (V.T @ Mj @ V).reshape(-1, r * r).T
-    return L
+        A[j : j + step] = V.T @ Mj @ V
+    return A
 
 
 def _canonical(program: SdpProgram):
@@ -922,8 +926,8 @@ def _geometry(program: SdpProgram) -> _Geometry:
     # L(u) = V' M(q + K u) V = Lq + Lu u;
     # since K' W K = I, Lu' vec(L(u) - Lq) = u
     Lq = V.T @ (q[ms.class_idx] * scale) @ V
-    r, k = Lq.shape[0], K.shape[1]
-    A = np.ascontiguousarray(_face_operator(K, V, ms.class_idx, scale).T).reshape(k, r, r)
+    A = _face_operator(K, V, ms.class_idx, scale)
+    k, r, _ = A.shape
     for a in (q, K, Lq, A):
         a.flags.writeable = False
     return _Geometry(q, K, Lq, A.reshape(k, r * r).T, A)
@@ -1058,6 +1062,8 @@ def _newton_step(A, Lu, X, u, S, Rp, Rd):
     The Schur matrix M_ij = tr(A_i X A_j S^-1), A_j = mat(Lu e_j), is the
     Gram matrix of the blocks R' A_j P, where X = R R' and S^-1 = P P' come
     from LAPACK's Cholesky factors (dpotrf) and their inverses (dtrtri).
+    The blocks are computed in slices of at most _SCHUR_SLICE entries,
+    straight into one k x r x r array.
     Near the optimum M is singular to rounding, so it is solved by pivoted
     Cholesky, cut off at the first pivot up to 1e-14 times its largest
     diagonal entry; du is 0 off the pivots, and 0 at rank 0.  Each step
@@ -1069,7 +1075,14 @@ def _newton_step(A, Lu, X, u, S, Rp, Rd):
     _, PT = _cholesky_and_inverse(S)  # S = L L', so S^-1 = P P' with P = L^-T
     P = PT.T
     S_inv = P @ PT
-    G = (RX.T @ (A @ P)).reshape(k, r * r)  # row j is vec(R' A_j P)
+    G = np.empty((k, r, r))  # G[j] = R' A_j P
+    rows = max(1, _SCHUR_SLICE // (r * r))
+    AP = np.empty((min(rows, k), r, r))
+    for j in range(0, k, rows):
+        AP_j = AP[: min(rows, k - j)]
+        np.matmul(A[j : j + rows], P, out=AP_j)
+        np.matmul(RX.T, AP_j, out=G[j : j + rows])
+    G = G.reshape(k, r * r)  # row j is vec(R' A_j P)
     # numpy sends a product with its own transpose to dsyrk; a copied G.T would not be
     M = G @ G.T
     U1, _, piv = _pivoted_cholesky(M, 1e-14 * M.diagonal().max(initial=0.0))

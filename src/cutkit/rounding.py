@@ -85,6 +85,9 @@ class BiasProfile:
         n = self.b.size
         if self.rho.shape != (n, n):
             raise InputError("correlation matrix shape mismatch")
+        # a NaN passes both checks below, as every comparison with it is false
+        if not (np.isfinite(self.b).all() and np.isfinite(self.rho).all()):
+            raise InputError("biases and correlations must be finite")
         if np.abs(self.b).max(initial=0.0) > 1.0 + _PAIR_TOL:
             raise InputError("biases must lie in [-1, 1]")
         # Every pairwise 2x2 local distribution must be nonnegative.

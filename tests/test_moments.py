@@ -1237,6 +1237,51 @@ def test_chart_and_face_basis_match_scipy_bit_for_bit(name):
     assert np.abs(V @ V.T - want @ want.T).max() <= 1e-12
 
 
+def transposed_column_operator(prog):
+    """The LMI operator built as an r^2 x k array whose column j is
+    vec(V' M(K e_j) V), then transposed and made contiguous."""
+    _, _, ms, mult = _free_rows(prog)
+    K, V = moments._geometry(prog).K, face_basis(prog)
+    scale = np.sqrt(np.outer(mult, mult))
+    r = V.shape[1]
+    L = np.empty((r * r, K.shape[1]))
+    for j in range(K.shape[1]):
+        L[:, j] = (V.T @ (K[:, j][ms.class_idx] * scale) @ V).ravel()
+    return np.ascontiguousarray(L.T).reshape(-1, r, r)
+
+
+# c1_n7.json and c2_n7.txt have a super vertex
+@pytest.mark.parametrize("name", ["c1_n6.txt", "c1_n7.json", "c2_n7.txt", "c2_n8.txt"])
+def test_face_operator_matches_the_transposed_column_build_bit_for_bit(name):
+    canonical, _ = moments._canonical(chart_programs()[name])
+    geometry = moments._geometry(canonical)
+    assert geometry.A.shape[0] > 0 and geometry.A.flags.c_contiguous
+    assert same_bits(geometry.A, transposed_column_operator(canonical))
+    assert np.shares_memory(geometry.Lu, geometry.A)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_newton_step_in_slices_gives_the_same_bits(rows, monkeypatch):
+    # c2_n8.txt has k 35 and r 36: one slice at the default bound, and 3
+    # rows a slice leave a shorter last slice
+    steps, newton_step = [], moments._newton_step
+
+    def recording(*args):
+        out = newton_step(*args)
+        steps.append((args, out))
+        return out
+
+    monkeypatch.setattr(moments, "_newton_step", recording)
+    solve(chart_programs()["c2_n8.txt"])
+    A = steps[0][0][0]
+    k, r, _ = A.shape
+    assert (k, r) == (35, 36) and moments._SCHUR_SLICE >= k * r * r
+    monkeypatch.setattr(moments, "_SCHUR_SLICE", 1 if rows == 1 else rows * r * r)
+    for args, want in steps:
+        got = newton_step(*args)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
 def scaled_null_rows(prog):
     """The rows D^-1 v_T of the scaled free matrix D M D as a dense array,
     part by part, then by free row T with |T| <= level - 1 (see

@@ -94,3 +94,18 @@ def test_submodules_resolve_after_a_bare_import_and_unknown_names_do_not():
     )
     assert fresh_python(probe) == [True, True, [False, False], "0.1.0"]
 
+
+
+def test_the_matroid_oracle_maps_no_extension_and_the_first_lp_maps_highs():
+    probe = (
+        "from cutkit import PartitionMatroid, oracle_matroid; "
+        "import json, sys; from cutkit import WeightedGraph; "
+        "g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (0, 3, 1.0)]); "
+        "m = PartitionMatroid(4, [[0, 1], [2, 3]], [1, 1]); "
+        "best = oracle_matroid(g, m).opt_value; "
+        f"mapped = [n for n in ({_highs.HIGHS!r}, {_highs.FLAPACK!r}) if n in sys.modules]; "
+        "from cutkit.matroid import solve_lp; "
+        "value = solve_lp(g, m).value; "
+        f"print(json.dumps([best, mapped, value, {_highs.HIGHS!r} in sys.modules]))"
+    )
+    assert fresh_python(probe) == [5.0, [], 5.0, True]

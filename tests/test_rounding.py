@@ -161,6 +161,20 @@ def test_inconsistent_profile_rejected():
         BiasProfile([1.0, -1.0], np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("where", ["b", "rho"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_profile_rejected(where, value):
+    # a NaN bias passes the [-1, 1] and pair-mass checks, as every
+    # comparison with NaN is false, and its vertex is then never selected
+    b, rho = np.zeros(2), np.eye(2)
+    if where == "b":
+        b[0] = value
+    else:
+        rho[0, 1] = rho[1, 0] = value
+    with pytest.raises(InputError, match="finite"):
+        BiasProfile(b, rho)
+
+
 # ---------------------------------------------------------------------------
 # balance and correction
 
