@@ -160,17 +160,26 @@ def _integer(value, field):
     return value
 
 
+def _number(value, field):
+    """value when it is a JSON number; a ParseError naming `field` for any
+    other value, true and "0.5" included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{field}: expected a number, got {value!r}")
+    return value
+
+
 def _build(fields):
     """The instance and matroid the mirror's fields describe.
 
-    Every number but an edge weight must be an integer.  Errors of the
-    graph and the partition become ParseErrors; the cutkit errors of the
-    matroid constructors keep their class.
+    Every number but an edge weight must be an integer, and an edge weight
+    a number.  Errors of the graph and the partition become ParseErrors;
+    the cutkit errors of the matroid constructors keep their class.
     """
     try:
         n = _integer(fields["n"], "n")
         edges = [
-            (_integer(u, "edges"), _integer(v, "edges"), w) for u, v, w in fields["edges"]
+            (_integer(u, "edges"), _integer(v, "edges"), _number(w, "edges"))
+            for u, v, w in fields["edges"]
         ]
         graph = WeightedGraph(n, edges)
         parts = fields["parts"]

@@ -310,13 +310,6 @@ def _lp():
     return highs, opts
 
 
-def __getattr__(name):
-    """`_highs`, HiGHS's bindings, mapped on first access (PEP 562)."""
-    if name == "_highs":
-        return _lp()[0]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 _THREAD = threading.local()
 
 

@@ -87,8 +87,14 @@ class SubsetBasis:
     pos: np.ndarray  # int32 lookup table of size 2^n; -1 for absent masks
 
     def position(self, subset) -> int:
+        """Index of the vertex set `subset`; InputError for a vertex outside
+        [0, n), a repeated vertex, or a set larger than max_size."""
         mask = 0
         for v in subset:
+            if not 0 <= v < self.n:
+                raise InputError(f"vertex {v} outside [0, {self.n})")
+            if (mask >> v) & 1:
+                raise InputError(f"vertex {v} repeated in {list(subset)}")
             mask |= 1 << v
         p = int(self.pos[mask])
         if p < 0:

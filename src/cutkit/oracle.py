@@ -27,12 +27,9 @@ forbidden and every budget is half its part, S and V - S cut the same
 edges; the oracles then list only the sets that hold vertex 0, which of
 the two lists first, and count each optimum twice.
 
-The split point and the side sets read only each pool's size and budget,
-the edge count and _CHUNK, so `_plan` builds them once per shape, in list
-positions 0..listed-1, and keeps them in a bounded LRU; each call moves
-bit i of the planned masks to its i-th listed vertex (`_relabel`).  A
-pool's subsets are listed by position within it, so these are the masks,
-in the order, that listing the call's own pools would give.
+The split point and the side sets read only the pools, the edge count and
+_CHUNK, so `_plan` builds them once per such key and keeps them in a
+bounded LRU.
 
 The matroid oracle enumerates the rank-sized sets the same way, through the
 same search, and keeps the bases: a set whose rank-table rank is below its
@@ -63,7 +60,7 @@ _CHUNK = 1 << 16  # values per scored block; keeps a block's arrays in cache
 _MASK_BITS = 64  # candidate sets are uint64 masks
 _TIE_ATOL = 1e-12  # cut values this close to the best tie with it
 
-# The enumeration plans of the most recently seen pool shapes are kept,
+# The enumeration plans of the most recently seen pools are kept,
 # within this many entries and this many bytes of masks; a larger plan is
 # built for each call and not kept.
 _PLAN_CACHE_ENTRIES = 256
@@ -288,11 +285,11 @@ def _pinned(pools, n: int) -> tuple:
 
 
 class _Plan(NamedTuple):
-    """How the feasible sets of a pool shape are listed, in list positions:
-    pool j holds the positions after those of pools 0..j-1.  Side A holds
-    the first `at` positions.  `flat` holds the A-side then the B-side sets
-    of each pair of `_sides`, `sizes` their counts; with no split, the one
-    pair of every set and the empty set.  `flat` is read-only."""
+    """How the feasible sets of some pools are listed.  Side A holds the
+    first `at` allowed vertices, listed part by part.  `flat` holds the
+    A-side then the B-side sets of each pair of `_sides`, `sizes` their
+    counts; with no split, the one pair of every set and the empty set.
+    `flat` is read-only."""
 
     at: int
     flat: np.ndarray
@@ -305,13 +302,9 @@ class _Plan(NamedTuple):
 
 @bounded_cache(lambda: (_PLAN_CACHE_ENTRIES, _PLAN_CACHE_BYTES))
 def _plan(key) -> _Plan:
-    """The plan of key = (shape, edges, _CHUNK): shape holds the (size,
-    budget) of each pool in list order.  The split and the side sets read
-    only these, so pools of one shape share a plan whatever their vertices
-    and weights."""
-    shape, edges, _ = key
-    ends = list(itertools.accumulate(size for size, _ in shape))
-    pools = [(list(range(end - size, end)), k) for (size, k), end in zip(shape, ends)]
+    """The plan of key = (pools, edges, _CHUNK), pools holding the (sorted
+    allowed vertices, budget) of each pool in list order, as tuples."""
+    pools, edges, _ = key
     at = _split_point(pools, edges)
     lists = [x for pair in _sides(pools, at) for x in pair]
     flat = np.concatenate(lists)
@@ -319,37 +312,9 @@ def _plan(key) -> _Plan:
     return _Plan(at, flat, tuple(x.size for x in lists))
 
 
-# _BYTE_BITS[i, b] is bit i of the byte b, and _BIT[v] the mask of vertex v
-_BYTE_BITS = ((np.arange(256) >> np.arange(8)[:, None]) & 1).astype(np.uint64)
-_BIT = np.uint64(1) << np.arange(_MASK_BITS, dtype=np.uint64)
-
-
-def _relabel(masks: np.ndarray, labels) -> np.ndarray:
-    """`masks` with bit i moved to bit labels[i], through one table per byte
-    of the masks: the table of byte b maps its value to the union of the
-    moved bits 8b..8b+7 it holds."""
-    if labels == list(range(len(labels))):
-        return masks
-    planes = (len(labels) + 7) // 8
-    moved = np.zeros(8 * planes, dtype=np.uint64)
-    moved[: len(labels)] = _BIT[labels]
-    # the moved bits are distinct, so their sum is their union
-    tables = moved.reshape(planes, 8) @ _BYTE_BITS
-    octets = np.ascontiguousarray(_bytes(masks)[:, :planes].T)  # row b: byte b of each mask
-    out = tables[0].take(octets[0])
-    for b in range(1, planes):
-        out |= tables[b].take(octets[b])
-    return out
-
-
 def _side_sets(pools, edges: int) -> tuple:
-    """(at, flat, sizes) of `_Plan` for these pools, in vertex masks: the
-    plan of their shape, with position i relabelled to the i-th listed
-    vertex.  Each pool lists its sets in lex order of its positions, so
-    these are the lists `_sides` and `_subset_masks` give on the pools."""
-    shape = tuple((len(pool), k) for pool, k in pools)
-    at, flat, sizes = _plan((shape, edges, _CHUNK))
-    return at, _relabel(flat, [v for pool, _ in pools for v in pool]), sizes
+    """(at, flat, sizes) of the `_Plan` of these pools and edge count."""
+    return _plan((tuple((tuple(pool), k) for pool, k in pools), edges, _CHUNK))
 
 
 def _blocks(g: WeightedGraph, pools, floor=lambda: -math.inf):

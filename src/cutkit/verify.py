@@ -40,7 +40,6 @@ from .rounding import (
     round_biased,
     sampled_union_bound_check,
     solve_multi,
-    solve_single,
 )
 
 
@@ -594,13 +593,9 @@ def suite_pipeline_ratio(config: Config | None = None):
     ratios = []
     eps = 0.5
     for s, inst in _pipeline_corpus(seed0):
-        seeded = replace(config, seed=s)
-        if inst.c == 1:
-            sol = solve_single(inst.graph, inst.budgets[0], eps, config=seeded)
-            opt = oracle_maxcut_k(inst.graph, inst.budgets[0], config=config)
-        else:
-            sol = solve_multi(inst, eps, config=seeded)
-            opt = oracle_constrained(inst, config=config)
+        # one part covering V is Max-Cut_k
+        sol = solve_multi(inst, eps, config=replace(config, seed=s))
+        opt = oracle_constrained(inst, config=config)
         if not inst.is_feasible_set(sol.set):
             failures.append(f"seed={s}: infeasible pipeline output")
             continue

@@ -129,6 +129,13 @@ def test_json_number_in_an_integer_field_must_be_an_integer(change, field):
         parse_instance(json.dumps(dict(JSON_BASE, **change)))
 
 
+# true once parsed as weight 1.0 and "0.5" as 0.5
+@pytest.mark.parametrize("weight", [True, "0.5"])
+def test_json_edge_weight_must_be_a_number(weight):
+    with pytest.raises(ParseError, match="^edges: expected a number, got "):
+        parse_instance(json.dumps(dict(JSON_BASE, edges=[[0, 1, weight], [1, 2, 1.0]])))
+
+
 @pytest.mark.parametrize("weight", ["1e309", "inf", "-inf", "nan"])
 def test_a_non_finite_weight_is_a_parse_error_in_the_text_format(weight):
     with pytest.raises(ParseError, match="not finite"):

@@ -769,7 +769,7 @@ def test_cutkit_loads_highs_without_scipy_optimize():
     probe = (
         "import json, sys, cutkit.cli, cutkit.matroid as m; "
         "print(json.dumps(['scipy.optimize' in sys.modules, 'scipy.fft' in sys.modules, "
-        f"m._highs is sys.modules[{_highs.HIGHS!r}]]))"
+        f"m._lp()[0] is sys.modules[{_highs.HIGHS!r}]]))"
     )
     assert _fresh_python(probe) == [False, False, True]
 
@@ -784,7 +784,7 @@ def test_highs_is_one_module_in_either_import_order(imports):
         "from scipy.optimize._highspy import _core; "
         "res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], bounds=[(0, 1)] * 2, "
         "method='highs'); "
-        f"print(json.dumps([_core is cutkit.matroid._highs is sys.modules[{_highs.HIGHS!r}], "
+        f"print(json.dumps([_core is cutkit.matroid._lp()[0] is sys.modules[{_highs.HIGHS!r}], "
         "res.status, res.x.tolist()]))"
     )
     assert _fresh_python(probe) == [True, 0, [1.0, 0.0]]

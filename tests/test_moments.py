@@ -331,6 +331,27 @@ def test_mi_rejects_vertices_outside_the_graph(i, j):
         mutual_information(product_uniform(3, 2), i, j)
 
 
+# a vertex >= n raised a bare IndexError, -1 "negative shift count", and
+# moment([3, 3]) returned E[x_3] where E[x_3^2] is 1
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda mv: mv.bias(7), "outside"),
+        (lambda mv: mv.bias(-1), "outside"),
+        (lambda mv: mv.corr(0, 5), "outside"),
+        (lambda mv: mv.moment([2, -1]), "outside"),
+        (lambda mv: marginals(mv, [9]), "outside"),
+        (lambda mv: mv.moment([3, 3]), "repeated"),
+    ],
+    ids=["bias_7", "bias_-1", "corr_0_5", "moment_2_-1", "marginals_9", "moment_3_3"],
+)
+def test_moment_reads_refuse_vertices_outside_the_graph_and_repeats(read, message):
+    mv = integral_moment_vector(5, 2, {3})
+    assert mv.moment([3]) == 1.0 and mv.corr(1, 3) == -1.0
+    with pytest.raises(InputError, match=message):
+        read(mv)
+
+
 BAD_PARTS = [
     ([[0, 5]], "outside"),
     ([[7], [0, 1]], "outside"),

@@ -708,8 +708,8 @@ def test_property_half_budget_oracles_match_the_reference(data, inst, chunk):
 
 
 # ---------------------------------------------------------------------------
-# the enumeration plan: the split and the side sets of a pool shape, kept
-# in list positions and relabelled to each call's vertices
+# the enumeration plan: the split and the side sets of a call's pools, kept
+# per pools, edge count and block size
 
 
 @st.composite
