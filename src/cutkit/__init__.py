@@ -49,7 +49,6 @@ _EXPORTS = {
     "Relaxation": ("rounding", "Relaxation"),
     "RoundingParams": ("rounding", "RoundingParams"),
     "relax_multi": ("rounding", "relax_multi"),
-    "relax_single": ("rounding", "relax_single"),
     "round_relaxation": ("rounding", "round_relaxation"),
     "solve_multi": ("rounding", "solve_multi"),
     "solve_single": ("rounding", "solve_single"),

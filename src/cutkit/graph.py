@@ -7,6 +7,7 @@ function, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,9 +17,22 @@ from .config import TOL
 from .errors import InputError
 
 
+def as_index(value, what: str) -> int:
+    """`value` as an int when it is an integer (a numpy integer counts, a bool
+    does not); else InputError naming `what`."""
+    if type(value) is int:  # first, as every cut_value reads its ids through here
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 def as_vertex_set(vertices, n: int) -> frozenset:
     """Validate an iterable of vertex ids against [0, n) and freeze it."""
-    s = frozenset(int(v) for v in vertices)
+    s = frozenset(as_index(v, "vertex id") for v in vertices)
     for v in s:
         if not 0 <= v < n:
             raise InputError(f"vertex id {v} out of range [0, {n})")
@@ -38,12 +52,12 @@ class WeightedGraph:
     edges: tuple  # tuple of (u, v, w) with u < v, sorted
 
     def __init__(self, n, edges):
-        n = int(n)
+        n = as_index(n, "vertex count")
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         merged = {}
         for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
+            u, v, w = as_index(u, "edge end"), as_index(v, "edge end"), float(w)
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -186,9 +200,10 @@ def contract_groups(g: WeightedGraph, keep, groups):
 class ConstrainedInstance:
     """A weighted graph plus a vertex partition with per-part budgets.
 
-    Construction validates the partition structure and budget sanity only.
-    The half-size budget condition (k_i <= |V_i|/2) that the kernel and SDP
-    pipeline assume is checked by those entry points, because generated
+    Construction validates the partition structure and that each budget is
+    a nonnegative integer.  The kernel's condition 1 <= k_i <= |V_i|/2, on
+    which every relaxation and pipeline entry rests, is checked by
+    `kernel.kernelize_multi` alone, because the exact oracles and generated
     hardness instances legitimately violate it.
     """
 
@@ -198,7 +213,7 @@ class ConstrainedInstance:
 
     def __init__(self, graph, parts, budgets):
         parts = tuple(as_vertex_set(p, graph.n) for p in parts)
-        budgets = tuple(int(k) for k in budgets)
+        budgets = tuple(as_index(k, "budget") for k in budgets)
         if len(parts) != len(budgets):
             raise InputError("need one budget per part")
         if not parts:
@@ -224,17 +239,6 @@ class ConstrainedInstance:
     def is_feasible_set(self, s) -> bool:
         s = frozenset(s)
         return all(len(s & p) == k for p, k in zip(self.parts, self.budgets))
-
-    def has_half_budgets(self) -> bool:
-        """Whether every budget satisfies k_i <= |V_i| / 2."""
-        return all(2 * k <= len(p) for p, k in zip(self.parts, self.budgets))
-
-    def require_half_budgets(self):
-        for i, (p, k) in enumerate(zip(self.parts, self.budgets)):
-            if 2 * k > len(p):
-                raise InputError(
-                    f"part {i}: budget {k} exceeds half the part size {len(p)}"
-                )
 
 
 @dataclass(frozen=True)

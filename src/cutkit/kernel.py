@@ -73,12 +73,25 @@ class KernelResult:
         }
 
 
-def _check_eps(eps: float):
+def kernelize_single(g: WeightedGraph, k: int, eps: float) -> KernelResult:
+    """Kernelize Max-Cut_k, the one-part instance |S| = k."""
+    return kernelize_multi(ConstrainedInstance(g, [range(g.n)], [k]), eps)
+
+
+def kernelize_multi(inst: ConstrainedInstance, eps: float) -> KernelResult:
+    """Kernelize each part of a constrained instance independently.
+
+    Needs 1 <= k_i <= |V_i|/2 of every part, the one place that rule is
+    checked, and eps in (0, 1/2].
+    """
     if not 0.0 < eps <= 0.5:
         raise InputError(f"eps must lie in (0, 1/2], got {eps}")
-
-
-def _kernelize(graph: WeightedGraph, parts, budgets, eps: float) -> KernelResult:
+    for i, (part, k) in enumerate(zip(inst.parts, inst.budgets)):
+        if not 1 <= 2 * k <= len(part):
+            raise InputError(
+                f"part {i}: need 1 <= budget <= half the part size {len(part)}, got {k}"
+            )
+    graph, parts, budgets = inst.graph, inst.parts, inst.budgets
     order = weighted_degree_order(graph)
     rank = {v: i for i, v in enumerate(order)}
 
@@ -128,25 +141,6 @@ def _kernelize(graph: WeightedGraph, parts, budgets, eps: float) -> KernelResult
         orig_to_reduced=old_to_new,
         super_sources=super_sources,
     )
-
-
-def kernelize_single(g: WeightedGraph, k: int, eps: float) -> KernelResult:
-    """Kernelize a single-cardinality instance (one part covering V)."""
-    _check_eps(eps)
-    k = int(k)
-    if not 1 <= 2 * k <= g.n:
-        raise InputError(f"need 1 <= k <= n/2, got k={k}, n={g.n}")
-    return _kernelize(g, [frozenset(range(g.n))], [k], eps)
-
-
-def kernelize_multi(inst: ConstrainedInstance, eps: float) -> KernelResult:
-    """Kernelize each part of a constrained instance independently."""
-    _check_eps(eps)
-    inst.require_half_budgets()
-    for k in inst.budgets:
-        if k < 1:
-            raise InputError("kernelization requires every budget >= 1")
-    return _kernelize(inst.graph, inst.parts, inst.budgets, eps)
 
 
 def local_exchange_step(g: WeightedGraph, s, h_set):

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._highs import HIGHS, load
 from .errors import InfeasibleError, InputError, StallError
-from .graph import CutSolution, WeightedGraph, as_vertex_set, cut_value
+from .graph import CutSolution, WeightedGraph, as_index, as_vertex_set, cut_value
 
 _FEAS_TOL = 1e-7
 _PRICE_TOL = 1e-9  # least reduced-cost gain for a base to enter the master LP
@@ -39,7 +39,7 @@ class MatroidOracle:
     kind = "abstract"
 
     def __init__(self, n: int):
-        self.n = int(n)
+        self.n = as_index(n, "ground set size")
 
     def is_independent(self, s) -> bool:
         raise NotImplementedError
@@ -70,7 +70,7 @@ class UniformMatroid(MatroidOracle):
 
     def __init__(self, n: int, k: int):
         super().__init__(n)
-        self.k = int(k)
+        self.k = as_index(k, "uniform rank")
         if not 0 <= self.k <= self.n:
             raise InfeasibleError(f"uniform rank {k} out of range for n={n}")
 
@@ -89,8 +89,8 @@ class PartitionMatroid(MatroidOracle):
 
     def __init__(self, n: int, parts, budgets):
         super().__init__(n)
-        self.parts = tuple(frozenset(int(v) for v in p) for p in parts)
-        self.budgets = tuple(int(k) for k in budgets)
+        self.parts = tuple(as_vertex_set(p, self.n) for p in parts)
+        self.budgets = tuple(as_index(k, "budget") for k in budgets)
         covered = set()
         for p in self.parts:
             if covered & p:
@@ -127,8 +127,11 @@ class GraphicMatroid(MatroidOracle):
 
     def __init__(self, aux_vertices: int, aux_edges):
         super().__init__(len(aux_edges))
-        self.aux_vertices = int(aux_vertices)
-        self.aux_edges = tuple((int(a), int(b)) for a, b in aux_edges)
+        self.aux_vertices = as_index(aux_vertices, "auxiliary vertex count")
+        self.aux_edges = tuple(
+            (as_index(a, "auxiliary edge end"), as_index(b, "auxiliary edge end"))
+            for a, b in aux_edges
+        )
         for a, b in self.aux_edges:
             if not (0 <= a < aux_vertices and 0 <= b < aux_vertices):
                 raise InputError("auxiliary edge endpoint out of range")
@@ -185,11 +188,7 @@ class ExplicitMatroid(MatroidOracle):
 
     def __init__(self, n: int, independent_sets):
         super().__init__(n)
-        sets = [frozenset(int(v) for v in s) for s in independent_sets]
-        for s in sets:
-            for v in s:
-                if not 0 <= v < n:
-                    raise InputError(f"element {v} out of range")
+        sets = [as_vertex_set(s, self.n) for s in independent_sets]
         if not sets:
             raise InfeasibleError("explicit matroid needs at least one set")
         # keep only maximal sets; the closure is unchanged

@@ -44,7 +44,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -411,32 +410,28 @@ def _best(g: WeightedGraph, pools, copies: int = 1, keep=None) -> OracleResult:
     return tracker.result(copies)
 
 
+def _constrained(inst: ConstrainedInstance, forbidden, config: Config | None) -> OracleResult:
+    """The optimum of `oracle_constrained`, which `oracle_maxcut_k` shares."""
+    config = config or Config()
+    _check_mask_width(inst.graph.n)
+    forbidden = as_vertex_set(forbidden, inst.graph.n)
+    pools = _pools(inst.parts, inst.budgets, forbidden, config.oracle_combo_cap)
+    return _best(inst.graph, *_pinned(pools, inst.graph.n))
+
+
 def oracle_maxcut_k(
     g: WeightedGraph, k: int, forbidden=frozenset(), config: Config | None = None
 ) -> OracleResult:
-    """Exact maximum cut over all k-subsets avoiding `forbidden`."""
-    config = config or Config()
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise InputError(f"k must be an integer, got {k!r}")
-    k = int(k)
-    if k < 0 or k > g.n:
-        raise InputError(f"k={k} out of range for n={g.n}")
-    _check_mask_width(g.n)
-    forbidden = as_vertex_set(forbidden, g.n)
-    everyone = frozenset(range(g.n))
-    pools = _pools([everyone], [k], forbidden, config.oracle_combo_cap)
-    return _best(g, *_pinned(pools, g.n))
+    """Exact maximum cut over all k-subsets avoiding `forbidden`: the
+    one-part instance of `oracle_constrained`."""
+    return _constrained(ConstrainedInstance(g, [range(g.n)], [k]), forbidden, config)
 
 
 def oracle_constrained(
     inst: ConstrainedInstance, forbidden=frozenset(), config: Config | None = None
 ) -> OracleResult:
     """Exact optimum over sets meeting every part budget exactly."""
-    config = config or Config()
-    _check_mask_width(inst.graph.n)
-    forbidden = as_vertex_set(forbidden, inst.graph.n)
-    pools = _pools(inst.parts, inst.budgets, forbidden, config.oracle_combo_cap)
-    return _best(inst.graph, *_pinned(pools, inst.graph.n))
+    return _constrained(inst, forbidden, config)
 
 
 def oracle_matroid(g: WeightedGraph, m, config: Config | None = None) -> OracleResult:

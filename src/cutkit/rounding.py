@@ -1,9 +1,9 @@
 """Bias-preserving rounding, balance checks, random correction, and the
 end-to-end kernel -> relaxation -> conditioning -> rounding -> correction
-pipelines for single and multi-part instances.  The pipelines run in two
-stages: `relax_*` (kernel, program, SDP solve; no randomness) and
-`round_relaxation` (everything seeded), so one relaxation can be rounded
-under many seeds.
+pipeline for partitioned instances, of which Max-Cut_k (`solve_single`)
+is the one-part case.  The pipeline runs in two stages: `relax_multi`
+(kernel, program, SDP solve; no randomness) and `round_relaxation`
+(everything seeded), so one relaxation can be rounded under many seeds.
 
 Rounding draws one shared Gaussian vector and thresholds each vertex's
 centered unit component at the Gaussian quantile of its inclusion
@@ -23,7 +23,8 @@ import numpy as np
 from .config import Config, check_seed
 from .errors import InfeasibleError, InputError, SearchFailureError
 from .graph import ConstrainedInstance, CutSolution, WeightedGraph, cut_value
-from .kernel import KernelResult, kernelize_multi, kernelize_single
+from .kernel import KernelResult, kernelize_multi
+from .kernel import kernelize_single  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .moments import (
     MomentVector,
     SdpProgram,
@@ -296,25 +297,15 @@ class Relaxation:
         return self.kernel.epsilon
 
 
-def _relax(kernel: KernelResult, g: WeightedGraph, config: Config) -> Relaxation:
-    program = build_program(kernel, config.level)
-    return Relaxation(kernel, program, solve(program), g)
-
-
-def relax_single(
-    g: WeightedGraph, k: int, eps: float, config: Config | None = None
-) -> Relaxation:
-    """Kernelize |S| = k and solve its relaxation at config.level."""
-    return _relax(kernelize_single(g, k, eps), g, config or Config())
-
-
 def relax_multi(
     inst: ConstrainedInstance, eps: float, config: Config | None = None
 ) -> Relaxation:
     """Kernelize a partitioned instance and solve its relaxation at config.level."""
     if inst.c > C_CAP:
         raise InputError(f"{inst.c} parts exceed the cap {C_CAP}")
-    return _relax(kernelize_multi(inst, eps), inst.graph, config or Config())
+    kernel = kernelize_multi(inst, eps)
+    program = build_program(kernel, (config or Config()).level)
+    return Relaxation(kernel, program, solve(program), inst.graph)
 
 
 def _check_trials(trials: int):
@@ -420,9 +411,8 @@ def solve_single(
     params: RoundingParams | None = None,
     config: Config | None = None,
 ) -> CutSolution:
-    """Full pipeline for a single cardinality constraint |S| = k."""
-    config = _settings(eps, params, config)
-    return round_relaxation(relax_single(g, k, eps, config), config)
+    """Full pipeline for Max-Cut_k, the one-part instance |S| = k."""
+    return solve_multi(ConstrainedInstance(g, [range(g.n)], [k]), eps, params, config)
 
 
 def solve_multi(

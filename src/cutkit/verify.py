@@ -26,11 +26,7 @@ from .matroid import (
     quad_value,
     solve_lp,
 )
-from .oracle import (
-    oracle_all_cut_decision,
-    oracle_constrained,
-    oracle_maxcut_k,
-)
+from .oracle import oracle_all_cut_decision, oracle_constrained
 from .rounding import (
     INDEPENDENCE_BUDGET,
     BiasProfile,
@@ -82,6 +78,44 @@ def _kernel_corpus_single(count, seed0):
     return out
 
 
+def _kernel_case(label, inst, eps, witnesses, config):
+    """(margin, exchange steps, failures) of one kernelized instance.
+
+    The restricted optimum must reach the floor max(0, 1 - 4 c eps) times
+    the optimum (margin is its excess), the optimum migrated into the kernel
+    must too, and every exchange step that migrates the optimum or one of
+    the (name, set) `witnesses` must obey its per-step inequality.
+    """
+    g = inst.graph
+    ker = kernelize_multi(inst, eps)
+    opt = oracle_constrained(inst, config=config)
+    restricted = oracle_constrained(
+        inst, forbidden=frozenset(range(g.n)) - ker.kept_original, config=config
+    )
+    floor = max(0.0, 1.0 - 4.0 * inst.c * eps) * opt.opt_value
+    margin = restricted.opt_value - floor
+    failures = []
+    if margin < -1e-12:
+        failures.append(
+            f"{label}: restricted={_fmt(restricted.opt_value)} < floor={_fmt(floor)}"
+        )
+    steps_total = 0
+    for name, s_star in (("opt", opt.best_set), *witnesses):
+        steps = []
+        migrated = migrate_to_kernel(g, s_star, ker, steps_out=steps)
+        steps_total += len(steps)
+        for st in steps:
+            bound = (1.0 - 2.0 / st["h_minus_s"]) * st["value_before"]
+            if st["value_after"] < bound - 1e-12:
+                failures.append(
+                    f"{label} {name}: exchange step violated its bound "
+                    f"({_fmt(st['value_after'])} < {_fmt(bound)})"
+                )
+        if name == "opt" and cut_value(g, migrated) < floor - 1e-9:
+            failures.append(f"{label}: migrated witness below the kernel floor")
+    return margin, steps_total, failures
+
+
 def suite_kernel_single(config: Config | None = None):
     """Restricted optimum stays within (1 - 4 eps) of the true optimum, and
     every witness exchange step obeys its per-step inequality."""
@@ -91,38 +125,20 @@ def suite_kernel_single(config: Config | None = None):
     steps_total = 0
     min_margin = np.inf
     for g, k, eps, s in _kernel_corpus_single(count, seed0):
-        ker = kernelize_single(g, k, eps)
-        opt = oracle_maxcut_k(g, k, config=config)
-        restricted = oracle_maxcut_k(
-            g, k, forbidden=frozenset(range(g.n)) - ker.kept_original, config=config
-        )
-        floor = max(0.0, 1.0 - 4.0 * eps) * opt.opt_value
-        margin = restricted.opt_value - floor
-        min_margin = min(min_margin, margin)
-        if margin < -1e-12:
-            failures.append(
-                f"seed={s} n={g.n} k={k} eps={eps}: restricted="
-                f"{_fmt(restricted.opt_value)} < floor={_fmt(floor)}"
-            )
-        # constructive witnesses: migrate the optimum, plus a tail-heavy
-        # feasible set that forces actual exchanges
+        # besides the optimum, a tail-heavy feasible set that forces actual
+        # exchanges
         deg_order = np.argsort(g.degrees, kind="stable")
         tail_set = frozenset(int(v) for v in deg_order[:k])
-        for label, s_star in (("opt", opt.best_set), ("tail", tail_set)):
-            steps = []
-            migrated = migrate_to_kernel(g, s_star, ker, steps_out=steps)
-            steps_total += len(steps)
-            for st in steps:
-                bound = (1.0 - 2.0 / st["h_minus_s"]) * st["value_before"]
-                if st["value_after"] < bound - 1e-12:
-                    failures.append(
-                        f"seed={s} {label}: exchange step violated its bound "
-                        f"({_fmt(st['value_after'])} < {_fmt(bound)})"
-                    )
-            if label == "opt" and cut_value(g, migrated) < floor - 1e-9:
-                failures.append(
-                    f"seed={s}: migrated witness below the kernel floor"
-                )
+        margin, steps, found = _kernel_case(
+            f"seed={s} n={g.n} k={k} eps={eps}",
+            ConstrainedInstance(g, [range(g.n)], [k]),
+            eps,
+            [("tail", tail_set)],
+            config,
+        )
+        min_margin = min(min_margin, margin)
+        steps_total += steps
+        failures += found
     report = (
         f"kernel-single: instances={count} exchange_steps={steps_total} "
         f"min_margin={_fmt(min_margin)} failures={len(failures)}"
@@ -149,26 +165,9 @@ def suite_kernel_multi(config: Config | None = None):
             continue
         built += 1
         eps = 0.25 if built % 2 == 0 else 0.5
-        ker = kernelize_multi(inst, eps)
-        opt = oracle_constrained(inst, config=config)
-        restricted = oracle_constrained(
-            inst,
-            forbidden=frozenset(range(inst.graph.n)) - ker.kept_original,
-            config=config,
-        )
-        floor = max(0.0, 1.0 - 4.0 * c * eps) * opt.opt_value
-        if restricted.opt_value < floor - 1e-12:
-            failures.append(
-                f"seed={s} c={c} eps={eps}: restricted="
-                f"{_fmt(restricted.opt_value)} < floor={_fmt(floor)}"
-            )
-        steps = []
-        migrate_to_kernel(inst.graph, opt.best_set, ker, steps_out=steps)
-        steps_total += len(steps)
-        for st in steps:
-            bound = (1.0 - 2.0 / st["h_minus_s"]) * st["value_before"]
-            if st["value_after"] < bound - 1e-12:
-                failures.append(f"seed={s}: exchange step violated its bound")
+        _, steps, found = _kernel_case(f"seed={s} c={c} eps={eps}", inst, eps, [], config)
+        steps_total += steps
+        failures += found
     report = (
         f"kernel-multi: instances={count} exchange_steps={steps_total} "
         f"failures={len(failures)}"
@@ -298,8 +297,6 @@ def _sdp_corpus(count, seed0, max_n=8):
         p = float(rng.uniform(0.35, 0.9))
         inst = gen_random(n, p, "unit", c, "uniform", seed=s)
         if not inst.graph.edges:
-            continue
-        if not inst.has_half_budgets():
             continue
         built += 1
         yield s, inst
@@ -580,7 +577,7 @@ def _pipeline_corpus(seed0):
     out = []
     for c, n, s in plan:
         inst = gen_random(n, 0.55, "unit", c, "uniform", seed=s)
-        if inst.graph.edges and inst.has_half_budgets():
+        if inst.graph.edges:
             out.append((s, inst))
     return out
 

@@ -409,3 +409,23 @@ def test_perfbench_tracer_finds_every_name_it_wraps_and_restores_them(monkeypatc
         tracer.remove()
     for module, names in zip(modules, before):
         assert all(getattr(module, name) is value for name, value in names.items())
+
+
+def test_perfbench_tracer_opens_one_span_per_single_constraint_call(monkeypatch):
+    # a public entry point that called another wrapped one would nest two
+    # spans of one layer, and the layer's time would count twice
+    monkeypatch.syspath_prepend(str(CORPUS.parent / "perfbench"))
+    import tracing
+
+    inst = gen_random(8, 0.6, "unit", 1, "uniform", seed=5)
+    k = inst.budgets[0]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        oracle.oracle_maxcut_k(inst.graph, k)
+        assert [span[0] for span in tracer.spans] == ["oracle"]
+        rounding.solve_single(inst.graph, k, 0.5)
+    finally:
+        tracer.remove()
+    layers = [span[0] for span in tracer.spans]
+    assert layers.count("oracle") == 1 and layers.count("kernel") == 1

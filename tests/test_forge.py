@@ -37,7 +37,7 @@ def test_gen_budget_laws():
     inst = gen_random(10, 0.5, "unit", 2, "one", seed=3)
     assert all(k == 1 for k in inst.budgets)
     inst = gen_random(10, 0.5, "unit", 2, "uniform", seed=3)
-    assert inst.has_half_budgets()
+    assert all(2 * k <= len(p) for p, k in zip(inst.parts, inst.budgets))
 
 
 def test_gen_validation():

@@ -10,6 +10,7 @@ from cutkit.graph import (
     cut_value,
     weighted_degree_order,
 )
+from cutkit.kernel import kernelize_multi
 
 
 def k3():
@@ -223,9 +224,31 @@ def test_instance_partition_validation():
 def test_half_budget_check_is_consumer_side():
     g = WeightedGraph(2, [(0, 1, 1.0)])
     inst = ConstrainedInstance(g, [{0}, {1}], [1, 1])  # k = |part| allowed here
-    assert not inst.has_half_budgets()
-    with pytest.raises(InputError):
-        inst.require_half_budgets()
+    with pytest.raises(InputError, match="half the part size"):
+        kernelize_multi(inst, 0.5)
+
+
+# each of these was once truncated to an integer and accepted
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightedGraph(3.9, []),
+        lambda: WeightedGraph(3, [(0, 1.5, 1.0)]),
+        lambda: WeightedGraph(True, []),
+        lambda: ConstrainedInstance(WeightedGraph(4, []), [range(4)], [True]),
+        lambda: ConstrainedInstance(WeightedGraph(4, []), [range(4)], [1.5]),
+        lambda: ConstrainedInstance(WeightedGraph(4, []), [[0, 1, 2, 3.0]], [1]),
+    ],
+    ids=["n", "edge-end", "bool-n", "bool-budget", "budget", "vertex"],
+)
+def test_graph_inputs_refuse_a_number_that_is_not_an_integer(build):
+    with pytest.raises(InputError, match="must be an integer"):
+        build()
+    # numpy integers are integers
+    i = np.int64
+    g = WeightedGraph(i(4), [(i(0), i(1), 1.0)])
+    assert g == WeightedGraph(4, [(0, 1, 1.0)])
+    assert ConstrainedInstance(g, [[i(0), i(1)], [2, 3]], [i(1), 1]).budgets == (1, 1)
 
 
 def test_degree_order_weighted_tie_break():

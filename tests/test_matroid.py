@@ -39,6 +39,39 @@ from cutkit.verify import _matroid_corpus
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
+# each of these was once truncated to an integer and accepted
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: UniformMatroid(4, 2.0),
+        lambda: UniformMatroid(4.5, 2),
+        lambda: UniformMatroid(4, True),
+        lambda: PartitionMatroid(4, [[0, 1], [2, 3]], [1.5, 1]),
+        lambda: PartitionMatroid(4, [[0, 1.0], [2, 3]], [1, 1]),
+        lambda: GraphicMatroid(3.5, [(0, 1), (1, 2)]),
+        lambda: GraphicMatroid(3, [(0, 1), (1, 2.0)]),
+        lambda: ExplicitMatroid(3, [[0, 1.0]]),
+    ],
+    ids=[
+        "uniform-rank",
+        "ground-set",
+        "bool-rank",
+        "partition-budget",
+        "partition-vertex",
+        "graphic-vertices",
+        "graphic-edge-end",
+        "explicit-element",
+    ],
+)
+def test_matroids_refuse_a_number_that_is_not_an_integer(build):
+    with pytest.raises(InputError, match="must be an integer"):
+        build()
+    # numpy integers are integers
+    i = np.int64
+    assert UniformMatroid(i(4), i(2)).rank() == 2
+    assert PartitionMatroid(i(4), [[i(0), 1], [2, 3]], [i(1), 1]).budgets == (1, 1)
+
+
 def k3():
     return WeightedGraph(3, [(0, 1, 1 / 3), (0, 2, 1 / 3), (1, 2, 1 / 3)])
 

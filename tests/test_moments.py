@@ -671,7 +671,7 @@ def test_relaxation_dominance_small_corpus():
     checked = 0
     for s in range(12):
         inst = gen_random(6, 0.6, "unit", 1, "uniform", seed=300 + s)
-        if not inst.graph.edges or not inst.has_half_budgets():
+        if not inst.graph.edges:
             continue
         ker = kernelize_multi(inst, 0.5)
         prog = build_program(ker, 0)

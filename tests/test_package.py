@@ -21,7 +21,7 @@ PUBLIC = {
     "build_program", "condition", "cut_between", "cut_value", "kernelize_multi",
     "kernelize_single", "load_config", "make_block_independent", "marginals",
     "mutual_information", "oracle_all_cut_decision", "oracle_constrained", "oracle_maxcut_k",
-    "oracle_matroid", "relax_multi", "relax_single", "round_relaxation", "solve_matroid",
+    "oracle_matroid", "relax_multi", "round_relaxation", "solve_matroid",
     "solve_multi", "solve_relaxation", "solve_single", "weighted_degree_order",
 }
 

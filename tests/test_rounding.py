@@ -379,6 +379,15 @@ def test_pipeline_rejects_a_negative_seed():
         solve_single(k3(), 1, 0.5, RoundingParams(eps=0.5, rng_seed=-1))
 
 
+def test_pipeline_refuses_a_k_that_is_not_an_integer():
+    # k 1.9 once solved k = 1 and returned a 1-vertex set
+    g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    with pytest.raises(InputError, match="must be an integer"):
+        solve_single(g, 1.9, 0.5)
+    with pytest.raises(InputError, match="must be an integer"):
+        rounding.kernelize_single(g, 1.9, 0.5)
+
+
 def test_pipeline_part_cap():
     inst = gen_random(10, 0.5, "unit", 5, "one", seed=23)
     with pytest.raises(InputError, match="5 parts exceed the cap 4"):
