@@ -59,6 +59,12 @@ _CHUNK = 1 << 16  # values per scored block; keeps a block's arrays in cache
 _MASK_BITS = 64  # candidate sets are uint64 masks
 _TIE_ATOL = 1e-12  # cut values this close to the best tie with it
 
+# Spare (2, >= _CHUNK) float64 workspaces of `_blocks` calls that have
+# ended.  A call pops one and pushes it back when it ends, so the list holds
+# at most as many as there were calls open at once; pop and append are each
+# atomic, so no two open calls share one.
+_SPARES = []
+
 # The enumeration plans of the most recently seen pools are kept,
 # within this many entries and this many bytes of masks; a larger plan is
 # built for each call and not kept.
@@ -330,6 +336,12 @@ def _blocks(g: WeightedGraph, pools, floor=lambda: -math.inf):
     fills more than one block are sorted by cut, so that the floor ends
     each band's columns and the bands.  With no split, side B holds only
     the empty set, so the blocks are one column of sets scored directly.
+
+    Every block of a call is written into one workspace, taken from
+    `_SPARES` (or allocated) when the first block is asked for and
+    returned when the call ends, closed early included: fresh block-sized
+    arrays would fault in fresh pages for each block.  So a yielded `vals`
+    is valid only until the next block is asked for; copy it to keep it.
     """
     listed = [v for pool, _ in pools for v in pool]
     at, flat, sizes = _side_sets(pools, len(g.edges))
@@ -364,33 +376,45 @@ def _blocks(g: WeightedGraph, pools, floor=lambda: -math.inf):
             a = a.start + np.argsort(-cuts[a], kind="stable")
             b = b.start + np.argsort(-cuts[b], kind="stable")
         spans.append((best[i] + best[i + 1], a, b, ordered))
-    for bound, a, b, ordered in sorted(spans, key=lambda span: -span[0]):
-        ca, cb, ma, mb = cuts[a], cuts[b], flat[a], flat[b]
-        if ordered:
-            ka, kb = -ca, -cb  # ascending, for searchsorted
-        if cross:
-            ra, rb = reach[a], in_b[b]
-        rows, ncols = ca.size, cb.size
-        r = 0
-        while r < rows:
-            least = floor()
-            # cut values sum nonnegative terms, so their relative rounding
-            # error is far below this margin
-            least -= TOL * (1.0 + abs(least))
-            if ordered:  # the rows that can reach the floor, and row r's columns
-                rows = int(np.searchsorted(ka, cb[0] - least, side="right"))
-                ncols = int(np.searchsorted(kb, ca[r] - least, side="right"))
-            if bound < least or r >= rows or ncols == 0:
-                break
-            width = min(ncols, _CHUNK)
-            top = slice(r, min(r + _CHUNK // width, rows))
-            for c in range(0, ncols, width):
-                cols = slice(c, min(c + width, ncols))
-                vals = ca[top, None] + cb[None, cols]
-                if cross:  # else no edge crosses the split
-                    vals -= ra[top] @ rb[cols].T
-                yield vals, ma[top], mb[cols]
-            r = top.stop
+    try:
+        work = _SPARES.pop()
+    except IndexError:
+        work = None
+    if work is None or work.shape[1] < _CHUNK:
+        work = np.empty((2, _CHUNK))
+    try:
+        for bound, a, b, ordered in sorted(spans, key=lambda span: -span[0]):
+            ca, cb, ma, mb = cuts[a], cuts[b], flat[a], flat[b]
+            if ordered:
+                ka, kb = -ca, -cb  # ascending, for searchsorted
+            if cross:
+                ra, rb = reach[a], in_b[b]
+            rows, ncols = ca.size, cb.size
+            r = 0
+            while r < rows:
+                least = floor()
+                # cut values sum nonnegative terms, so their relative rounding
+                # error is far below this margin
+                least -= TOL * (1.0 + abs(least))
+                if ordered:  # the rows that can reach the floor, and row r's columns
+                    rows = int(np.searchsorted(ka, cb[0] - least, side="right"))
+                    ncols = int(np.searchsorted(kb, ca[r] - least, side="right"))
+                if bound < least or r >= rows or ncols == 0:
+                    break
+                width = min(ncols, _CHUNK)
+                top = slice(r, min(r + _CHUNK // width, rows))
+                for c in range(0, ncols, width):
+                    cols = slice(c, min(c + width, ncols))
+                    shape = (top.stop - r, cols.stop - c)
+                    vals = work[0, : shape[0] * shape[1]].reshape(shape)
+                    np.add(ca[top, None], cb[None, cols], out=vals)
+                    if cross:  # else no edge crosses the split
+                        crossed = work[1, : vals.size].reshape(shape)
+                        vals -= np.matmul(ra[top], rb[cols].T, out=crossed)
+                    yield vals, ma[top], mb[cols]
+                r = top.stop
+    finally:
+        _SPARES.append(work)
 
 
 def _best(g: WeightedGraph, pools, copies: int = 1, keep=None) -> OracleResult:
@@ -405,7 +429,7 @@ def _best(g: WeightedGraph, pools, copies: int = 1, keep=None) -> OracleResult:
                 kept = keep(rows, cols)
                 if not kept.any():  # else the tracker would score a block of -inf
                     continue
-                vals = np.where(kept, vals, -np.inf)
+                np.copyto(vals, -np.inf, where=~kept)
             tracker.feed(vals, rows, cols)
     return tracker.result(copies)
 

@@ -1,6 +1,8 @@
 import contextlib
 import itertools
 import math
+import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from cutkit import _blas, oracle
 from cutkit.config import Config
 from cutkit.errors import CapacityError, InfeasibleError, InputError
-from cutkit.forge import gadget_from_3dm, gen_3dm, tdm_has_perfect_matching
+from cutkit.forge import gadget_from_3dm, gen_3dm, gen_random, tdm_has_perfect_matching
 from cutkit.graph import ConstrainedInstance, WeightedGraph, cut_value
 from cutkit.matroid import ExplicitMatroid, GraphicMatroid, PartitionMatroid, UniformMatroid
 from cutkit.oracle import (
@@ -588,6 +590,12 @@ def mask_to_set(mask):
     return frozenset(v for v in range(64) if (int(mask) >> v) & 1)
 
 
+def copied_blocks(blocks):
+    """The blocks, each `vals` copied as it arrives: `_blocks` reuses one
+    buffer, so a block's values last only until the next."""
+    return [(vals.copy(), rows, cols) for vals, rows, cols in blocks]
+
+
 @st.composite
 def split_instances(draw, n_max=9):
     """Float or integer weights, 1-4 parts (possibly empty), forbidden
@@ -639,7 +647,7 @@ def test_property_split_blocks_hold_each_feasible_set_once(inst, chunk):
         sides = _sides(pools, at)
         assert sorted(int(m) for xa, xb in sides for m in np.bitwise_or.outer(xa, xb).ravel()) == expect
     with mock.patch.object(oracle, "_CHUNK", chunk):
-        blocks = list(_blocks(g, pools))
+        blocks = copied_blocks(_blocks(g, pools))
     assert sorted(int(m) for _, r, c in blocks for m in np.bitwise_or.outer(r, c).ravel()) == expect
     for vals, rows, cols in blocks:
         assert vals.size <= chunk
@@ -662,7 +670,7 @@ def test_property_split_blocks_hold_each_set_above_the_floor_once(data, inst, ch
             oracle, "_split_point", lambda pools, edges: at
         ):
             oracle._plan.cache_clear()  # else the plan of the first split is reused
-            blocks = list(_blocks(g, pools, lambda: floor))
+            blocks = copied_blocks(_blocks(g, pools, lambda: floor))
         seen = [int(m) for _, r, c in blocks for m in np.bitwise_or.outer(r, c).ravel()]
         assert len(seen) == len(set(seen)) and set(seen) <= set(values)
         assert {m for m, value in values.items() if value >= floor} <= set(seen)
@@ -670,6 +678,114 @@ def test_property_split_blocks_hold_each_set_above_the_floor_once(data, inst, ch
             assert vals.size <= chunk
             for (r, c), value in np.ndenumerate(vals):
                 assert value == pytest.approx(values[int(rows[r] | cols[c])], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the block workspace: each open _blocks call writes its blocks into one
+# buffer of its own, which it hands back when it ends
+
+
+def workspace_calls():
+    """(graph, pools) of two calls that fill many blocks of 64 values: two
+    parts of a dense graph, which split, and 2-subsets of a one-edge graph,
+    which do not."""
+    dense = random_graph(20, 0.4, np.random.default_rng(37))
+    parts = [frozenset(range(10)), frozenset(range(10, 20))]
+    one_edge = WeightedGraph(20, [(0, 1, 0.5)])
+    return [
+        (dense, _pools(parts, [4, 5], frozenset(), cap=10**7)),
+        (one_edge, _pools([frozenset(range(20))], [2], frozenset(), cap=10**7)),
+    ]
+
+
+def same_blocks(got, expect):
+    return len(got) == len(expect) and all(
+        v.shape == w.shape and v.tobytes() == w.tobytes()
+        and np.array_equal(r, s) and np.array_equal(c, d)
+        for (v, r, c), (w, s, d) in zip(got, expect)
+    )
+
+
+def test_interleaved_block_calls_give_the_blocks_of_calls_run_in_turn():
+    split, direct = workspace_calls()
+    with mock.patch.object(oracle, "_CHUNK", 64):
+        oracle._plan.cache_clear()
+        alone = [copied_blocks(_blocks(*call)) for call in (split, split, direct)]
+        stepped = [[], [], []]
+        calls = [_blocks(*call) for call in (split, split, direct)]
+        for blocks in itertools.zip_longest(*calls):
+            for got, block in zip(stepped, blocks):
+                if block is not None:
+                    got += copied_blocks([block])
+    assert all(len(blocks) > 1 for blocks in alone)
+    for got, expect in zip(stepped, alone):
+        assert same_blocks(got, expect)
+
+
+def test_every_block_of_a_call_is_a_view_of_one_buffer():
+    with mock.patch.object(oracle, "_CHUNK", 64):
+        oracle._plan.cache_clear()
+        for g, pools in workspace_calls():
+            held = [vals for vals, _, _ in _blocks(g, pools)]
+            assert len(held) > 1
+            assert all(np.shares_memory(vals, held[0]) for vals in held)
+
+
+def test_decisions_that_stop_at_their_first_block_hand_back_their_workspace(monkeypatch):
+    # the star's center alone cuts every edge; it is the first set listed,
+    # in the first of three blocks of 4
+    g = WeightedGraph(12, [(0, v, 1.0) for v in range(1, 12)])
+    inst = ConstrainedInstance(g, [range(12)], [1])
+    monkeypatch.setattr(oracle, "_CHUNK", 4)
+    monkeypatch.setattr(oracle, "_SPARES", [])
+    oracle._plan.cache_clear()
+    pools = _pools(inst.parts, inst.budgets, frozenset(), cap=10**7)
+    least = g.total_weight - 1e-9
+    blocks = _blocks(g, pools, lambda: least)
+    assert next(blocks)[0].max() >= least
+    assert next(blocks, None) is not None
+    blocks.close()
+    assert len(oracle._SPARES) == 1
+    workspace = oracle._SPARES[0]
+    for _ in range(100):
+        assert oracle_all_cut_decision(inst) is True
+    assert len(oracle._SPARES) == 1 and oracle._SPARES[0] is workspace
+
+
+def test_threads_scoring_blocks_at_once_get_the_sequential_answers():
+    # full blocks, which numpy and BLAS score with the interpreter lock
+    # released, so that a workspace two calls shared would be overwritten
+    programs = [gen_random(20, 0.4, "uniform", c, "half", seed=60 + c) for c in (1, 2, 3)]
+    for seed, drop in ((0, False), (1, True)):
+        programs.append(gadget_from_3dm(gen_3dm(3, 3, seed, drop_planted=drop)[0]))
+
+    def answers(inst):
+        best = oracle_constrained(inst)
+        return best.opt_value.hex(), best.best_set, best.optimal_count, oracle_all_cut_decision(inst)
+
+    expected = [answers(inst) for inst in programs]
+    assert {a[3] for a in expected} == {False, True}
+    results = {}
+
+    def worker(t):
+        order = [(t + i) % len(programs) for i in range(3 * len(programs))]
+        results[t] = [(i, answers(programs[i])) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for got in results.values():
+        for i, answer in got:
+            assert answer == expected[i]
 
 
 @st.composite
