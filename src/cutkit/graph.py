@@ -196,6 +196,28 @@ def contract_groups(g: WeightedGraph, keep, groups):
     return reduced, super_ids, old_to_new
 
 
+def check_partition(n: int, parts, budgets) -> tuple:
+    """The partition rule of a constrained instance and a partition matroid:
+    (parts, budgets) as frozensets and ints.  InputError unless there is one
+    budget per part, the parts (one at least) partition [0, n), and none is < 0."""
+    parts = tuple(as_vertex_set(p, n) for p in parts)
+    budgets = tuple(as_index(k, "budget") for k in budgets)
+    if len(parts) != len(budgets):
+        raise InputError("need one budget per part")
+    if not parts:
+        raise InputError("need at least one part")
+    covered = set()
+    for p in parts:
+        if covered & p:
+            raise InputError("parts must be disjoint")
+        covered |= p
+    if covered != set(range(n)):
+        raise InputError("parts must cover every vertex")
+    if any(k < 0 for k in budgets):
+        raise InputError("budgets must be nonnegative")
+    return parts, budgets
+
+
 @dataclass(frozen=True)
 class ConstrainedInstance:
     """A weighted graph plus a vertex partition with per-part budgets.
@@ -212,22 +234,7 @@ class ConstrainedInstance:
     budgets: tuple  # tuple of ints
 
     def __init__(self, graph, parts, budgets):
-        parts = tuple(as_vertex_set(p, graph.n) for p in parts)
-        budgets = tuple(as_index(k, "budget") for k in budgets)
-        if len(parts) != len(budgets):
-            raise InputError("need one budget per part")
-        if not parts:
-            raise InputError("need at least one part")
-        covered = set()
-        for p in parts:
-            if covered & p:
-                raise InputError("parts must be disjoint")
-            covered |= p
-        if covered != set(range(graph.n)):
-            raise InputError("parts must cover every vertex")
-        for k, p in zip(budgets, parts):
-            if k < 0:
-                raise InputError("budgets must be nonnegative")
+        parts, budgets = check_partition(graph.n, parts, budgets)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "budgets", budgets)

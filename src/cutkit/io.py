@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .forge import ThreeDMInstance
 from .graph import ConstrainedInstance, WeightedGraph
 from .matroid import ExplicitMatroid, GraphicMatroid, PartitionMatroid, UniformMatroid
@@ -224,6 +224,9 @@ def _fields(inst: ConstrainedInstance, matroid):
     elif isinstance(matroid, UniformMatroid):
         mirror = {"kind": "uniform", "k": matroid.k}
     elif isinstance(matroid, PartitionMatroid):
+        # the format reads `matroid partition` back as the instance's own parts
+        if set(zip(matroid.parts, matroid.budgets)) != set(zip(inst.parts, inst.budgets)):
+            raise InputError("a partition matroid is written only with its own parts and budgets")
         mirror = {"kind": "partition"}
     elif isinstance(matroid, GraphicMatroid):
         mirror = {

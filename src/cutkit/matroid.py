@@ -21,8 +21,8 @@ from functools import cache
 import numpy as np
 
 from ._highs import HIGHS, load
-from .errors import InfeasibleError, InputError, StallError
-from .graph import CutSolution, WeightedGraph, as_index, as_vertex_set, cut_value
+from .errors import CapacityError, InfeasibleError, InputError, StallError
+from .graph import CutSolution, WeightedGraph, as_index, as_vertex_set, check_partition, cut_value
 
 _FEAS_TOL = 1e-7
 _PRICE_TOL = 1e-9  # least reduced-cost gain for a base to enter the master LP
@@ -65,58 +65,39 @@ class MatroidOracle:
         return self.max_weight_base(np.zeros(self.n))
 
 
-class UniformMatroid(MatroidOracle):
-    kind = "uniform"
-
-    def __init__(self, n: int, k: int):
-        super().__init__(n)
-        self.k = as_index(k, "uniform rank")
-        if not 0 <= self.k <= self.n:
-            raise InfeasibleError(f"uniform rank {k} out of range for n={n}")
-
-    def is_independent(self, s) -> bool:
-        return len(frozenset(s)) <= self.k
-
-    def rank(self) -> int:
-        return self.k
-
-    def _rank_table(self, masks) -> np.ndarray:
-        return np.minimum(np.bitwise_count(masks.view(np.uint64)), self.k)
-
-
 class PartitionMatroid(MatroidOracle):
+    """Independent: at most k_i elements of each part V_i of a partition of [0, n)."""
+
     kind = "partition"
 
     def __init__(self, n: int, parts, budgets):
         super().__init__(n)
-        self.parts = tuple(as_vertex_set(p, self.n) for p in parts)
-        self.budgets = tuple(as_index(k, "budget") for k in budgets)
-        covered = set()
-        for p in self.parts:
-            if covered & p:
-                raise InputError("partition matroid parts must be disjoint")
-            covered |= p
-        if covered != set(range(n)):
-            raise InputError("partition matroid parts must cover the ground set")
+        self.parts, self.budgets = check_partition(self.n, parts, budgets)
         for p, k in zip(self.parts, self.budgets):
-            if k < 0:
-                raise InputError("budgets must be nonnegative")
             if k > len(p):
                 raise InfeasibleError(f"budget {k} exceeds part size {len(p)}")
 
     def is_independent(self, s) -> bool:
         s = frozenset(s)
-        return all(len(s & p) <= k for p, k in zip(self.parts, self.budgets))
+        held = [len(s & p) for p in self.parts]
+        # an element outside [0, n) lies in no part
+        return sum(held) == len(s) and all(h <= k for h, k in zip(held, self.budgets))
 
     def rank(self) -> int:
         return sum(self.budgets)
 
-    def _rank_table(self, masks) -> np.ndarray:
-        masks = masks.view(np.uint64)
-        rank = np.zeros(len(masks), dtype=np.int64)
-        for p, k in zip(self.parts, self.budgets):
-            rank += np.minimum(np.bitwise_count(masks & np.uint64(sum(1 << v for v in p))), k)
-        return rank
+
+class UniformMatroid(PartitionMatroid):
+    """The one-part partition matroid: the sets of at most k elements."""
+
+    kind = "uniform"
+
+    def __init__(self, n: int, k: int):
+        n, k = as_index(n, "ground set size"), as_index(k, "uniform rank")
+        if not 0 <= k <= n:
+            raise InfeasibleError(f"uniform rank {k} out of range for n={n}")
+        super().__init__(n, [range(n)], [k])
+        self.k = k
 
 
 class GraphicMatroid(MatroidOracle):
@@ -188,6 +169,8 @@ class ExplicitMatroid(MatroidOracle):
 
     def __init__(self, n: int, independent_sets):
         super().__init__(n)
+        if self.n > 63:  # each listed set is packed into an int64
+            raise CapacityError(f"{self.n} elements exceed the explicit matroid's 63-bit masks")
         sets = [as_vertex_set(s, self.n) for s in independent_sets]
         if not sets:
             raise InfeasibleError("explicit matroid needs at least one set")

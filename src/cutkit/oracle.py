@@ -31,11 +31,13 @@ The split point and the side sets read only the pools, the edge count and
 _CHUNK, so `_plan` builds them once per such key and keeps them in a
 bounded LRU.
 
-The matroid oracle enumerates the rank-sized sets the same way, through the
-same search, and keeps the bases: a set whose rank-table rank is below its
-size scores -inf, and a block with no base is skipped.  A non-base only
-lowers a block, so the floor holds; nothing is halved, as the complement
-of a base is in general not a base.  Ties on the optimum go to the
+The matroid oracle lists a partition (or uniform) matroid's bases as the
+feasible sets of its parts and budgets, halved as above.  Of a graphic or
+explicit matroid it lists the rank-sized sets through the same search and
+keeps the bases: a set whose rank-table rank is below its size scores
+-inf, and a block with no base is skipped.  A non-base only lowers a
+block, so the floor holds; nothing is halved, as the complement of such a
+base is in general not a base.  Ties on the optimum go to the
 lexicographically smallest list.
 """
 
@@ -459,10 +461,14 @@ def oracle_constrained(
 
 
 def oracle_matroid(g: WeightedGraph, m, config: Config | None = None) -> OracleResult:
-    """Exact maximum cut over the bases of matroid m."""
+    """Exact maximum cut over the bases of matroid m.  A partition (or
+    uniform) matroid's bases are listed as its parts' feasible sets."""
     config = config or Config()
     if g.n != m.n:
         raise InputError("graph and matroid ground sets differ")
+    from .matroid import PartitionMatroid  # here, as the other oracles never load it
+    if isinstance(m, PartitionMatroid):
+        return _constrained(ConstrainedInstance(g, m.parts, m.budgets), frozenset(), config)
     _check_mask_width(g.n)
     rank = m.rank()
     pools = _pools([frozenset(range(g.n))], [rank], frozenset(), config.oracle_combo_cap)
@@ -471,7 +477,7 @@ def oracle_matroid(g: WeightedGraph, m, config: Config | None = None) -> OracleR
         unions = (rows[:, None] | cols).ravel().view(np.int64)
         return (m._rank_table(unions) == rank).reshape(rows.size, cols.size)
 
-    # never pinned: the complement of a base is in general not a base
+    # never pinned: a graphic or explicit base's complement is in general no base
     return _best(g, pools, keep=is_base)
 
 

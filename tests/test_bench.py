@@ -197,6 +197,33 @@ def test_bench_skips_a_json_file_with_a_malformed_matroid(tmp_path, capsys):
     assert main(["solve", str(corpus / "no_rank.json"), "--method", "greedy"]) == 1
 
 
+def test_an_explicit_matroid_over_63_elements_skips_its_rows_and_fails_solve(tmp_path, capsys):
+    # each listed set is packed into an int64 mask
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(CORPUS / "c1_n6.txt", corpus)
+    wide = {
+        "schema": "cutkit/1", "n": 70, "edges": [[0, 65, 1.0], [1, 2, 1.0]],
+        "parts": [{"k": 1, "vertices": list(range(70))}],
+        "matroid": {"kind": "explicit", "sets": [[0, 65], [1, 2]]},
+    }
+    (corpus / "wide.json").write_text(json.dumps(wide))
+    out = tmp_path / "report"
+    argv = ["bench", str(corpus), "--methods", "pipage,greedy,oracle", "--seeds", "1,2",
+            "--out", str(out)]
+    assert main(argv) == 0
+    rows = json.loads(out.with_suffix(".json").read_text())["rows"]
+    assert len(rows) == 12
+    for r in rows:
+        if r["instance"] == "wide.json":
+            assert r["skipped"].startswith("CapacityError: ")
+        else:
+            assert r["skipped"] is None and r["feasible"] is True
+    capsys.readouterr()
+    assert main(["solve", str(corpus / "wide.json"), "--method", "greedy"]) == 3
+    assert capsys.readouterr().err.startswith("error: 70 elements exceed")
+
+
 def golden_rows(instance=None, seeds=(1, 2, 3)):
     """The golden CSV rows of `instance` (every instance when None) and `seeds`,
     split into columns."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutkit.errors import ParseError
+from cutkit.errors import InputError, ParseError
 from cutkit.forge import gen_random
 from cutkit.graph import ConstrainedInstance, WeightedGraph
 from cutkit.io import (
@@ -62,6 +62,21 @@ def test_text_roundtrip_explicit_matroid():
     m = roundtrip(inst, ExplicitMatroid(4, [[0, 2], [0, 3], [1, 2], [1, 3]]))
     assert m.kind == "explicit"
     assert m.is_independent({0, 2}) and not m.is_independent({0, 1})
+
+
+@pytest.mark.parametrize("fmt", [format_instance_text, format_instance_json])
+def test_writers_refuse_a_partition_matroid_of_other_parts(fmt):
+    # `matroid partition` reads back as the instance's own parts and budgets
+    g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    inst = ConstrainedInstance(g, [[0, 1], [2, 3]], [1, 1])
+    for parts, budgets in (([[0, 2], [1, 3]], [2, 0]), ([[0, 1], [2, 3]], [0, 2]), ([range(4)], [2])):
+        with pytest.raises(InputError, match="own parts and budgets"):
+            fmt(inst, PartitionMatroid(4, parts, budgets))
+    # the instance's own parts, listed in another order, read back
+    _, m = parse_instance(fmt(inst, PartitionMatroid(4, [[2, 3], [0, 1]], [1, 1])))
+    assert m.kind == "partition" and (m.parts, m.budgets) == (inst.parts, inst.budgets)
+    _, m = parse_instance(fmt(inst, UniformMatroid(4, 2)))
+    assert m.kind == "uniform" and m.k == 2
 
 
 def test_json_roundtrip():

@@ -18,7 +18,7 @@ from cutkit.cli import main
 from cutkit.config import load_config
 from cutkit.errors import InfeasibleError, InputError, ParseError, StallError
 from cutkit.forge import gen_random
-from cutkit.graph import WeightedGraph, cut_value
+from cutkit.graph import ConstrainedInstance, WeightedGraph, cut_value
 from cutkit.io import format_instance_text, read_instance
 from cutkit import _highs, matroid
 from cutkit.matroid import (
@@ -103,6 +103,48 @@ def test_partition_matroid_infeasible_budget():
         PartitionMatroid(2, [{0}, {1}], [2, 0])
 
 
+# (n, parts, budgets, message); a row of one part holding [0, n) and one
+# budget is a uniform matroid's partition too
+MALFORMED_PARTITIONS = {
+    "budget-short": (4, [[0, 1], [2, 3]], [1], "one budget per part"),
+    "budget-over": (4, [range(4)], [1, 1], "one budget per part"),
+    "no-part": (0, [], [], "at least one part"),
+    "overlap": (4, [[0, 1], [1, 2, 3]], [1, 1], "disjoint"),
+    "gap": (4, [[0, 1], [3]], [1, 1], "cover every vertex"),
+    "outside": (4, [[0, 1], [2, 3, 4]], [1, 1], "out of range"),
+    "negative": (4, [[0, 1], [2, 3]], [1, -1], "nonnegative"),
+    "vertex": (4, [[0, 1.0], [2, 3]], [1, 1], "must be an integer"),
+    "fraction": (4, [range(4)], [1.5], "must be an integer"),
+    "bool": (4, [range(4)], [True], "must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PARTITIONS.values(), ids=MALFORMED_PARTITIONS.keys())
+def test_malformed_partitions_are_refused_alike(case):
+    n, parts, budgets, message = case
+    builds = [
+        lambda: ConstrainedInstance(WeightedGraph(n, []), parts, budgets),
+        lambda: PartitionMatroid(n, parts, budgets),
+    ]
+    if len(parts) == len(budgets) == 1 and set(parts[0]) == set(range(n)):
+        builds.append(lambda: UniformMatroid(n, budgets[0]))
+    for build in builds:
+        with pytest.raises(InputError, match=message):
+            build()
+
+
+@pytest.mark.parametrize(
+    "m",
+    [UniformMatroid(4, 2), PartitionMatroid(4, [[0, 1], [2, 3]], [1, 1])],
+    ids=["uniform", "partition"],
+)
+def test_a_set_holding_an_id_outside_the_ground_set_is_not_independent(m):
+    assert m.is_independent({0, 2})
+    for outside in (-1, 4, 70):
+        assert not m.is_independent({0, outside})
+        assert not m.is_independent({outside})
+
+
 def test_graphic_matroid_basics():
     m = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
     assert m.rank() == 2
@@ -129,11 +171,21 @@ def test_spot_check_flags_non_matroid():
 
 def _rank_rows(m):
     """Every rank row x(A) <= r(A) over the nonempty subsets A of [n]: the
-    indicator of A in the first n columns, r(A) in the last."""
+    indicator of A in the first n columns, r(A) in the last.  r(A) comes
+    from the matroid's rank table when it has one; else it is |A| when A
+    is independent and the largest r(A - v) when not."""
     masks = np.arange(1, 1 << m.n, dtype=np.int64)
     rows = np.empty((len(masks), m.n + 1))
     rows[:, : m.n] = (masks[:, None] >> np.arange(m.n)) & 1
-    rows[:, m.n] = m._rank_table(masks)
+    if type(m)._rank_table is not matroid.MatroidOracle._rank_table:
+        rows[:, m.n] = m._rank_table(masks)
+        return rows
+    rank = [0] * (1 << m.n)
+    for a in range(1, 1 << m.n):
+        subset = frozenset(v for v in range(m.n) if a >> v & 1)
+        drop = (rank[a & ~(1 << v)] for v in subset)
+        rank[a] = len(subset) if m.is_independent(subset) else max(drop)
+    rows[:, m.n] = rank[1:]
     return rows
 
 

@@ -375,7 +375,8 @@ def test_property_pool_smaller_than_k(data, n):
 @SEEDED
 @given(inst=partitioned())
 def test_property_cap_is_exact(inst):
-    # a cap one below the candidate count refuses; the count itself passes
+    # a cap one below the candidate count refuses; the count itself passes.
+    # A partition matroid's candidates are its bases, the feasible sets.
     g, parts, budgets = inst
     total = math.prod(math.comb(len(p), k) for p, k in zip(parts, budgets))
     ci = ConstrainedInstance(g, parts, budgets)
@@ -385,7 +386,7 @@ def test_property_cap_is_exact(inst):
         (lambda cfg: oracle_constrained(ci, config=cfg), total),
         (lambda cfg: oracle_all_cut_decision(ci, config=cfg), total),
         (lambda cfg: oracle_maxcut_k(g, k, config=cfg), math.comb(g.n, k)),
-        (lambda cfg: oracle_matroid(g, m, config=cfg), math.comb(g.n, k)),
+        (lambda cfg: oracle_matroid(g, m, config=cfg), total),
     ):
         with pytest.raises(CapacityError):
             call(Config(oracle_combo_cap=count - 1))
@@ -823,6 +824,21 @@ def test_property_half_budget_oracles_match_the_reference(data, inst, chunk):
     assert decision is reference_decision(g, parts, budgets)
 
 
+@SEEDED
+@given(data=st.data(), inst=st.one_of(partitioned(), half_budget_instances()))
+def test_property_partition_and_uniform_matroid_oracles_are_the_constrained_oracle(data, inst):
+    # the same feasible sets, halved alike when every budget is half its part
+    g, parts, budgets = inst
+    k = data.draw(st.one_of(st.just(g.n // 2), st.integers(0, g.n)))
+    for m, ci in (
+        (PartitionMatroid(g.n, parts, budgets), ConstrainedInstance(g, parts, budgets)),
+        (UniformMatroid(g.n, k), ConstrainedInstance(g, [range(g.n)], [k])),
+    ):
+        got, expect = oracle_matroid(g, m), oracle_constrained(ci)
+        assert got.opt_value.hex() == expect.opt_value.hex()
+        assert (got.best_set, got.optimal_count) == (expect.best_set, expect.optimal_count)
+
+
 # ---------------------------------------------------------------------------
 # the enumeration plan: the split and the side sets of a call's pools, kept
 # per pools, edge count and block size
@@ -920,10 +936,13 @@ def test_no_matching_decision_scores_under_a_tenth_of_its_feasible_sets(monkeypa
 
 
 def test_matroid_oracle_never_holds_its_candidates_whole(monkeypatch):
-    # C(20, 10) = 184 756 rank-sized sets, listed as side sets of at most
-    # a sixteenth of that
+    # C(20, 10) = 184 756 rank-sized sets of a graphic matroid of rank 10
+    # (a cycle through 11 auxiliary vertices, then chords), listed as side
+    # sets of at most a sixteenth of that
     g = random_graph(20, 0.3, np.random.default_rng(20))
-    expect = oracle_maxcut_k(g, 10)
+    m = GraphicMatroid(11, [(i % 11, (i + 1 + i // 11) % 11) for i in range(20)])
+    candidates = reference_subset_masks(list(range(20)), 10)
+    expect = reference_best(g, candidates[m._rank_table(candidates.view(np.int64)) == 10])
     listed = []
     subset_masks = oracle._subset_masks
 
@@ -932,7 +951,8 @@ def test_matroid_oracle_never_holds_its_candidates_whole(monkeypatch):
         return listed[-1]
 
     monkeypatch.setattr(oracle, "_subset_masks", spying)
-    assert oracle_matroid(g, UniformMatroid(20, 10)) == expect
+    assert m.rank() == 10
+    assert as_triple(oracle_matroid(g, m)) == expect
     assert 0 < max(masks.size for masks in listed) <= math.comb(20, 10) // 16
 
 

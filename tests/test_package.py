@@ -49,7 +49,7 @@ def fresh_python(probe):
     [
         ("import cutkit", [], list(WATCHED)),
         ("from cutkit import oracle_constrained", ["cutkit.oracle"],
-         ["cutkit.moments", _highs.FLAPACK]),
+         ["cutkit.moments", "cutkit.matroid", _highs.FLAPACK]),
         ("from cutkit import solve_multi", ["cutkit.rounding", "cutkit.moments", _highs.FLAPACK],
          ["cutkit.matroid", _highs.HIGHS]),
     ],
