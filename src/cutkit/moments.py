@@ -690,12 +690,8 @@ def _lift(y_free, n: int, level: int, free) -> np.ndarray:
     """Moment vector over all n vertices from one over the selectable ones.
 
     For T among the selectable vertices and S a set of supers,
-    y[T | S] = (-1)^|S| y_free[T], since each super is pinned to -1.  The
-    empty moment is set to exactly 1, its normalization, so that every
-    super reads bias exactly -1.
+    y[T | S] = (-1)^|S| y_free[T], since each super is pinned to -1.
     """
-    y_free = y_free.copy()
-    y_free[0] = 1.0
     masks = subset_basis(n, 2 * level).masks
     sub = np.zeros_like(masks)
     parity = np.zeros_like(masks)
@@ -903,17 +899,19 @@ def _canonical(program: SdpProgram):
 class _Geometry(NamedTuple):
     """A program's constraint data: the chart y = q + K u of its affine set
     and the LMI Lq + mat(Lu u) = V' M(q + K u) V on its face.  A[j] is
-    mat(Lu e_j), and Lu is a view of A.  Every array is read-only."""
+    mat(Lu e_j), and Lu is a view of A; root[T] is sqrt(m_T) for each free
+    row T (see `_free_rows`).  Every array is read-only."""
 
     q: np.ndarray
     K: np.ndarray
     Lq: np.ndarray
     Lu: np.ndarray
     A: np.ndarray
+    root: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return self.q.nbytes + self.K.nbytes + self.Lq.nbytes + self.A.nbytes
+        return self.q.nbytes + self.K.nbytes + self.Lq.nbytes + self.A.nbytes + self.root.nbytes
 
 
 @bounded_cache(lambda: (_GEOMETRY_CACHE_ENTRIES, _GEOMETRY_CACHE_BYTES))
@@ -934,9 +932,10 @@ def _geometry(program: SdpProgram) -> _Geometry:
     Lq = V.T @ (q[ms.class_idx] * scale) @ V
     A = _face_operator(K, V, ms.class_idx, scale)
     k, r, _ = A.shape
-    for a in (q, K, Lq, A):
+    root = np.sqrt(mult)
+    for a in (q, K, Lq, A, root):
         a.flags.writeable = False
-    return _Geometry(q, K, Lq, A.reshape(k, r * r).T, A)
+    return _Geometry(q, K, Lq, A.reshape(k, r * r).T, A, root)
 
 
 def solve(program: SdpProgram) -> MomentVector:
@@ -952,7 +951,10 @@ def solve(program: SdpProgram) -> MomentVector:
     Lq + mat(Lu u) = V' M(q + K u) V, which `_interior_point` solves to
     relative gap and residuals within SDP_TOL.  Raises ConvergenceError
     after SDP_MAX_ITER Newton steps, or when the lifted moment matrix is
-    not PSD within PSD_TOL.
+    not PSD within PSD_TOL.  That gate reads the free block M = M(y) and
+    no N x N lifted matrix: with the supers pinned to -1 the lifted matrix
+    is E M E', where E'E = D^2 = diag(m_T), so its spectrum is that of
+    D M D, plus zeros when there are supers (see `_lifted_min_eigenvalue`).
 
     q, K, Lq and Lu are the program's geometry.  They read the level, the
     number of supers, and each part's kept size and budget, but not the
@@ -972,7 +974,7 @@ def solve(program: SdpProgram) -> MomentVector:
     """
     with ONE_BLAS_THREAD:
         canonical, free = _canonical(program)
-        q, K, Lq, Lu, _ = _geometry(canonical)
+        q, K, Lq, Lu, _, root = _geometry(canonical)
         basis = subset_basis(len(free), 2 * program.level)
         cvec, _ = _objective_vector(program, basis, {v: j for j, v in enumerate(free)})
         try:
@@ -985,10 +987,8 @@ def solve(program: SdpProgram) -> MomentVector:
             raise ConvergenceError(f"the relaxation overflowed: {exc}") from exc
 
         y = q + K @ u
-        mv = MomentVector(
-            program.n, program.level, _lift(y, program.n, program.level, free)
-        )
-        min_eig = mv.min_eigenvalue()
+        y[0] = 1.0  # the normalization, exactly, so every super reads bias -1
+        min_eig = _lifted_min_eigenvalue(y, len(free), program.level, root, bool(program.forbidden))
         if min_eig < -PSD_TOL:
             raise ConvergenceError(
                 f"moment matrix not PSD within tolerance (min eigenvalue {min_eig:.2e})",
@@ -996,7 +996,23 @@ def solve(program: SdpProgram) -> MomentVector:
                 dual=dual,
                 iterations=steps,
             )
-        return mv
+        return MomentVector(program.n, program.level, _lift(y, program.n, program.level, free))
+
+
+def _lifted_min_eigenvalue(y_free, n_free: int, level: int, root, supers: bool) -> float:
+    """The smallest eigenvalue of the lifted moment matrix, read from the
+    free block M of `y_free` over n_free vertices, with root = sqrt(m_T)
+    as in `_Geometry`.
+
+    Each super is pinned to -1, so row T | S of the lifted matrix is
+    (-1)^|S| times row T of M, and the lifted matrix is E M E' where row
+    T | S of E is (-1)^|S| e_T.  Then E'E = D^2 with D = diag(root), and
+    E M E' has the nonzero spectrum of D M D, plus zeros when E has more
+    rows than columns, that is when there are supers.
+    """
+    ms = moment_structure(n_free, level)
+    w = _min_eigenvalue(y_free[ms.class_idx] * np.outer(root, root))
+    return float(min(w, 0.0) if supers else w)
 
 
 def _interior_point(Lq, Lu, kc, tol, max_steps):

@@ -138,25 +138,37 @@ class BiasProfile:
         return f
 
 
+def _draws(bias: BiasProfile, seeds) -> np.ndarray:
+    """One rounding draw per seed, as the columns of an n x len(seeds) bool
+    array: column t thresholds factor @ g_t, where g_t is the standard
+    normal vector of default_rng(seeds[t]), and all columns come from one
+    matrix product."""
+    f = bias.factor
+    g = np.empty((len(seeds), f.shape[1]))
+    for t, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=g[t])
+    with np.errstate(invalid="ignore"):
+        return (f @ g.T) <= bias.thresholds[:, None]
+
+
 def round_biased(bias: BiasProfile, rng_seed) -> frozenset:
     """One randomized rounding draw; P(i selected) = (1 + b_i)/2 exactly."""
-    rng = np.random.default_rng(rng_seed)
-    g = rng.standard_normal(bias.factor.shape[1])
-    with np.errstate(invalid="ignore"):
-        chosen = (bias.factor @ g) <= bias.thresholds
-    return frozenset(int(v) for v in np.nonzero(chosen)[0])
+    (chosen,) = _draws(bias, [rng_seed]).T
+    return frozenset(int(v) for v in np.flatnonzero(chosen))
+
+
+def _balanced(sizes, part_sizes, budgets, eps: float) -> np.ndarray:
+    """The balance window, elementwise: |size - k| <= eps^2 * |part|."""
+    return np.abs(sizes - budgets) <= eps * eps * part_sizes + 1e-12
 
 
 def check_balance(s_hat, parts, budgets, eps: float) -> BalanceReport:
     """Whether each |s_hat intersect part| sits within eps^2 * |part| of its budget."""
     s_hat = frozenset(s_hat)
-    sizes = []
-    flags = []
-    for part, k in zip(parts, budgets):
-        size = len(s_hat & frozenset(part))
-        sizes.append(size)
-        flags.append(abs(size - k) <= eps * eps * len(part) + 1e-12)
-    return BalanceReport(tuple(sizes), tuple(flags), all(flags))
+    rows = [(len(s_hat & frozenset(part)), len(part), k) for part, k in zip(parts, budgets)]
+    sizes, lens, ks = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+    flags = tuple(bool(f) for f in _balanced(sizes, lens, ks, eps))
+    return BalanceReport(tuple(row[0] for row in rows), flags, all(flags))
 
 
 def random_correct(
@@ -308,6 +320,14 @@ def relax_multi(
     return Relaxation(kernel, program, solve(program), inst.graph)
 
 
+def _trial_seed(seedseq: np.random.SeedSequence, t: int, i: int) -> np.random.SeedSequence:
+    """Child i of trial t, the SeedSequence seedseq.spawn(trials)[t].spawn(n)[i]
+    for any trials > t and n > i, built without spawning its siblings."""
+    return np.random.SeedSequence(
+        seedseq.entropy, spawn_key=(*seedseq.spawn_key, t, i), pool_size=seedseq.pool_size
+    )
+
+
 def _check_trials(trials: int):
     if trials < 1:
         raise InputError("need at least one rounding trial")
@@ -340,38 +360,48 @@ def round_relaxation(relaxation: Relaxation, config: Config | None = None) -> Cu
     bias = BiasProfile.from_moment_vector(mv)
     reduced = kernel.reduced
     seedseq = np.random.SeedSequence((config.seed, 1))
-    trial_seeds = seedseq.spawn(config.trials)
+    # every trial's draw in one product: column t is trial t's raw rounding
+    chosen = _draws(bias, [_trial_seed(seedseq, t, 0) for t in range(config.trials)])
+    eu, ev, ew = reduced._edge_arrays
+    crossing = (chosen[eu] ^ chosen[ev]).T
+    raw = np.array([ew[row].sum() for row in crossing])  # cut_value's reduction
+    # sizes in each part, then in each part's selectable vertices
+    indicator = np.zeros((2 * c, reduced.n), dtype=np.int64)
+    for j, part in enumerate((*kernel.parts, *kept_parts)):
+        indicator[j, list(part)] = 1
+    sizes = indicator @ chosen
+    budgets = np.array(kernel.budgets)
+    part_sizes = np.array([len(part) for part in kernel.parts])
+    balanced = _balanced(sizes[:c], part_sizes[:, None], budgets[:, None], relaxation.eps)
 
-    best = None  # (value, trial_index, reduced-id set)
-    fallback_hat = None  # (reduced cut value, trial, s_hat) best raw rounding
-    for t in range(config.trials):
-        child = trial_seeds[t].spawn(1 + c)
-        s_hat = round_biased(bias, child[0])
-        hat_val = cut_value(reduced, s_hat)
-        if fallback_hat is None or hat_val > fallback_hat[0]:
-            fallback_hat = (hat_val, t, s_hat)
-        report = check_balance(s_hat, kernel.parts, kernel.budgets, relaxation.eps)
-        if not report.joint:
-            continue
-        s = s_hat
-        for j, (part, k) in enumerate(zip(kept_parts, kernel.budgets)):
-            s = random_correct(reduced, s, part, k, kernel.forbidden, child[1 + j])
-        val = cut_value(reduced, s)
+    def drawn(t) -> frozenset:
+        return frozenset(int(v) for v in np.flatnonzero(chosen[:, t]))
+
+    best = None  # (value, reduced-id set), the first best balanced trial
+    for t in np.flatnonzero(balanced.all(axis=0)).tolist():
+        s, val = drawn(t), float(raw[t])
+        # a part at its budget is left alone: its correction would draw nothing
+        misses = np.flatnonzero(sizes[c:, t] != budgets).tolist()
+        for j in misses:
+            seed = _trial_seed(seedseq, t, 1 + j)
+            s = random_correct(reduced, s, kept_parts[j], kernel.budgets[j], kernel.forbidden, seed)
+        if misses:
+            val = cut_value(reduced, s)
         if best is None or val > best[0]:
-            best = (val, t, s)
+            best = (val, s)
 
     if best is not None:
         trace.extend(["rounding", "correction"])
-        reduced_set = best[2]
+        reduced_set = best[1]
     else:
-        # Balance never held: greedily complete the best raw rounding.
+        # Balance never held: greedily complete the first best raw rounding.
         trace.extend(["rounding", "correction:fallback"])
         reduced_set = greedy_feasible(
             reduced,
             kept_parts,
             kernel.budgets,
             kernel.forbidden,
-            start=fallback_hat[2],
+            start=drawn(int(np.argmax(raw))),
         )
 
     for part, k in zip(kept_parts, kernel.budgets):

@@ -30,10 +30,10 @@ from .oracle import oracle_all_cut_decision, oracle_constrained
 from .rounding import (
     INDEPENDENCE_BUDGET,
     BiasProfile,
+    _draws,
     random_correct,
     realized_correction_prob,
     relax_multi,
-    round_biased,
     sampled_union_bound_check,
     solve_multi,
 )
@@ -459,14 +459,8 @@ def suite_bias_preservation(config: Config | None = None):
     for s, inst in _sdp_corpus(count, seed0):
         mv = relax_multi(inst, 0.5, auto_level).moments
         bias = BiasProfile.from_moment_vector(mv)
-        n = bias.n
-        counts = np.zeros(n)
         seeds = np.random.SeedSequence((seed0, s)).spawn(trials)
-        for t in range(trials):
-            picked = round_biased(bias, seeds[t])
-            for v in picked:
-                counts[v] += 1
-        freq = counts / trials
+        freq = _draws(bias, seeds).sum(axis=1) / trials
         p = np.clip((1.0 + bias.b) / 2.0, 0.0, 1.0)
         sigma = np.sqrt(p * (1.0 - p) / trials)
         dev = np.abs(freq - p)

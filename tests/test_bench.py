@@ -63,7 +63,8 @@ def pipeline_calls(monkeypatch):
         monkeypatch.setattr(rounding, name, wrapper)
 
     spy("build_program", lambda a, kw: seen["levels"].append(a[1]))
-    spy("round_biased", lambda a, kw: seen.__setitem__("trials", seen["trials"] + 1))
+    # every trial is one column of the rounding's one draw
+    spy("_draws", lambda a, kw: seen.__setitem__("trials", seen["trials"] + len(a[1])))
     return seen
 
 

@@ -136,11 +136,11 @@ def test_k4_relaxation_dominates():
 def test_psd_gate_failure_reports_its_iterations(monkeypatch):
     calls = []
 
-    def min_eigenvalue(self):
-        calls.append(self)
+    def min_eigenvalue(*args):
+        calls.append(args)
         return -1.0
 
-    monkeypatch.setattr(MomentVector, "min_eigenvalue", min_eigenvalue)
+    monkeypatch.setattr(moments, "_lifted_min_eigenvalue", min_eigenvalue)
     with pytest.raises(ConvergenceError, match="min eigenvalue -1.00e\\+00") as info:
         solve(build_program(kernelize_single(k3(), 1, 0.5), 2))
     assert info.value.iterations >= 1
@@ -1258,6 +1258,47 @@ def test_chart_and_face_basis_match_scipy_bit_for_bit(name):
     assert np.abs(V @ V.T - want @ want.T).max() <= 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(chart_programs()))
+def test_the_free_block_gate_is_the_lifted_matrix_smallest_eigenvalue(name, monkeypatch):
+    prog = chart_programs()[name]
+    canonical, free = moments._canonical(prog)
+    geometry = moments._geometry(canonical)
+    gate, calls = moments._lifted_min_eigenvalue, []
+
+    def recording(*args):
+        calls.append((args, gate(*args)))
+        return calls[-1][1]
+
+    def assert_gate_is_lifted(args, got):
+        y = moments._lift(args[0], prog.n, prog.level, free)
+        M = MomentVector(prog.n, prog.level, y).moment_matrix()
+        assert abs(got - moments._min_eigenvalue(M)) <= 1e-12 * M.diagonal().max()
+
+    # the solver's answer, which passes the gate
+    monkeypatch.setattr(moments, "_lifted_min_eigenvalue", recording)
+    solve(prog)
+    ((args, got),) = calls
+    _, n_free, level, root, supers = args
+    assert (n_free, level, supers) == (len(free), prog.level, bool(prog.forbidden))
+    assert root is geometry.root  # kept with the cached geometry
+    assert got >= -PSD_TOL
+    assert_gate_is_lifted(args, got)
+    # the identity holds for any free vector: the uniform distribution,
+    # whose free block is the identity, and vectors off the PSD cone
+    uniform = np.zeros(geometry.q.size)
+    uniform[0] = 1.0
+    got = gate(uniform, *args[1:])
+    assert got == (0.0 if supers else 1.0)
+    assert_gate_is_lifted((uniform,) + args[1:], got)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        y = rng.standard_normal(geometry.q.size)
+        y[0] = 1.0
+        got = gate(y, *args[1:])
+        assert got < -PSD_TOL
+        assert_gate_is_lifted((y,) + args[1:], got)
+
+
 def transposed_column_operator(prog):
     """The LMI operator built as an r^2 x k array whose column j is
     vec(V' M(K e_j) V), then transposed and made contiguous."""
@@ -1438,8 +1479,9 @@ def test_concurrent_loads_map_each_module_once_with_the_timeout_set(monkeypatch)
 
     key = "OPENBLAS_THREAD_TIMEOUT"
     monkeypatch.delenv(key, raising=False)
-    monkeypatch.delitem(sys.modules, _highs.FLAPACK)
-    monkeypatch.delitem(sys.modules, _highs.HIGHS)
+    # either may be unloaded yet: HiGHS maps on the first master LP
+    monkeypatch.delitem(sys.modules, _highs.FLAPACK, raising=False)
+    monkeypatch.delitem(sys.modules, _highs.HIGHS, raising=False)
     before = dict(os.environ)
     seen = []
     real = importlib.util.module_from_spec

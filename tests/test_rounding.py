@@ -1,8 +1,10 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cutkit import rounding
@@ -461,3 +463,154 @@ def test_pipeline_three_parts():
     assert inst.is_feasible_set(sol.set)
     opt = oracle_constrained(inst)
     assert sol.value >= 0.5 * opt.opt_value - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the batched rounding against one trial at a time
+
+
+def reference_round(relaxation, config):
+    """round_relaxation as one loop over the trials: each trial spawns its
+    children, draws its own normal vector, checks its balance and corrects
+    every part."""
+    from cutkit.moments import make_block_independent
+    from cutkit.errors import SearchFailureError
+
+    kernel, mv = relaxation.kernel, relaxation.moments
+    trace = ["kernel", "sdp"]
+    kept_parts = tuple(p - kernel.forbidden for p in kernel.parts)
+    budget = min(rounding.INDEPENDENCE_BUDGET, mv.level - 2)
+    try:
+        mv = make_block_independent(
+            mv, kept_parts, relaxation.eps**6, budget, config.seed,
+            edges=relaxation.program.edges,
+        )
+        trace.append("independence")
+    except SearchFailureError as exc:
+        mv = exc.best if exc.best is not None else mv
+        trace.append("independence:best-effort")
+    bias = BiasProfile.from_moment_vector(mv)
+    reduced = kernel.reduced
+    trial_seeds = np.random.SeedSequence((config.seed, 1)).spawn(config.trials)
+    best = fallback = None
+    for t in range(config.trials):
+        child = trial_seeds[t].spawn(1 + len(kept_parts))
+        g = np.random.default_rng(child[0]).standard_normal(bias.factor.shape[1])
+        s_hat = frozenset(int(v) for v in np.flatnonzero(bias.factor @ g <= bias.thresholds))
+        hat_val = cut_value(reduced, s_hat)
+        if fallback is None or hat_val > fallback[0]:
+            fallback = (hat_val, s_hat)
+        if not check_balance(s_hat, kernel.parts, kernel.budgets, relaxation.eps).joint:
+            continue
+        s = s_hat
+        for j, (part, k) in enumerate(zip(kept_parts, kernel.budgets)):
+            s = random_correct(reduced, s, part, k, kernel.forbidden, child[1 + j])
+        val = cut_value(reduced, s)
+        if best is None or val > best[0]:
+            best = (val, s)
+    if best is not None:
+        trace.extend(["rounding", "correction"])
+        reduced_set = best[1]
+    else:
+        trace.extend(["rounding", "correction:fallback"])
+        reduced_set = greedy_feasible(
+            reduced, kept_parts, kernel.budgets, kernel.forbidden, start=fallback[1]
+        )
+    original = kernel.lift(reduced_set)
+    return original, cut_value(relaxation.graph, original), tuple(trace)
+
+
+@functools.lru_cache(maxsize=None)
+def relaxation_of(n, edge_prob, c, law, seed, eps, narrow=False):
+    """The relaxation of gen_random(n, edge_prob, "unit", c, law, seed) at
+    eps, or None when its kernel keeps more than 10 vertices (a slow solve)
+    or it cannot be solved; `narrow` reads it at eps 0.05, whose balance
+    window only an exact size meets, so many trials miss it."""
+    from cutkit.errors import CutkitError
+    from cutkit.kernel import kernelize_multi
+
+    inst = gen_random(n, edge_prob, "unit", c, law, seed=seed)
+    try:
+        if kernelize_multi(inst, eps).reduced.n > 10:
+            return None
+        rel = rounding.relax_multi(inst, eps)
+    except CutkitError:
+        return None
+    if narrow:
+        rel = dataclasses.replace(rel, kernel=dataclasses.replace(rel.kernel, epsilon=0.05))
+    return rel
+
+
+def assert_rounds_as_the_reference(rel, seed, trials):
+    config = Config(seed=seed, trials=trials)
+    sol = rounding.round_relaxation(rel, config)
+    want_set, want_value, want_trace = reference_round(rel, config)
+    assert sol.set == want_set
+    assert sol.value.hex() == want_value.hex()
+    assert sol.stage_trace == want_trace
+    return sol
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.integers(6, 30),
+    edge_prob=st.sampled_from([0.0, 0.2, 0.5]),
+    c=st.integers(1, 3),
+    law=st.sampled_from(["one", "uniform", "half"]),
+    instance=st.integers(0, 2),
+    eps=st.sampled_from([0.5, 0.25]),
+    narrow=st.booleans(),
+    seed=st.integers(0, 2**32),
+    trials=st.integers(1, 9),
+)
+# balance never holds here, so the fallback completes the raw rounding
+@example(n=7, edge_prob=0.0, c=1, law="half", instance=0, eps=0.5, narrow=True, seed=0, trials=1)
+# ... and here the best raw rounding is the last of three
+@example(n=9, edge_prob=0.2, c=1, law="half", instance=2, eps=0.5, narrow=True, seed=2, trials=3)
+# the second part of a balanced trial is corrected from its own child seed
+@example(n=7, edge_prob=0.0, c=2, law="half", instance=0, eps=0.5, narrow=False, seed=3, trials=3)
+def test_batched_rounding_equals_the_per_trial_loop(
+    n, edge_prob, c, law, instance, eps, narrow, seed, trials
+):
+    assume(n >= 2 * c)
+    rel = relaxation_of(n, edge_prob, c, law, 1000 + instance, eps, narrow)
+    assume(rel is not None)
+    assert_rounds_as_the_reference(rel, seed, trials)
+
+
+def test_batched_rounding_equals_the_per_trial_loop_on_the_fallback():
+    rel = relaxation_of(7, 0.0, 1, "half", 1000, 0.5, narrow=True)
+    traces = [assert_rounds_as_the_reference(rel, seed, 1).stage_trace for seed in range(10)]
+    assert {trace[-1] for trace in traces} == {"correction", "correction:fallback"}
+
+
+def test_a_trial_seed_is_the_spawned_child():
+    for entropy in [(7, 1), (0, 1), 2**70 + 3]:
+        seedseq = np.random.SeedSequence(entropy)
+        spawned = seedseq.spawn(5)
+        for t in range(5):
+            children = spawned[t].spawn(4)
+            for i in range(4):
+                got = rounding._trial_seed(seedseq, t, i).generate_state(4)
+                assert np.array_equal(got, children[i].generate_state(4))
+
+
+def test_round_relaxation_draws_once_and_corrects_only_the_missed_parts(monkeypatch):
+    rel = relaxation_of(8, 0.2, 2, "uniform", 1000, 0.5)
+    draws, corrected = [], []
+    draw, correct = rounding._draws, rounding.random_correct
+
+    def drawing(bias, seeds):
+        draws.append(len(seeds))
+        return draw(bias, seeds)
+
+    def correcting(g, s_hat, part, k, forbidden, rng_seed):
+        corrected.append(len(frozenset(s_hat) & frozenset(part)) != k)
+        return correct(g, s_hat, part, k, forbidden, rng_seed)
+
+    monkeypatch.setattr(rounding, "_draws", drawing)
+    monkeypatch.setattr(rounding, "random_correct", correcting)
+    for seed in range(10):
+        assert_rounds_as_the_reference(rel, seed, 8)
+    assert draws == [8] * 10
+    assert corrected and all(corrected)
