@@ -163,7 +163,7 @@ def cmd_inspect_sdp(args) -> int:
     inst, _ = read_instance(args.instance)
     relaxation = relax_multi(inst, args.eps, cfg)
     ker, program, mv = relaxation.kernel, relaxation.program, relaxation.moments
-    parts = [sorted(p - ker.forbidden) for p in ker.parts]
+    parts = [sorted(p) for p in ker.kept_parts]
     per_part, cross = block_independence_score(mv, parts)
     biases, correlations = pair_moments(mv)
     _emit(

@@ -6,26 +6,22 @@ policy (the relaxation's size caps, the interior-point tolerance and
 step cap, the conditioning restarts, the most parts the pipeline takes)
 lives as module constants in `moments` and `rounding`.
 
-Values come from (in increasing priority) built-in defaults, a key=value
-config file (path overridable through the CUTKIT_CONFIG environment
-variable), and explicit CLI flags.
+Values come from (in increasing priority) built-in defaults, the
+key=value config file that --config names, and explicit CLI flags.  No
+file is read unless one is named.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, read_text
 
 # Global comparison tolerance for weights and cut values.
 TOL = 1e-9
 
 # Eigenvalue tolerance below which a moment matrix counts as PSD.
 PSD_TOL = 1e-7
-
-DEFAULT_CONFIG_PATH = "cutkit.cfg"
-CONFIG_ENV_VAR = "CUTKIT_CONFIG"
 
 
 @dataclasses.dataclass
@@ -66,10 +62,5 @@ def parse_config_text(text: str) -> Config:
 
 
 def load_config(path: str | None = None) -> Config:
-    """Load the config file if present, else return defaults."""
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR, DEFAULT_CONFIG_PATH)
-        if not os.path.exists(path):
-            return Config()
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """The config file at `path`, or the defaults when no path is given."""
+    return Config() if path is None else parse_config_text(read_text(path))

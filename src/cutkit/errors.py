@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by the whole toolkit.
+"""Exception hierarchy shared by the whole toolkit, and the one reader of
+text files (instances, 3DM descriptions, config files).
 
 Exit-code mapping used by the CLI: parse errors -> 1, infeasibility -> 2,
 capacity -> 3, convergence -> 4.
@@ -26,6 +27,21 @@ class ParseError(CutkitError):
         super().__init__(loc + message)
         self.line = line
         self.column = column
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of `path`.  A missing file raises FileNotFoundError;
+    any other entry that cannot be read (a directory, a file that is not
+    UTF-8) is a ParseError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} {exc.reason}") from exc
 
 
 class InputError(CutkitError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, read_text
 from .forge import ThreeDMInstance
 from .graph import ConstrainedInstance, WeightedGraph
 from .matroid import ExplicitMatroid, GraphicMatroid, PartitionMatroid, UniformMatroid
@@ -255,23 +255,8 @@ def parse_instance(text: str):
     return parse_instance_text(text)
 
 
-def _read_text(path: str) -> str:
-    """The UTF-8 text of `path`.  A missing file raises FileNotFoundError;
-    any other entry that cannot be read (a directory, a file that is not
-    UTF-8) is a ParseError naming the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} {exc.reason}") from exc
-
-
 def read_instance(path: str):
-    return parse_instance(_read_text(path))
+    return parse_instance(read_text(path))
 
 
 def format_instance_text(inst: ConstrainedInstance, matroid=None) -> str:
@@ -317,4 +302,4 @@ def parse_3dm(text: str) -> ThreeDMInstance:
 
 
 def read_3dm(path: str) -> ThreeDMInstance:
-    return parse_3dm(_read_text(path))
+    return parse_3dm(read_text(path))

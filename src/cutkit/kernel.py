@@ -43,12 +43,16 @@ class KernelResult:
     def kept_original(self) -> frozenset:
         return frozenset(self.orig_to_reduced)
 
+    @property
+    def kept_parts(self) -> tuple:
+        """Kept vertices of each part, in reduced ids: the part without its
+        super vertex, the vertices every later stage may select."""
+        return tuple(part - self.forbidden for part in self.parts)
+
     def kept_parts_original(self) -> tuple:
         """Kept vertices of each part, in original ids."""
         back = self.reduced_to_orig
-        return tuple(
-            frozenset(back[v] for v in part - self.forbidden) for part in self.parts
-        )
+        return tuple(frozenset(back[v] for v in part) for part in self.kept_parts)
 
     def lift(self, reduced_set) -> frozenset:
         """Map a reduced-id set (avoiding supers) back to original ids."""

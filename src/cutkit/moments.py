@@ -563,14 +563,19 @@ def make_block_independent(
 
 @dataclass(frozen=True)
 class SdpProgram:
-    """Cut objective plus cardinality constraints; supers are pinned to -1."""
+    """Cut objective plus cardinality constraints on the kept parts; every
+    vertex outside them, a super, is pinned to -1."""
 
     n: int
     level: int
     edges: tuple
-    parts: tuple  # frozensets, including super vertices
+    parts: tuple  # frozensets of selectable vertices, without the supers
     budgets: tuple
-    forbidden: frozenset
+
+    @property
+    def forbidden(self) -> frozenset:
+        """The supers: every vertex outside the kept parts."""
+        return frozenset(range(self.n)).difference(*self.parts)
 
 
 def auto_level(n: int) -> int:
@@ -596,20 +601,13 @@ def build_program(kernel: KernelResult, level: int) -> SdpProgram:
         raise CapacityError(
             f"moment matrix side {dim} too large for n={g.n}, level={level}"
         )
-    for part, k in zip(kernel.parts, kernel.budgets):
-        avail = len(part - kernel.forbidden)
-        if k > avail:
+    parts = kernel.kept_parts
+    for part, k in zip(parts, kernel.budgets):
+        if k > len(part):
             raise InfeasibleError(
-                f"budget {k} exceeds the {avail} selectable vertices of a part"
+                f"budget {k} exceeds the {len(part)} selectable vertices of a part"
             )
-    return SdpProgram(
-        n=g.n,
-        level=level,
-        edges=g.edges,
-        parts=kernel.parts,
-        budgets=kernel.budgets,
-        forbidden=kernel.forbidden,
-    )
+    return SdpProgram(n=g.n, level=level, edges=g.edges, parts=parts, budgets=kernel.budgets)
 
 
 class _Rows(NamedTuple):
@@ -634,7 +632,7 @@ def _budget_rows(program: SdpProgram, label, pos, S, width) -> _Rows:
     - t e_{S_j}, its columns the positions `pos` gives."""
     rows, cols, vals = [], [], []
     for p, (part, k) in enumerate(zip(program.parts, program.budgets)):
-        kept = [label[v] for v in part - program.forbidden]
+        kept = [label[v] for v in part]
         # one row per mask, the row's entries side by side
         rows.append(np.repeat(p * S.size + np.arange(S.size), len(kept) + 1))
         cols.append(np.column_stack([pos[S ^ (1 << i)] for i in kept] + [pos[S]]).ravel())
@@ -827,12 +825,12 @@ def _free_rows(program: SdpProgram):
     Row T of the free matrix stands for the m_T full rows T | S, S a set of
     supers.
     """
-    free = [v for v in range(program.n) if v not in program.forbidden]
+    supers = program.forbidden
+    free = [v for v in range(program.n) if v not in supers]
     label = {v: j for j, v in enumerate(free)}
     ms = moment_structure(len(free), program.level)
-    supers = len(program.forbidden)
     mult = np.array(
-        [basis_dim(supers, program.level - bin(int(t)).count("1")) for t in ms.row_masks],
+        [basis_dim(len(supers), program.level - bin(int(t)).count("1")) for t in ms.row_masks],
         dtype=np.float64,
     )
     return free, label, ms, mult
@@ -873,17 +871,15 @@ def _canonical(program: SdpProgram):
     vertices in the order of its labels 0, 1, ...
 
     The free vertices are laid out part by part, the parts ordered by
-    (kept size, budget) and each part's vertices ascending, then any free
-    vertex outside every part; the supers take the labels after them.  Two
-    programs of one level, super count and multiset of (kept size, budget)
-    get the same canonical program.
+    (kept size, budget) and each part's vertices ascending; the supers take
+    the labels after them.  Two programs of one level, super count and
+    multiset of (kept size, budget) get the same canonical program.
     """
-    kept = [sorted(part - program.forbidden) for part in program.parts]
+    kept = [sorted(part) for part in program.parts]
     order = sorted(range(len(kept)), key=lambda p: (len(kept[p]), program.budgets[p]))
     free = [v for p in order for v in kept[p]]
     if len(set(free)) != len(free):
         raise InputError("parts repeat a vertex")
-    free += sorted(set(range(program.n)) - program.forbidden - set(free))
     ends = list(accumulate((len(kept[p]) for p in order), initial=0))
     canonical = SdpProgram(
         n=program.n,
@@ -891,7 +887,6 @@ def _canonical(program: SdpProgram):
         edges=(),
         parts=tuple(frozenset(range(a, b)) for a, b in zip(ends, ends[1:])),
         budgets=tuple(program.budgets[p] for p in order),
-        forbidden=frozenset(range(len(free), program.n)),
     )
     return canonical, free
 
@@ -962,12 +957,11 @@ def solve(program: SdpProgram) -> MomentVector:
     kernel makes every program of one (c, eps) and budgets the same shape,
     with min(|V_i|, ceil(k_i / eps)) kept vertices per part.  So the solve
     labels the free vertices in a canonical order (see `_canonical`):
-    part by part, the parts ordered by (kept size, budget), then any free
-    vertex outside every part, the supers last.  It builds the geometry
-    of that edge-free canonical program, or reuses it from a thread-safe
-    LRU bounded by _GEOMETRY_CACHE_ENTRIES entries and
-    _GEOMETRY_CACHE_BYTES bytes (a larger geometry is built and not kept),
-    so a cached solve returns the same bytes as a cold one.
+    part by part, the parts ordered by (kept size, budget), the supers
+    last.  It builds the geometry of that edge-free canonical program, or
+    reuses it from a thread-safe LRU bounded by _GEOMETRY_CACHE_ENTRIES
+    entries and _GEOMETRY_CACHE_BYTES bytes (a larger geometry is built and
+    not kept), so a cached solve returns the same bytes as a cold one.
 
     The solve runs with OpenBLAS held to one thread (see `cutkit._blas`),
     and the caller's thread count is restored when it returns or raises.

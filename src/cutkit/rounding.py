@@ -171,19 +171,17 @@ def check_balance(s_hat, parts, budgets, eps: float) -> BalanceReport:
     return BalanceReport(tuple(row[0] for row in rows), flags, all(flags))
 
 
-def random_correct(
-    g: WeightedGraph, s_hat, part, k: int, forbidden=frozenset(), rng_seed=0
-) -> frozenset:
+def random_correct(g: WeightedGraph, s_hat, part, k: int, rng_seed=0) -> frozenset:
     """Uniformly add or delete vertices inside one part to hit its budget.
 
-    Additions are drawn from the part's unselected, non-forbidden vertices;
-    deletions from the selected ones.  In the balanced regime (per-element
+    Additions are drawn from the part's unselected vertices; deletions from
+    the selected ones.  A kernel's caller passes the kept part, so no super
+    vertex is ever added.  In the balanced regime (per-element
     probability at most eps) the expected cut value loses at most an eps
     fraction.
     """
     s_hat = frozenset(s_hat)
     part = frozenset(part)
-    forbidden = frozenset(forbidden)
     rng = np.random.default_rng(rng_seed)
     cur = sorted(s_hat & part)
     if len(cur) == k:
@@ -191,7 +189,7 @@ def random_correct(
     if len(cur) > k:
         drop = rng.choice(cur, size=len(cur) - k, replace=False)
         return s_hat - frozenset(int(v) for v in drop)
-    pool = sorted(part - s_hat - forbidden)
+    pool = sorted(part - s_hat)
     need = k - len(cur)
     if need > len(pool):
         raise InfeasibleError(
@@ -201,7 +199,7 @@ def random_correct(
     return s_hat | frozenset(int(v) for v in add)
 
 
-def realized_correction_prob(s_hat, part, k: int, forbidden=frozenset()) -> float:
+def realized_correction_prob(s_hat, part, k: int) -> float:
     """Per-element add/delete probability the correction step will use."""
     s_hat = frozenset(s_hat)
     part = frozenset(part)
@@ -210,7 +208,7 @@ def realized_correction_prob(s_hat, part, k: int, forbidden=frozenset()) -> floa
         return 0.0
     if cur > k:
         return (cur - k) / cur
-    pool = len(part - s_hat - frozenset(forbidden))
+    pool = len(part - s_hat)
     if pool <= 0:
         return 1.0
     return (k - cur) / pool
@@ -258,18 +256,17 @@ def sampled_union_bound_check(
     return float(ratios.mean()), stderr
 
 
-def greedy_feasible(g: WeightedGraph, parts, budgets, forbidden=frozenset(), start=None):
+def greedy_feasible(g: WeightedGraph, parts, budgets, start=None):
     """Per-part completion toward the budgets, guided by weighted degree.
 
-    Starts from `start` (clipped to allowed vertices), drops lowest-degree
-    surplus and adds highest-degree missing vertices.  Deterministic.
+    Starts from `start` (clipped to the parts), drops lowest-degree surplus
+    and adds highest-degree missing vertices.  Deterministic.
     """
     deg = g.degrees
-    forbidden = frozenset(forbidden)
-    chosen = set() if start is None else set(frozenset(start) - forbidden)
+    chosen = set() if start is None else set(start)
     out = set()
     for part, k in zip(parts, budgets):
-        allowed = sorted(frozenset(part) - forbidden, key=lambda v: (-deg[v], v))
+        allowed = sorted(part, key=lambda v: (-deg[v], v))
         if k > len(allowed):
             raise InfeasibleError(f"budget {k} exceeds part capacity {len(allowed)}")
         cur = [v for v in allowed if v in chosen]
@@ -344,8 +341,7 @@ def round_relaxation(relaxation: Relaxation, config: Config | None = None) -> Cu
     kernel, program, mv = relaxation.kernel, relaxation.program, relaxation.moments
     trace = ["kernel", "sdp"]
 
-    kept_parts = tuple(p - kernel.forbidden for p in kernel.parts)
-    c = len(kept_parts)
+    kept_parts = kernel.kept_parts
     alpha = relaxation.eps**6  # independence target
     budget = min(INDEPENDENCE_BUDGET, mv.level - 2)
     try:
@@ -365,14 +361,14 @@ def round_relaxation(relaxation: Relaxation, config: Config | None = None) -> Cu
     eu, ev, ew = reduced._edge_arrays
     crossing = (chosen[eu] ^ chosen[ev]).T
     raw = np.array([ew[row].sum() for row in crossing])  # cut_value's reduction
-    # sizes in each part, then in each part's selectable vertices
-    indicator = np.zeros((2 * c, reduced.n), dtype=np.int64)
-    for j, part in enumerate((*kernel.parts, *kept_parts)):
+    # sizes in each kept part: a super's bias is -1, so no draw holds one
+    indicator = np.zeros((len(kept_parts), reduced.n), dtype=np.int64)
+    for j, part in enumerate(kept_parts):
         indicator[j, list(part)] = 1
     sizes = indicator @ chosen
     budgets = np.array(kernel.budgets)
     part_sizes = np.array([len(part) for part in kernel.parts])
-    balanced = _balanced(sizes[:c], part_sizes[:, None], budgets[:, None], relaxation.eps)
+    balanced = _balanced(sizes, part_sizes[:, None], budgets[:, None], relaxation.eps)
 
     def drawn(t) -> frozenset:
         return frozenset(int(v) for v in np.flatnonzero(chosen[:, t]))
@@ -381,10 +377,10 @@ def round_relaxation(relaxation: Relaxation, config: Config | None = None) -> Cu
     for t in np.flatnonzero(balanced.all(axis=0)).tolist():
         s, val = drawn(t), float(raw[t])
         # a part at its budget is left alone: its correction would draw nothing
-        misses = np.flatnonzero(sizes[c:, t] != budgets).tolist()
+        misses = np.flatnonzero(sizes[:, t] != budgets).tolist()
         for j in misses:
             seed = _trial_seed(seedseq, t, 1 + j)
-            s = random_correct(reduced, s, kept_parts[j], kernel.budgets[j], kernel.forbidden, seed)
+            s = random_correct(reduced, s, kept_parts[j], kernel.budgets[j], seed)
         if misses:
             val = cut_value(reduced, s)
         if best is None or val > best[0]:
@@ -397,11 +393,7 @@ def round_relaxation(relaxation: Relaxation, config: Config | None = None) -> Cu
         # Balance never held: greedily complete the first best raw rounding.
         trace.extend(["rounding", "correction:fallback"])
         reduced_set = greedy_feasible(
-            reduced,
-            kept_parts,
-            kernel.budgets,
-            kernel.forbidden,
-            start=drawn(int(np.argmax(raw))),
+            reduced, kept_parts, kernel.budgets, start=drawn(int(np.argmax(raw)))
         )
 
     for part, k in zip(kept_parts, kernel.budgets):

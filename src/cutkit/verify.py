@@ -344,7 +344,7 @@ def suite_relaxation_consistency(config: Config | None = None):
                     break
 
         # conditioning is a convex split of the parent moments
-        free = sorted(set(range(n)) - ker.forbidden)
+        free = sorted(set().union(*ker.kept_parts))
         i = int(free[int(rng.integers(len(free)))])
         b = mv.bias(i)
         if abs(b) < 1.0 - 1e-6:
@@ -396,7 +396,7 @@ def suite_conditioning_telescope(config: Config | None = None):
         # a kernel has at most max_n = 7 vertices here, so it runs at level 4
         relaxation = relax_multi(inst, 0.5, replace(config, level=4))
         ker, mv = relaxation.kernel, relaxation.moments
-        parts = [sorted(p - ker.forbidden) for p in ker.parts]
+        parts = [sorted(p) for p in ker.kept_parts]
         budget = min(INDEPENDENCE_BUDGET, mv.level - 2)
         path_sums = []
         for p_idx in range(paths):
@@ -501,9 +501,9 @@ def suite_correction_bound(config: Config | None = None):
         eps = 0.5
         ker = kernelize_single(g, k, eps)
         reduced = ker.reduced
-        part = frozenset(range(reduced.n)) - ker.forbidden
+        (part,) = ker.kept_parts
         # start from a feasible-size perturbation the balance event allows
-        window = int(np.floor(eps * eps * len(part | ker.forbidden)))
+        window = int(np.floor(eps * eps * reduced.n))
         for dev in (-window, window):
             size = k + dev
             if not 0 < size <= len(part):
@@ -512,7 +512,7 @@ def suite_correction_bound(config: Config | None = None):
             s_hat = frozenset(
                 int(v) for v in rng.choice(pool, size=size, replace=False)
             )
-            p_real = realized_correction_prob(s_hat, part, k, ker.forbidden)
+            p_real = realized_correction_prob(s_hat, part, k)
             if p_real > eps:
                 continue
             base = cut_value(reduced, s_hat)
@@ -522,9 +522,7 @@ def suite_correction_bound(config: Config | None = None):
             seeds = np.random.SeedSequence((seed0, s, window + dev)).spawn(trials)
             ratios = np.empty(trials)
             for t in range(trials):
-                corrected = random_correct(
-                    reduced, s_hat, part, k, ker.forbidden, seeds[t]
-                )
+                corrected = random_correct(reduced, s_hat, part, k, seeds[t])
                 ratios[t] = cut_value(reduced, corrected) / base
             mean = float(ratios.mean())
             stderr = float(ratios.std(ddof=1) / np.sqrt(trials))

@@ -138,7 +138,7 @@ def check_inspect_pair_fields(path, obj):
     assert np.array_equal(np.diag(rho), np.ones(mv.n))
     assert rho.tolist() == [[mv.corr(i, j) for j in range(mv.n)] for i in range(mv.n)]
     assert obj["biases"] == [mv.bias(i) for i in range(mv.n)]
-    parts = [sorted(p - ker.forbidden) for p in ker.parts]
+    parts = [sorted(p) for p in ker.kept_parts]
     for score, part in zip(obj["block_scores"], parts, strict=True):
         pairs = [mutual_information(mv, a, b) for a, b in combinations(part, 2)]
         assert score == pytest.approx(np.mean(pairs) if pairs else 0.0, abs=1e-12)

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from cutkit.config import CONFIG_ENV_VAR, Config, load_config, parse_config_text
+from cutkit.cli import main
+from cutkit.config import Config, load_config, parse_config_text
 from cutkit.errors import ParseError
 
 
@@ -41,17 +42,52 @@ def test_parse_rejects_bad_value():
     assert exc_info.value.line == 1
 
 
-def test_load_from_env(tmp_path, monkeypatch):
-    path = tmp_path / "alt.cfg"
-    path.write_text("trials = 3\n")
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
-    assert load_config().trials == 3
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
-def test_load_missing_default_is_fine(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
-    assert load_config().trials == Config().trials
+def bench_csv(out) -> bytes:
+    assert main(["bench", str(CORPUS_DIR), "--out", str(out)]) == 0
+    return out.with_suffix(".csv").read_bytes()
+
+
+def test_only_a_named_file_is_read(tmp_path, monkeypatch, capsys):
+    # neither a stray ./cutkit.cfg nor CUTKIT_CONFIG is read: the bench
+    # writes the same bytes as in a clean directory (a combination cap of
+    # 1 or 2 would skip every oracle row)
+    clean, stray = tmp_path / "clean", tmp_path / "stray"
+    clean.mkdir()
+    stray.mkdir()
+    monkeypatch.delenv("CUTKIT_CONFIG", raising=False)
+    monkeypatch.chdir(clean)
+    want = bench_csv(clean / "report")
+    assert b",oracle,skipped," not in want
+    (stray / "cutkit.cfg").write_text("trials = 1\noracle_combo_cap = 1\n")
+    monkeypatch.chdir(stray)
+    assert bench_csv(stray / "cwd") == want
+    (tmp_path / "env.cfg").write_text("oracle_combo_cap = 2\n")
+    monkeypatch.setenv("CUTKIT_CONFIG", str(tmp_path / "env.cfg"))
+    assert bench_csv(stray / "env") == want
+    assert load_config() == Config()
+    assert load_config("cutkit.cfg") == Config(trials=1, oracle_combo_cap=1)
+
+
+def test_a_config_path_that_is_a_directory_is_a_parse_error(tmp_path, capsys):
+    code = main(["--config", str(tmp_path), "solve", str(CORPUS_DIR / "c1_n6.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+    with pytest.raises(ParseError, match=re.escape(str(tmp_path))):
+        load_config(str(tmp_path))
+
+
+def test_a_config_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# caf\xe9\ntrials = 2\n".encode("latin-1"))
+    code = main(["--config", str(cfg), "solve", str(CORPUS_DIR / "c1_n6.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg} is not UTF-8 text: byte 5 ")
+    with pytest.raises(ParseError, match=re.escape(str(cfg))):
+        load_config(str(cfg))
 
 
 def test_readme_config_table_names_every_key():

@@ -630,7 +630,7 @@ def test_search_by_depth_matches_the_restart_loop(
     # alpha 0 lets no candidate qualify, so the search fails and reports
     # the best one of every restart's steps
     relax = small_relaxation(n, c, seed, level, eps)
-    parts = [sorted(p - relax.kernel.forbidden) for p in relax.kernel.parts]
+    parts = [sorted(p) for p in relax.kernel.kept_parts]
     parts = [p for p in parts if p]
     alpha = 0.0 if strict else eps**6
     edges = relax.program.edges if with_edges else None
@@ -822,7 +822,7 @@ def lifted_null_vectors(prog):
     T = rows.masks[[bin(int(m)).count("1") <= prog.level - 1 for m in rows.masks]]
     cols = []
     for part, k in zip(prog.parts, prog.budgets):
-        kept = sorted(part - prog.forbidden)
+        kept = sorted(part)
         W = np.zeros((rows.masks.size, T.size))
         for j, t in enumerate(T):
             for i in kept:
@@ -946,7 +946,7 @@ def test_single_feasible_point_solves(with_supers):
     )
     assert K.shape[1] == 0
     mv = solve(prog)
-    chosen = [v for p, k in zip(ker.parts, ker.budgets) if k for v in p - ker.forbidden]
+    chosen = [v for p, k in zip(ker.kept_parts, ker.budgets) if k for v in p]
     assert np.allclose(mv.y, integral_moment_vector(prog.n, prog.level, chosen).y, atol=1e-9)
     assert mv.objective_value(prog.edges) == pytest.approx(reduced_optimum(ker), abs=1e-9)
 
@@ -1091,24 +1091,25 @@ def test_property_a_cached_geometry_answers_as_a_cold_one(n, c, eps, law, seed):
         assert objective == pytest.approx(cold[2], abs=1e-9)
 
 
-def test_canonical_layout_puts_free_vertices_outside_every_part_last():
-    # parts of kept sizes 2 and 1 (one super each), vertex 3 in no part
+def test_canonical_layout_puts_the_supers_last():
+    # kept parts of sizes 2 and 1; vertices 1, 2, 3 and 6 lie in no kept part
     prog = moments.SdpProgram(
         n=7,
         level=2,
         edges=((0, 3, 0.5), (1, 5, 0.5)),
-        parts=(frozenset({0, 5, 6}), frozenset({4, 1})),
+        parts=(frozenset({0, 5}), frozenset({4})),
         budgets=(1, 0),
-        forbidden=frozenset({6, 1}),
     )
     canonical, free = moments._canonical(prog)
-    assert free == [4, 0, 5, 2, 3]
+    assert free == [4, 0, 5]
     assert canonical.parts == (frozenset({0}), frozenset({1, 2}))
     assert canonical.budgets == (0, 1)
-    assert canonical.forbidden == frozenset({5, 6}) and canonical.edges == ()
+    assert (canonical.n, canonical.edges) == (7, ())
     mv = solve(prog)
-    assert [mv.bias(v) for v in (1, 4, 6)] == [-1.0, pytest.approx(-1.0, abs=1e-6), -1.0]
-    assert mv.objective_value(prog.edges) == pytest.approx(1.0, abs=1e-6)
+    assert [mv.bias(v) for v in (1, 2, 3, 6)] == [-1.0] * 4
+    assert mv.bias(4) == pytest.approx(-1.0, abs=1e-6)
+    # one of 0 and 5 is picked, and each cuts one edge to a super
+    assert mv.objective_value(prog.edges) == pytest.approx(0.5, abs=1e-6)
     with pytest.raises(InputError, match="parts repeat a vertex"):
         moments._canonical(replace(prog, parts=(frozenset({0, 5}), frozenset({0, 4}))))
 
@@ -1351,7 +1352,7 @@ def scaled_null_rows(prog):
     _, label, ms, mult = _free_rows(prog)
     rows = []
     for part, k in zip(prog.parts, prog.budgets):
-        kept = [label[v] for v in sorted(part - prog.forbidden)]
+        kept = [label[v] for v in sorted(part)]
         for t in ms.row_masks:
             if bin(int(t)).count("1") < prog.level:
                 v = np.zeros(ms.dim_mat)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,16 +220,17 @@ def test_correct_deficit_k3():
 
 
 def test_correct_respects_forbidden():
+    # vertex 2, a super, lies outside the kept part {0, 1} a caller passes
     g = WeightedGraph(3, [(0, 1, 1.0)])
     for seed in range(10):
-        out = random_correct(g, set(), range(3), 1, forbidden={2}, rng_seed=seed)
+        out = random_correct(g, set(), {0, 1}, 1, rng_seed=seed)
         assert out <= {0, 1}
 
 
 def test_correct_infeasible():
     g = WeightedGraph(3, [])
     with pytest.raises(InfeasibleError):
-        random_correct(g, set(), range(3), 2, forbidden={0, 1}, rng_seed=0)
+        random_correct(g, set(), {2}, 2, rng_seed=0)
 
 
 def test_realized_probability():
@@ -445,13 +447,70 @@ def test_variance_tracks_independence_score():
         rho = np.full((n, n), q)
         np.fill_diagonal(rho, 1.0)
         bias = BiasProfile(np.zeros(n), rho)
-        sizes = []
         seeds = np.random.SeedSequence((99, int(q * 100))).spawn(4000)
-        for s in seeds:
-            sizes.append(len(round_biased(bias, s)))
-        variances.append(np.var(np.array(sizes) / n))
+        sizes = rounding._draws(bias, seeds).sum(axis=0)  # one column per round_biased draw
+        variances.append(np.var(sizes / n))
     corr = spearmanr(scores, variances).statistic
     assert corr >= 0.0
+
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def assert_supers_stay_pinned(relaxation, seed):
+    """Every super reads bias -1.0 exactly, and threshold -inf, after the
+    solve and after each step of a random conditioning path down to level
+    1, so no rounding draw can select one."""
+    from cutkit.moments import condition, sample_value
+
+    kernel, mv = relaxation.kernel, relaxation.moments
+    supers = sorted(kernel.forbidden)
+    kept = sorted(set().union(*kernel.kept_parts))
+    rng = np.random.default_rng(seed)
+    while True:
+        assert [mv.bias(s) for s in supers] == [-1.0] * len(supers)
+        assert np.isneginf(BiasProfile.from_moment_vector(mv).thresholds[supers]).all()
+        if mv.level < 2:
+            return
+        v = kept[int(rng.integers(len(kept)))]
+        value = sample_value(mv, v, rng)
+        if (1.0 + value * mv.bias(v)) / 2.0 < 1e-9:  # a degenerate branch
+            value = -value
+        mv, _ = condition(mv, v, value)
+
+
+@pytest.mark.parametrize("name", ["c1_n7.json", "c2_n7.txt"])
+def test_corpus_supers_stay_pinned_through_solve_and_conditioning(name):
+    # the corpus files whose kernels have supers, both at eps 0.5
+    from cutkit.io import read_instance
+    from cutkit.rounding import relax_multi
+
+    relaxation = relax_multi(read_instance(str(CORPUS_DIR / name))[0], 0.5)
+    assert relaxation.kernel.forbidden
+    for seed in range(4):
+        assert_supers_stay_pinned(relaxation, seed)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(
+    n=st.integers(6, 11),
+    c=st.integers(1, 2),
+    law=st.sampled_from(["one", "uniform"]),
+    eps=st.sampled_from([0.25, 0.5]),
+    seed=st.integers(0, 10**6),
+)
+def test_property_supers_stay_pinned_through_solve_and_conditioning(n, c, law, eps, seed):
+    from cutkit.errors import CutkitError
+    from cutkit.kernel import kernelize_multi
+    from cutkit.rounding import relax_multi
+
+    inst = gen_random(n, 0.6, "uniform", c, law, seed=seed)
+    assume(kernelize_multi(inst, eps).forbidden)
+    try:
+        relaxation = relax_multi(inst, eps)
+    except CutkitError:  # over a size cap, or a relaxation that fails to solve
+        assume(False)
+    assert_supers_stay_pinned(relaxation, seed)
 
 
 def test_pipeline_three_parts():
@@ -478,7 +537,7 @@ def reference_round(relaxation, config):
 
     kernel, mv = relaxation.kernel, relaxation.moments
     trace = ["kernel", "sdp"]
-    kept_parts = tuple(p - kernel.forbidden for p in kernel.parts)
+    kept_parts = kernel.kept_parts
     budget = min(rounding.INDEPENDENCE_BUDGET, mv.level - 2)
     try:
         mv = make_block_independent(
@@ -504,7 +563,7 @@ def reference_round(relaxation, config):
             continue
         s = s_hat
         for j, (part, k) in enumerate(zip(kept_parts, kernel.budgets)):
-            s = random_correct(reduced, s, part, k, kernel.forbidden, child[1 + j])
+            s = random_correct(reduced, s, part, k, child[1 + j])
         val = cut_value(reduced, s)
         if best is None or val > best[0]:
             best = (val, s)
@@ -513,9 +572,7 @@ def reference_round(relaxation, config):
         reduced_set = best[1]
     else:
         trace.extend(["rounding", "correction:fallback"])
-        reduced_set = greedy_feasible(
-            reduced, kept_parts, kernel.budgets, kernel.forbidden, start=fallback[1]
-        )
+        reduced_set = greedy_feasible(reduced, kept_parts, kernel.budgets, start=fallback[1])
     original = kernel.lift(reduced_set)
     return original, cut_value(relaxation.graph, original), tuple(trace)
 
@@ -604,9 +661,9 @@ def test_round_relaxation_draws_once_and_corrects_only_the_missed_parts(monkeypa
         draws.append(len(seeds))
         return draw(bias, seeds)
 
-    def correcting(g, s_hat, part, k, forbidden, rng_seed):
+    def correcting(g, s_hat, part, k, rng_seed):
         corrected.append(len(frozenset(s_hat) & frozenset(part)) != k)
-        return correct(g, s_hat, part, k, forbidden, rng_seed)
+        return correct(g, s_hat, part, k, rng_seed)
 
     monkeypatch.setattr(rounding, "_draws", drawing)
     monkeypatch.setattr(rounding, "random_correct", correcting)
