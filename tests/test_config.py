@@ -67,8 +67,25 @@ def test_only_a_named_file_is_read(tmp_path, monkeypatch, capsys):
     (tmp_path / "env.cfg").write_text("oracle_combo_cap = 2\n")
     monkeypatch.setenv("CUTKIT_CONFIG", str(tmp_path / "env.cfg"))
     assert bench_csv(stray / "env") == want
+
+
+def test_load_from_env(tmp_path, monkeypatch):
+    # CUTKIT_CONFIG is not read: the file it names loads only when passed
+    path = tmp_path / "alt.cfg"
+    path.write_text("trials = 3\n")
+    monkeypatch.setenv("CUTKIT_CONFIG", str(path))
     assert load_config() == Config()
-    assert load_config("cutkit.cfg") == Config(trials=1, oracle_combo_cap=1)
+    assert load_config(str(path)).trials == 3
+
+
+def test_load_missing_default_is_fine(tmp_path, monkeypatch):
+    # no path gives the defaults, whether or not a ./cutkit.cfg is there
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CUTKIT_CONFIG", raising=False)
+    assert load_config() == Config()
+    (tmp_path / "cutkit.cfg").write_text("trials = 1\n")
+    assert load_config() == Config()
+    assert load_config("cutkit.cfg").trials == 1
 
 
 def test_a_config_path_that_is_a_directory_is_a_parse_error(tmp_path, capsys):
